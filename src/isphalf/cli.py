@@ -15,22 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-_NUMERIC_ERRORS = (
-    "NonConvergence",
-    "SingularFactor",
-    "SingularP",
-    "EdgeDecayViolation",
-    "SingularScattering",
-    "FredholmSingular",
-    "DegenerateBoundaryPair",
-    "InconsistentInputs",
-    "RankDeficient",
-)
-
 
 def _set_thread_env(threads: int):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
@@ -49,7 +37,9 @@ def main(argv=None) -> int:
         ],
     )
     parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--out", default=None, help="output directory (default $ISP_OUT_DIR or ./isp-out)")
+    parser.add_argument(
+        "--out", default=None, help="output directory (default: the config's out_dir, else $ISP_OUT_DIR, else ./isp-out)"
+    )
     parser.add_argument("--threads", type=int, default=None, help="worker thread cap; 1 is the determinism reference")
     parser.add_argument("--seed", type=int, default=None, help="seed for generated fixtures")
     args = parser.parse_args(argv)
@@ -59,12 +49,13 @@ def main(argv=None) -> int:
 
     # imports deferred so the thread env applies before numpy loads
     from .config import load_config
-    from .errors import IspError
+    from .errors import IspError, NumericalError
 
+    out_dir = _resolve_out_dir(args.out)
     try:
         cfg = load_config(args.config)
         cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed, threads=args.threads)
-        out_dir = Path(cfg.out_dir or os.environ.get("ISP_OUT_DIR") or "isp-out")
+        out_dir = _resolve_out_dir(cfg.out_dir)
         report, ok = _dispatch(args.command, cfg, out_dir)
         _write_report(report, out_dir)
         return 0 if ok else 2
@@ -75,14 +66,18 @@ def main(argv=None) -> int:
             if hasattr(exc, attr):
                 report[attr] = getattr(exc, attr)
         try:
-            _write_report(report, Path(args.out or os.environ.get("ISP_OUT_DIR") or "isp-out"))
+            _write_report(report, out_dir)
         except OSError:
             pass
         print(f"error: {kind}: {exc}", file=sys.stderr)
-        return 1 if kind in _NUMERIC_ERRORS else 2
+        return 1 if isinstance(exc, NumericalError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _resolve_out_dir(out_dir: str | None) -> Path:
+    return Path(out_dir or os.environ.get("ISP_OUT_DIR") or "isp-out")
 
 
 def _write_report(report: dict, out_dir: Path):
@@ -91,12 +86,11 @@ def _write_report(report: dict, out_dir: Path):
     atomic_write_text(out_dir / "report.json", render_report(report))
 
 
-def _write_artifact(out_dir: Path, name: str, text: str, manifest: list):
+def _write_artifact(out_dir: Path, name: str, text: str, manifest: dict):
+    """Write one artifact and record the sha256 of the bytes written."""
     from .serialize import atomic_write_text
 
-    path = out_dir / name
-    atomic_write_text(path, text)
-    manifest.append(path)
+    manifest[name] = atomic_write_text(out_dir / name, text)
 
 
 def _dispatch(command: str, cfg, out_dir: Path):
@@ -151,14 +145,7 @@ def _cmd_forward(cfg, out_dir: Path):
     from .domain import validate_potential
     from .errors import ValidationError
     from .linefunc import make_grid
-    from .serialize import (
-        file_manifest,
-        kernels_to_csv,
-        linefuncs_to_csv,
-        render_report,
-        sidecar_metadata,
-        atomic_write_text,
-    )
+    from .serialize import kernels_to_csv, linefuncs_to_csv, render_report, sidecar_metadata
 
     problem = _load_problem(cfg)
     disp = _require(problem, "dispersion")
@@ -186,7 +173,7 @@ def _cmd_forward(cfg, out_dir: Path):
     p_mat, pi_mat = fwd.transmission_matrix(blocks)
     strips = fwd.strip_diagnostics(plus, minus)
 
-    manifest: list = []
+    manifest: dict = {}
     _write_artifact(out_dir, "kernels.csv", kernels_to_csv(kernels), manifest)
     named_blocks = {
         "A11_minus": blocks.a11_minus,
@@ -199,8 +186,7 @@ def _cmd_forward(cfg, out_dir: Path):
     _write_artifact(out_dir, "scattering.csv", linefuncs_to_csv(named_scatter), manifest)
     _write_artifact(out_dir, "transmission.csv", linefuncs_to_csv({"P": p_mat, "Pi": pi_mat}), manifest)
     sidecar = sidecar_metadata(kernels=kernels, linefuncs={**named_blocks, **named_scatter})
-    atomic_write_text(out_dir / "sidecar.json", render_report(sidecar))
-    manifest.append(out_dir / "sidecar.json")
+    _write_artifact(out_dir, "sidecar.json", render_report(sidecar), manifest)
 
     report = {
         "command": "forward",
@@ -215,7 +201,7 @@ def _cmd_forward(cfg, out_dir: Path):
             "singularity_tol": cfg.singularity_tol,
         },
         "grid": {"lambda_max": cfg.lambda_max, "n_lambda": cfg.n_lambda},
-        "manifest": file_manifest(manifest),
+        "manifest": manifest,
     }
     return report, True
 
@@ -232,12 +218,12 @@ def _input_linefuncs(cfg, which: str = "input"):
 
 def _cmd_split(cfg, out_dir: Path):
     from .rh import plemelj_split
-    from .serialize import file_manifest, linefuncs_to_csv
+    from .serialize import linefuncs_to_csv
 
     funcs = _input_linefuncs(cfg)
     name, f = next(iter(funcs.items()))
     plus, minus = plemelj_split(f, edge_tol=cfg.split_edge_tol)
-    manifest: list = []
+    manifest: dict = {}
     _write_artifact(
         out_dir, "split.csv", linefuncs_to_csv({f"{name}_plus": plus, f"{name}_minus": minus}), manifest
     )
@@ -246,7 +232,7 @@ def _cmd_split(cfg, out_dir: Path):
         "input_block": name,
         "edge_norm": f.edge_norm(),
         "split_edge_tol": cfg.split_edge_tol,
-        "manifest": file_manifest(manifest),
+        "manifest": manifest,
     }
     return report, True
 
@@ -255,7 +241,7 @@ def _cmd_rh_solve(cfg, out_dir: Path):
     import numpy as np
 
     from .rh import solve_regular_rh, split_residual
-    from .serialize import file_manifest, linefuncs_to_csv
+    from .serialize import linefuncs_to_csv
 
     funcs = _input_linefuncs(cfg)
     s_mat = funcs.get("S") or next(iter(funcs.values()))
@@ -268,21 +254,21 @@ def _cmd_rh_solve(cfg, out_dir: Path):
     residual = float(
         np.abs((plus.plus_identity() @ s_mat.values) - minus.plus_identity()).max()
     )
-    manifest: list = []
+    manifest: dict = {}
     _write_artifact(out_dir, "factors.csv", linefuncs_to_csv({"plus": plus, "minus": minus}), manifest)
     report = {
         "command": "rh-solve",
         "factorization_residual": residual,
         "plus_wrong_side_content": split_residual(plus, "plus"),
         "minus_wrong_side_content": split_residual(minus, "minus"),
-        "manifest": file_manifest(manifest),
+        "manifest": manifest,
     }
     return report, True
 
 
 def _cmd_recover_blocks(cfg, out_dir: Path):
     from .rh import recover_blocks
-    from .serialize import file_manifest, linefuncs_to_csv
+    from .serialize import linefuncs_to_csv
 
     problem = _load_problem(cfg)
     bnd1 = _require(problem, "boundary")
@@ -300,7 +286,7 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
         consistency_tol=cfg.consistency_tol,
     )
     a11m, a12p, a21m, a22p = blocks
-    manifest: list = []
+    manifest: dict = {}
     _write_artifact(
         out_dir,
         "blocks.csv",
@@ -313,7 +299,7 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
         "command": "recover-blocks",
         "consistency": diag,
         "consistency_tol": cfg.consistency_tol,
-        "manifest": file_manifest(manifest),
+        "manifest": manifest,
     }
     return report, True
 
@@ -321,20 +307,20 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
 def _cmd_edge_forward(cfg, out_dir: Path):
     from .edge_coupled import edge_scattering
     from .linefunc import make_grid
-    from .serialize import file_manifest, linefuncs_to_csv
+    from .serialize import linefuncs_to_csv
 
     problem = _load_problem(cfg)
     sys_ = _require(problem, "edge_system")
     bnd = _require(problem, "edge_boundary")
     grid = make_grid(cfg.lambda_max, cfg.n_lambda)
     s_mat = edge_scattering(sys_, bnd, grid)
-    manifest: list = []
+    manifest: dict = {}
     _write_artifact(out_dir, "edge_scattering.csv", linefuncs_to_csv({"S": s_mat}), manifest)
     report = {
         "command": "edge-forward",
         "n": sys_.n,
         "column_sup": float(abs(s_mat.values[:, : sys_.n - 1, sys_.n - 1]).max()),
-        "manifest": file_manifest(manifest),
+        "manifest": manifest,
     }
     return report, True
 

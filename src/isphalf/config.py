@@ -10,6 +10,12 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 
 
+def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
+    """x beyond which the envelope C e^{-eps x} is below tail_tol."""
+    c, eps = envelope
+    return max(1.0, math.log(max(c, tail_tol * math.e) / tail_tol) / eps)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI run needs beyond the problem description itself.
@@ -79,10 +85,7 @@ class RunConfig:
         return self.s_step if self.s_step is not None else math.pi / self.lambda_max
 
     def resolve_x_max(self, envelope: tuple[float, float]) -> float:
-        if self.x_max is not None:
-            return self.x_max
-        c, eps = envelope
-        return max(1.0, math.log(max(c, self.tail_tol * math.e) / self.tail_tol) / eps)
+        return self.x_max if self.x_max is not None else truncation_length(envelope, self.tail_tol)
 
     def with_overrides(self, **kw) -> "RunConfig":
         data = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -11,7 +11,14 @@ class IspError(Exception):
     """Base class for all library errors."""
 
 
-class NonConvergence(IspError):
+class NumericalError(IspError):
+    """A well-formed input on which a numerical operation failed.
+
+    The CLI exits 1 for these and 2 for every other IspError (input errors).
+    """
+
+
+class NonConvergence(NumericalError):
     """An iterative solve exceeded its sweep budget."""
 
     def __init__(self, what: str, sweeps: int, last_change: float):
@@ -28,7 +35,7 @@ class SingularH(IspError):
     """Boundary matrix fails its determinant tolerance."""
 
 
-class SingularFactor(IspError):
+class SingularFactor(NumericalError):
     """det(I + A_plus) fell below tolerance at a real grid point."""
 
     def __init__(self, lam: float, value: float):
@@ -37,7 +44,7 @@ class SingularFactor(IspError):
         self.value = value
 
 
-class SingularP(IspError):
+class SingularP(NumericalError):
     """The boundary-value map P(lambda) is not invertible at a grid point."""
 
     def __init__(self, lam: float, value: float):
@@ -46,7 +53,7 @@ class SingularP(IspError):
         self.value = value
 
 
-class EdgeDecayViolation(IspError):
+class EdgeDecayViolation(NumericalError):
     """A function handed to the additive split does not decay at the grid ends."""
 
     def __init__(self, edge_norm: float, tol: float):
@@ -58,7 +65,7 @@ class EdgeDecayViolation(IspError):
         self.tol = tol
 
 
-class SingularScattering(IspError):
+class SingularScattering(NumericalError):
     """det S(lambda) vanishes on the grid; the jump matrix is not invertible."""
 
     def __init__(self, lam: float, value: float):
@@ -67,7 +74,7 @@ class SingularScattering(IspError):
         self.value = value
 
 
-class FredholmSingular(IspError):
+class FredholmSingular(NumericalError):
     """The discretized factorization system is rank deficient.
 
     Signals a nontrivial homogeneous solution, i.e. the problem is not
@@ -79,11 +86,11 @@ class FredholmSingular(IspError):
         self.rcond = rcond
 
 
-class DegenerateBoundaryPair(IspError):
+class DegenerateBoundaryPair(NumericalError):
     """det(H1 - H2) is below tolerance; block recovery is impossible."""
 
 
-class InconsistentInputs(IspError):
+class InconsistentInputs(NumericalError):
     """Two factorizations do not come from one potential."""
 
     def __init__(self, which: str, mismatch: float, tol: float):
@@ -95,7 +102,7 @@ class InconsistentInputs(IspError):
         self.tol = tol
 
 
-class RankDeficient(IspError):
+class RankDeficient(NumericalError):
     """Per-point coefficient recovery systems are rank deficient."""
 
     def __init__(self, deficiency: int, fraction: float, diagnostics=None):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import truncation_length
 from .domain import (
     BLOCK_ALLOWED,
     KERNEL_ALLOWED,
@@ -32,12 +33,6 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
-
-
-def truncation_length(envelope: tuple[float, float], tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """x beyond which the envelope C e^{-eps x} is below tail_tol."""
-    c, eps = envelope
-    return max(1.0, math.log(max(c, tail_tol * math.e) / tail_tol) / eps)
 
 
 def _full_profile(pot: TriangularPotential, row: int, col: int) -> ScalarProfile:

@@ -147,18 +147,6 @@ def _merge_tags(a: LineMatrixFunction, b: LineMatrixFunction) -> Analyticity:
     return NONE_TAG
 
 
-def identity_like(f: LineMatrixFunction) -> LineMatrixFunction:
-    vals = np.broadcast_to(np.eye(f.m), f.values.shape).copy()
-    return LineMatrixFunction(f.grid, vals, Analyticity("strip", np.inf))
-
-
 def zero_like(f: LineMatrixFunction, m: int | None = None) -> LineMatrixFunction:
     m = m or f.m
     return LineMatrixFunction(f.grid, np.zeros((len(f.grid), m, m), complex), Analyticity("strip", np.inf))
-
-
-def from_callable(grid: np.ndarray, fn, m: int, analyticity: Analyticity = NONE_TAG) -> LineMatrixFunction:
-    vals = np.zeros((len(grid), m, m), dtype=complex)
-    for idx, lam in enumerate(grid):
-        vals[idx] = fn(lam)
-    return LineMatrixFunction(grid, vals, analyticity)

@@ -37,10 +37,6 @@ class ScalarProfile:
         """Profile multiplied by a constant."""
         raise NotImplementedError
 
-    def decay_bound(self, x_probe: np.ndarray) -> np.ndarray:
-        """|f| evaluated on a probe grid, for envelope checks."""
-        return np.abs(self(x_probe))
-
 
 @dataclass(frozen=True)
 class ExpSumProfile(ScalarProfile):
@@ -85,9 +81,6 @@ class ExpSumProfile(ScalarProfile):
 
     def scaled(self, factor):
         return ExpSumProfile(tuple((factor * g, a) for g, a in self.terms))
-
-    def min_rate(self) -> float:
-        return min((a for _, a in self.terms), default=np.inf)
 
 
 ZERO_PROFILE = ExpSumProfile(())

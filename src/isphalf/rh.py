@@ -9,7 +9,6 @@ half-axis inverse problem to whole-axis data.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .domain import BoundaryMatrix, SINGULARITY_TOL
 from .errors import (
@@ -87,6 +86,8 @@ def solve_regular_rh(
     factorization identity holds pointwise by construction and the quality
     metric is the one-sidedness of the returned parts.
     """
+    import scipy.linalg
+
     grid = s_matrix.grid
     m = s_matrix.m
     n = len(grid)
@@ -139,15 +140,6 @@ def solve_regular_rh(
     if wrong > VERIFY_TOL * scale:
         raise FredholmSingular(float(rcond))
     return out_plus, out_minus
-
-
-def default_rh_grid_size(m: int) -> int:
-    """Collocation sizes bounding the dense system memory."""
-    if m <= 1:
-        return 4096
-    if m <= 3:
-        return 2048
-    return 512
 
 
 def solve_regular_rh_rational(

@@ -3,7 +3,8 @@
 Conventions: complex numbers serialize as [re, im] pairs, bulk numerics go
 to columnar CSV, metadata to JSON with sorted keys and fixed 17-significant-
 digit float formatting so identical runs produce byte-identical artifacts.
-All writes are atomic (write to a temp file, then rename).
+All writes are atomic (write to a temp file, then rename) and return the
+sha256 of the bytes written, so hash manifests need no second read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BoundaryMatrix, Dispersion, TriangularPotential
-from .edge_coupled import EdgeBoundary, EdgeCoupledSystem
 from .errors import ParseError, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import ExpSumProfile, SampledProfile, ScalarProfile, ZERO_PROFILE
@@ -86,6 +86,8 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
 
 def random_edge_system(spec: dict, seed) -> EdgeCoupledSystem:
     """Deterministic random fixture: exponential-sum couplings from a seed."""
+    from .edge_coupled import EdgeCoupledSystem
+
     rng = np.random.default_rng(0 if seed is None else seed)
     disp = Dispersion(int(spec["n"]), tuple(float(v) for v in spec["xi"]))
     n = disp.n
@@ -153,6 +155,8 @@ def load_problem(path, seed=None) -> dict:
         if key in raw:
             out[key] = BoundaryMatrix(_matrix_from_json(raw[key]["H"], key))
     if "edge_system" in raw:
+        from .edge_coupled import EdgeCoupledSystem
+
         e = raw["edge_system"]
         disp_e = Dispersion(int(e["n"]), tuple(float(v) for v in e["xi"]))
         env = e.get("envelope", {"C": 1.0, "eps": 1.0})
@@ -169,6 +173,8 @@ def load_problem(path, seed=None) -> dict:
         out["edge_system"] = random_edge_system(raw["random_edge_system"], seed)
     for key in ("edge_boundary", "edge_boundary2"):
         if key in raw:
+            from .edge_coupled import EdgeBoundary
+
             block = _matrix_from_json(raw[key]["h_block"], key)
             n_edge = out["edge_system"].n if "edge_system" in out else block.shape[0] + 1
             out[key] = EdgeBoundary(n_edge, block)
@@ -186,28 +192,41 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path, text: str):
+def atomic_write_text(path, text: str) -> str:
+    """Write text as UTF-8 atomically; returns the sha256 hex digest of the bytes."""
+    data = text.encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
+
+
+def _csv_field(value: str) -> str:
+    """One inner CSV field quoted as csv.writer quotes it, escaped for %-templates."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[: -len(",\n")].replace("%", "%%")
 
 
 def kernels_to_csv(kernels) -> str:
-    """Columnar kernel dump: x, t, block, k, j, re, im (1-based indices)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "t", "block", "k", "j", "re", "im"])
+    """Columnar kernel dump: x, t, block, k, j, re, im (1-based indices).
+
+    Each x row of a channel is one %-format call over a row template, which
+    prints every float exactly as format(v, ".17g") does.
+    """
     x = kernels.x_grid
     tau = kernels.tau_grid
     n = kernels.n
+    parts = ["x,t,block,k,j,re,im\n"]
+    cols = np.empty((len(tau), 4))
     for name in ("A11", "A12", "A21", "A22"):
         block = kernels.blocks[name]
         for k in range(n):
@@ -215,33 +234,32 @@ def kernels_to_csv(kernels) -> str:
                 vals = block[k, j]
                 if np.abs(vals).max() == 0.0:
                     continue
+                template = f"%.17g,%.17g,{_csv_field(name)},{k + 1},{j + 1},%.17g,%.17g\n" * len(tau)
                 for ix in range(len(x)):
-                    row_x = x[ix]
-                    v = vals[ix]
-                    for it in range(len(tau)):
-                        writer.writerow(
-                            [_fmt(row_x), _fmt(row_x + tau[it]), name, k + 1, j + 1, _fmt(v[it].real), _fmt(v[it].imag)]
-                        )
-    return buf.getvalue()
+                    cols[:, 0] = x[ix]
+                    cols[:, 1] = x[ix] + tau
+                    cols[:, 2] = vals[ix].real
+                    cols[:, 3] = vals[ix].imag
+                    parts.append(template % tuple(cols.ravel().tolist()))
+    return "".join(parts)
 
 
 def linefuncs_to_csv(named) -> str:
     """lambda, block, k, j, re, im for a mapping name -> LineMatrixFunction."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "block", "k", "j", "re", "im"])
+    parts = ["lambda,block,k,j,re,im\n"]
     for name, f in named.items():
         grid = f.grid
-        vals = f.values
-        m = f.m
-        for k in range(m):
-            for j in range(m):
-                col = vals[:, k, j]
-                for idx in range(len(grid)):
-                    writer.writerow(
-                        [_fmt(grid[idx]), name, k + 1, j + 1, _fmt(col[idx].real), _fmt(col[idx].imag)]
-                    )
-    return buf.getvalue()
+        cols = np.empty((len(grid), 3))
+        cols[:, 0] = grid
+        field = _csv_field(name)
+        for k in range(f.m):
+            for j in range(f.m):
+                col = f.values[:, k, j]
+                cols[:, 1] = col.real
+                cols[:, 2] = col.imag
+                template = f"%.17g,{field},{k + 1},{j + 1},%.17g,%.17g\n" * len(grid)
+                parts.append(template % tuple(cols.ravel().tolist()))
+    return "".join(parts)
 
 
 def linefuncs_from_csv(path) -> dict:
@@ -344,6 +362,11 @@ def render_report(results: dict) -> str:
 
 
 def file_manifest(paths) -> dict:
+    """sha256 digests of files already on disk, keyed by file name.
+
+    The CLI takes its manifests from atomic_write_text, which hashes while
+    writing; this read-back form stays because perfbench's tracer wraps it.
+    """
     out = {}
     for p in paths:
         p = Path(p)

@@ -1,9 +1,15 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isphalf
+from isphalf import cli, errors
 from isphalf.cli import main
 from isphalf.config import RunConfig, load_config
 from isphalf.errors import ParseError, ValidationError
@@ -187,7 +193,9 @@ def test_forward_command_artifacts_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     rep = json.loads((out1 / "report.json").read_text())
     assert "min_abs_det_plus" in rep
-    assert set(rep["manifest"]) >= {"kernels.csv", "scattering.csv", "transforms.csv"}
+    assert set(rep["manifest"]) == {p.name for p in out1.iterdir()} - {"report.json"}
+    for name, digest in rep["manifest"].items():
+        assert digest == hashlib.sha256((out1 / name).read_bytes()).hexdigest()
     funcs = linefuncs_from_csv(out1 / "scattering.csv")
     lam = funcs["S"].grid
     want = (1 - 2j * lam) / (1 - 2j * lam - 1j)
@@ -290,7 +298,9 @@ def test_report_command(tmp_path):
 
 
 def test_missing_config_is_input_error(tmp_path):
-    assert run_cli("forward", "--config", str(tmp_path / "nope.json")) == 2
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", str(tmp_path / "nope.json"), "--out", str(out)) == 2
+    assert json.loads((out / "report.json").read_text())["error"] == "ParseError"
 
 
 def test_failed_run_report_names_error(tmp_path):
@@ -304,3 +314,99 @@ def test_failed_run_report_names_error(tmp_path):
     assert run_cli("split", "--config", cfg, "--out", str(out)) == 1
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"] == "EdgeDecayViolation"
+
+
+def test_failure_report_goes_to_config_out_dir(tmp_path, monkeypatch):
+    grid = make_grid(100.0, 512)
+    inp = tmp_path / "f.csv"
+    inp.write_text(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))}))
+    wanted = tmp_path / "wanted"
+    cfg = _write(tmp_path, "c.json", {"input": str(inp), "out_dir": str(wanted)})
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("ISP_OUT_DIR", raising=False)
+    assert run_cli("split", "--config", cfg) == 1
+    assert json.loads((wanted / "report.json").read_text())["error"] == "EdgeDecayViolation"
+    assert list(cwd.iterdir()) == []
+
+
+def test_threads_flag_overrides_inherited_env(tmp_path, monkeypatch):
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for var in thread_vars:
+        monkeypatch.setenv(var, "4")
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob})
+    assert run_cli("validate", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1") == 0
+    assert {var: os.environ[var] for var in thread_vars} == dict.fromkeys(thread_vars, "1")
+
+
+# one instance of every IspError subclass with the exit code the CLI gives it
+ERROR_EXIT_CODES = [
+    (errors.NumericalError("generic numerical failure"), 1),
+    (errors.NonConvergence("kernels", 50, 0.1), 1),
+    (errors.SingularFactor(0.5, 1e-12), 1),
+    (errors.SingularP(0.5, 1e-12), 1),
+    (errors.EdgeDecayViolation(0.5, 1e-3), 1),
+    (errors.SingularScattering(0.5, 1e-12), 1),
+    (errors.FredholmSingular(1e-15), 1),
+    (errors.DegenerateBoundaryPair("|det(H1 - H2)| = 0"), 1),
+    (errors.InconsistentInputs("a22_plus", 1e-3, 1e-6), 1),
+    (errors.RankDeficient(1, 0.5), 1),
+    (errors.SingularH("|det H| = 0"), 2),
+    (errors.ParseError("p.json", "invalid JSON"), 2),
+    (errors.ValidationError("n_lambda", "must be a power of two"), 2),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert {type(exc) for exc, _ in ERROR_EXIT_CODES} == set(_subclasses(errors.IspError))
+
+
+@pytest.mark.parametrize("exc, code", ERROR_EXIT_CODES, ids=[type(e).__name__ for e, _ in ERROR_EXIT_CODES])
+def test_exit_code_per_error_class(tmp_path, monkeypatch, exc, code):
+    def fail(command, cfg, out_dir):
+        raise exc
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    cfg = _write(tmp_path, "c.json", {})
+    out = tmp_path / "out"
+    assert run_cli("report", "--config", cfg, "--out", str(out)) == code
+    assert json.loads((out / "report.json").read_text())["error"] == type(exc).__name__
+
+
+SCIPY_FREE_SCRIPT = """
+import json, sys
+import isphalf.cli, isphalf.config, isphalf.serialize, isphalf.forward, isphalf.edge_coupled, isphalf.rh
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for command, config in json.loads(sys.argv[1]):
+    code = isphalf.cli.main([command, "--config", config, "--out", sys.argv[2] + "/" + command])
+    loaded[command] = code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_forward_commands_load_no_scipy(tmp_path):
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    fwd = _write(
+        tmp_path, "fwd.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
+    )
+    edge = _write(tmp_path, "edge.json", {"problem": _write(tmp_path, "e.json", EDGE_PROBLEM), "n_lambda": 64})
+    runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge)]
+    src = str(Path(isphalf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"import": [], "validate": [0, []], "forward": [0, []], "edge-forward": [0, []]}
