@@ -191,6 +191,7 @@ def _cmd_forward(cfg, out_dir: Path):
     report = {
         "command": "forward",
         "sweeps": kernels.sweeps,
+        "kernel_sweep_changes": list(kernels.sweep_changes),
         "theta": kernels.theta,
         "c_tilde": kernels.c_tilde,
         "min_abs_det_plus": strips["min_abs_det_plus"],

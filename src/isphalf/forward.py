@@ -10,6 +10,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
+# kernel march blocks: tau levels, and points per gather (~16 MB of temporaries)
+_LEVELS_PER_BLOCK = 64
+_LEVEL_BLOCK_POINTS = 1 << 20
 
 
 def _full_profile(pot: TriangularPotential, row: int, col: int) -> ScalarProfile:
@@ -204,6 +208,7 @@ class TransformationKernels:
     c_tilde: float
     envelope_eps: float
     sweeps: int
+    sweep_changes: tuple[float, ...] = ()  # sup-norm change of each Jacobi sweep
 
     @property
     def n(self) -> int:
@@ -246,6 +251,28 @@ def _channel_table(disp: Dispersion):
     return chans
 
 
+def _kernel_peak_bytes(n: int, nx: int, nt: int) -> int:
+    """Estimated peak memory of solve_kernels on an (nx, nt) grid.
+
+    Counts the drive, current and next iterates (four blocks each), one
+    coupling block, two single-channel work arrays and the temporaries of
+    one level-block gather.
+    """
+    channel = 16 * nx * nt
+    return channel * (13 * n * n + 2) + 160 * _LEVEL_BLOCK_POINTS
+
+
+def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
+    """Linear interpolation of row r = [left, v_first, v_first+1, ..., 0, 0]
+    at pos[r] (grid units): `left` below `first`, zero past the last sample;
+    below first - 1 the upper tap reads v_first, exact when left == v_first."""
+    width = rows.shape[1]
+    i0 = np.floor(pos).astype(int)
+    frac = pos - i0
+    lo = np.clip(i0 + 1 - first, 0, width - 2) + width * np.arange(len(rows))[:, None]
+    return (1.0 - frac) * rows.ravel()[lo] + frac * rows.ravel()[lo + 1]
+
+
 def solve_kernels(
     pot: TriangularPotential,
     disp: Dispersion,
@@ -259,11 +286,25 @@ def solve_kernels(
 ) -> TransformationKernels:
     """Solve the coupled Volterra systems along characteristics.
 
-    Each entry is updated by marching its own characteristic one tau level
-    per step (composite trapezoid along the segment, linear interpolation at
-    the off-grid foot), with a Jacobi sweep barrier between iterations.  The
-    diagonal entries integrate along x up to the truncation boundary, where
-    the envelope bounds the dropped tail.
+    Jacobi sweeps: each sweep builds the coupling field of one kernel block
+    at a time from the previous iterate and integrates it along every
+    entry's characteristic.  An off-diagonal entry is accumulated on the
+    characteristic lattice, indexed by the foot position at tau = 0, so
+    interpolation error never feeds back into the accumulation.  The march
+    runs over blocks of tau levels (_LEVELS_PER_BLOCK, fewer where a gather
+    would exceed _LEVEL_BLOCK_POINTS points) and, per block, over the band
+    of feet whose characteristics cross the nodes: the coupling field is
+    gathered at the feet with 2-tap linear weights, the composite trapezoid
+    increments are summed by a cumsum along tau whose first row is the
+    accumulation carried from the previous block, and the result is
+    gathered back onto the nodes.  Every element sees the same
+    floating-point operations in the same order as a march one level at a
+    time, so the kernels are bit-identical to that march and do not depend
+    on the block size.  The diagonal entries integrate along x up to the
+    truncation boundary, where the envelope bounds the dropped tail.
+
+    A grid whose estimated peak memory exceeds physical memory is refused
+    with ValidationError before anything is allocated.
     """
     n = disp.n
     c_env, eps = pot.envelope
@@ -274,9 +315,16 @@ def solve_kernels(
         tau_max = x_max / theta
     nx = int(math.ceil(x_max / step)) + 1
     nt = int(math.ceil(tau_max / step)) + 1
+    need = _kernel_peak_bytes(n, nx, nt)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValidationError(
+            "kernel grid",
+            f"{nx} x {nt} points at n = {n} need about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory",
+        )
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
-    xi = disp.xi_arr
 
     chans = _channel_table(disp)
     qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
@@ -298,70 +346,59 @@ def solve_kernels(
         drive[name][k, j] = 1j * rho * d
 
     kern = {name: drive[name].copy() for name in _BLOCK_SPEEDS}
+    nodes = np.arange(nx, dtype=float)
 
-    def sample_level(level_vals: np.ndarray, pos: np.ndarray, clamp_left: bool = False) -> np.ndarray:
-        """Linear interpolation of a 1-d level at positions given in grid units.
-
-        Values vanish beyond the right (truncation) edge; the left edge is
-        either zero or clamped to the first sample (used for coupling fields
-        along characteristics that exit at x = 0, so the accumulated integral
-        stays kink-free where the corner is interpolated).
-        """
-        m = len(level_vals)
-        i0 = np.floor(pos).astype(int)
-        frac = pos - i0
-        padded = np.concatenate([level_vals, [0.0 + 0.0j, 0.0 + 0.0j]])
-        left = level_vals[0] if clamp_left else 0.0 + 0.0j
-        lo = np.clip(i0, -1, m)
-        hi = np.clip(i0 + 1, -1, m)
-        vlo = np.where(i0 < 0, left, padded[lo])
-        vhi = np.where(i0 + 1 < 0, left, padded[hi])
-        return (1.0 - frac) * vlo + frac * vhi
-
-    last_change = np.inf
+    change, changes = np.inf, []
     for sweep in range(1, max_sweeps + 1):
-        coup = {}
-        for name in _BLOCK_SPEEDS:
-            g = np.zeros((n, n, nx, nt), dtype=complex)
-            for qname, aname in _COUPLING[name]:
-                g += np.einsum("kmx,mjxt->kjxt", qgrid[qname], kern[aname])
-            coup[name] = g
-
-        change = 0.0
         new = {}
         for name in _BLOCK_SPEEDS:
+            coup = np.zeros((n, n, nx, nt), dtype=complex)
+            for qname, aname in _COUPLING[name]:
+                coup += np.einsum("kmx,mjxt->kjxt", qgrid[qname], kern[aname])
             new[name] = drive[name].copy()
-        for name, k, j, rho in chans:
-            g = coup[name][k, j]
-            if rho is None:
-                # integral along x to the truncation boundary, every tau level
-                seg = 0.5 * step * (g[:-1, :] + g[1:, :])
-                w = np.zeros((nx, nt), dtype=complex)
-                w[:-1, :] = np.cumsum(seg[::-1, :], axis=0)[::-1, :]
-                new[name][k, j] = drive[name][k, j] + 1j * w
-            else:
-                # accumulate the path integral on the characteristic lattice
-                # (indexed by the foot position at tau = 0) so interpolation
-                # error never feeds back into the accumulation
-                n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
-                feet = np.arange(n_feet, dtype=float)
-                w = np.zeros(n_feet, dtype=complex)
+            for _, k, j, rho in (c for c in chans if c[0] == name):
+                g = coup[k, j]
                 out = new[name][k, j]
-                g_prev = sample_level(g[:, 0], feet, clamp_left=True)
-                node_query = np.arange(nx, dtype=float)
-                for ell in range(1, nt):
-                    g_cur = sample_level(g[:, ell], feet - rho * ell, clamp_left=True)
-                    w += 0.5 * rho * step * (g_cur + g_prev)
-                    g_prev = g_cur
-                    out[:, ell] += 1j * sample_level(w, node_query + rho * ell)
+                if rho is None:
+                    # integral along x to the truncation boundary, every tau
+                    # level, in one work array; the x_max row keeps its zero drive
+                    w = np.add(g[:-1], g[1:])
+                    w *= 0.5 * step
+                    np.cumsum(w[::-1], axis=0, out=w[::-1])
+                    w *= 1j
+                    out[:-1] += w
+                    continue
+                # the feet over the nodes move right with tau (rho > 0); per block,
+                # feet left of f0 are never read again and feet from f1 on have
+                # met only zero coupling, so their w is still exactly +0
+                n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
+                w = np.zeros(n_feet, dtype=complex)
+                span = max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // n_feet))
+                for a in range(1, nt, span):
+                    b = min(a + span, nt)
+                    shift = rho * np.arange(a - 1, b)
+                    f0, f1 = int(shift[1]), min(n_feet, int(shift[-1]) + nx + 2)
+                    # coupling on levels a-1 .. b-1 at the feet, clamped left of x = 0
+                    rows = np.zeros((b - a + 1, nx + 3), dtype=complex)
+                    rows[:, 0] = g[0, a - 1 : b]
+                    rows[:, 1 : nx + 1] = g[:, a - 1 : b].T
+                    g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
+                    acc = np.zeros((b - a + 1, f1 - f0 + 3), dtype=complex)
+                    acc[0, 1:-2] = w[f0:f1]
+                    acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
+                    acc = np.cumsum(acc, axis=0)
+                    w[f0:f1] = acc[-1, 1:-2]
+                    out[:, a:b] += 1j * _lerp_rows(acc[1:], nodes + shift[1:, None], f0).T
+            del coup
+        change = 0.0
         for name in _BLOCK_SPEEDS:
             change = max(change, float(np.abs(new[name] - kern[name]).max()))
             kern[name] = new[name]
-        last_change = change
+        changes.append(change)
         if change < tol:
             break
     else:
-        raise NonConvergence("kernel system", max_sweeps, last_change)
+        raise NonConvergence("kernel system", max_sweeps, change)
 
     envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
     c_tilde = 0.0
@@ -376,6 +413,7 @@ def solve_kernels(
         c_tilde=c_tilde,
         envelope_eps=eps,
         sweeps=sweep,
+        sweep_changes=tuple(changes),
     )
 
 

@@ -193,6 +193,9 @@ def test_forward_command_artifacts_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     rep = json.loads((out1 / "report.json").read_text())
     assert "min_abs_det_plus" in rep
+    changes = rep["kernel_sweep_changes"]
+    assert len(changes) == rep["sweeps"]
+    assert changes[-1] < load_config(cfg).iteration_tol
     assert set(rep["manifest"]) == {p.name for p in out1.iterdir()} - {"report.json"}
     for name, digest in rep["manifest"].items():
         assert digest == hashlib.sha256((out1 / name).read_bytes()).hexdigest()
@@ -215,6 +218,17 @@ def test_forward_zero_potential_identity_scattering(tmp_path):
     s = linefuncs_from_csv(out / "scattering.csv")["S"]
     dev = np.abs(s.values - np.eye(2)).max()
     assert dev == 0.0
+
+
+def test_forward_refuses_grid_beyond_physical_memory(tmp_path):
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, **FWD_CFG, "kernel_step": 1e-4, "x_max": 1e3, "t_max": 2e3})
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError"
+    assert "GiB" in rep["detail"]
+    assert {p.name for p in out.iterdir()} == {"report.json"}
 
 
 def test_split_command(tmp_path):

@@ -1,14 +1,33 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isphalf import forward
+from isphalf.config import truncation_length
 from isphalf.domain import (
+    BLOCK_ALLOWED,
     BoundaryMatrix,
     Dispersion,
     KERNEL_ALLOWED,
     TriangularPotential,
+    kernel_decay_exponent,
     validate_potential,
 )
+from isphalf.errors import NonConvergence, ValidationError
 from isphalf.forward import (
+    _BLOCK_SPEEDS,
+    _COUPLING,
+    _DRIVE_BLOCK,
+    DEFAULT_ITER_TOL,
+    DEFAULT_STEP,
+    DEFAULT_TAIL_TOL,
+    MAX_SWEEPS,
+    TransformationKernels,
+    _channel_table,
     asymptotic_coefficients,
     boundary_parts,
     kernel_transforms,
@@ -21,7 +40,7 @@ from isphalf.forward import (
     transmission_matrix,
 )
 from isphalf.linefunc import make_grid
-from isphalf.profiles import ExpSumProfile
+from isphalf.profiles import ExpSumProfile, SampledProfile
 
 from conftest import random_potential
 
@@ -173,6 +192,206 @@ def test_representation_consistency(n2_random_pot, e1_disp, n2_random_kernels):
             y1r, y2r = reconstruct_from_kernels(n2_random_kernels, e1_disp, lam, A, B, ix)
             err = max(np.abs(y1r - sol.y1[isol]).max(), np.abs(y2r - sol.y2[isol]).max())
             assert err < 2e-4
+
+
+# -- the level-blocked march against the per-level march it replaced ---------
+
+# The solver before the kernel march was vectorised, kept verbatim: one
+# sample_level call per channel, tau level and operand.  The blocked march
+# must reproduce it bit for bit.
+def reference_solve_kernels(
+    pot: TriangularPotential,
+    disp: Dispersion,
+    *,
+    step: float = DEFAULT_STEP,
+    x_max: float | None = None,
+    tau_max: float | None = None,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    tol: float = DEFAULT_ITER_TOL,
+    max_sweeps: int = MAX_SWEEPS,
+) -> TransformationKernels:
+    """Solve the coupled Volterra systems along characteristics.
+
+    Each entry is updated by marching its own characteristic one tau level
+    per step (composite trapezoid along the segment, linear interpolation at
+    the off-grid foot), with a Jacobi sweep barrier between iterations.  The
+    diagonal entries integrate along x up to the truncation boundary, where
+    the envelope bounds the dropped tail.
+    """
+    n = disp.n
+    c_env, eps = pot.envelope
+    theta = kernel_decay_exponent(disp)
+    if x_max is None:
+        x_max = truncation_length(pot.envelope, tail_tol)
+    if tau_max is None:
+        tau_max = x_max / theta
+    nx = int(math.ceil(x_max / step)) + 1
+    nt = int(math.ceil(tau_max / step)) + 1
+    x = step * np.arange(nx)
+    tau = step * np.arange(nt)
+    xi = disp.xi_arr
+
+    chans = _channel_table(disp)
+    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
+
+    # driving terms: D_{kj}(x, tau) = i rho q_{kj}(x + rho tau); zero on diagonals
+    drive = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in _BLOCK_SPEEDS}
+    for name, k, j, rho in chans:
+        if rho is None:
+            continue
+        prof = pot.block(_DRIVE_BLOCK[name])[k][j]
+        if prof.is_zero:
+            continue
+        if isinstance(prof, ExpSumProfile):
+            d = np.zeros((nx, nt), dtype=complex)
+            for gamma, a in prof.terms:
+                d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
+        else:
+            d = prof(x[:, None] + rho * tau[None, :])
+        drive[name][k, j] = 1j * rho * d
+
+    kern = {name: drive[name].copy() for name in _BLOCK_SPEEDS}
+
+    def sample_level(level_vals: np.ndarray, pos: np.ndarray, clamp_left: bool = False) -> np.ndarray:
+        """Linear interpolation of a 1-d level at positions given in grid units.
+
+        Values vanish beyond the right (truncation) edge; the left edge is
+        either zero or clamped to the first sample (used for coupling fields
+        along characteristics that exit at x = 0, so the accumulated integral
+        stays kink-free where the corner is interpolated).
+        """
+        m = len(level_vals)
+        i0 = np.floor(pos).astype(int)
+        frac = pos - i0
+        padded = np.concatenate([level_vals, [0.0 + 0.0j, 0.0 + 0.0j]])
+        left = level_vals[0] if clamp_left else 0.0 + 0.0j
+        lo = np.clip(i0, -1, m)
+        hi = np.clip(i0 + 1, -1, m)
+        vlo = np.where(i0 < 0, left, padded[lo])
+        vhi = np.where(i0 + 1 < 0, left, padded[hi])
+        return (1.0 - frac) * vlo + frac * vhi
+
+    last_change = np.inf
+    for sweep in range(1, max_sweeps + 1):
+        coup = {}
+        for name in _BLOCK_SPEEDS:
+            g = np.zeros((n, n, nx, nt), dtype=complex)
+            for qname, aname in _COUPLING[name]:
+                g += np.einsum("kmx,mjxt->kjxt", qgrid[qname], kern[aname])
+            coup[name] = g
+
+        change = 0.0
+        new = {}
+        for name in _BLOCK_SPEEDS:
+            new[name] = drive[name].copy()
+        for name, k, j, rho in chans:
+            g = coup[name][k, j]
+            if rho is None:
+                # integral along x to the truncation boundary, every tau level
+                seg = 0.5 * step * (g[:-1, :] + g[1:, :])
+                w = np.zeros((nx, nt), dtype=complex)
+                w[:-1, :] = np.cumsum(seg[::-1, :], axis=0)[::-1, :]
+                new[name][k, j] = drive[name][k, j] + 1j * w
+            else:
+                # accumulate the path integral on the characteristic lattice
+                # (indexed by the foot position at tau = 0) so interpolation
+                # error never feeds back into the accumulation
+                n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
+                feet = np.arange(n_feet, dtype=float)
+                w = np.zeros(n_feet, dtype=complex)
+                out = new[name][k, j]
+                g_prev = sample_level(g[:, 0], feet, clamp_left=True)
+                node_query = np.arange(nx, dtype=float)
+                for ell in range(1, nt):
+                    g_cur = sample_level(g[:, ell], feet - rho * ell, clamp_left=True)
+                    w += 0.5 * rho * step * (g_cur + g_prev)
+                    g_prev = g_cur
+                    out[:, ell] += 1j * sample_level(w, node_query + rho * ell)
+        for name in _BLOCK_SPEEDS:
+            change = max(change, float(np.abs(new[name] - kern[name]).max()))
+            kern[name] = new[name]
+        last_change = change
+        if change < tol:
+            break
+    else:
+        raise NonConvergence("kernel system", max_sweeps, last_change)
+
+    envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
+    c_tilde = 0.0
+    for name in _BLOCK_SPEEDS:
+        mags = np.abs(kern[name]).max(axis=(0, 1))
+        c_tilde = max(c_tilde, float((mags * envelope).max()))
+    return TransformationKernels(
+        disp=disp,
+        step=step,
+        blocks=kern,
+        theta=theta,
+        c_tilde=c_tilde,
+        envelope_eps=eps,
+        sweeps=sweep,
+    )
+
+
+def assert_same_kernels(got, want):
+    for name in ("A11", "A12", "A21", "A22"):
+        assert np.array_equal(got.blocks[name], want.blocks[name])
+    assert got.sweeps == want.sweeps
+    assert got.c_tilde == want.c_tilde
+
+
+E1_DISP = Dispersion(2, (-2.0, -1.0, 1.0, 2.0))  # rho includes 1/3 and 2/3
+N3_DISP = Dispersion(3, (-3.0, -1.7, -0.4, 0.9, 2.0, 3.1))
+SMALL_GRID = {"step": 0.1, "x_max": 3.0, "tau_max": 6.0}
+
+
+def test_march_matches_reference_n1(n1_pot, n1_disp, n1_kernels):
+    want = reference_solve_kernels(n1_pot, n1_disp, step=0.02, x_max=16.0, tau_max=36.0)
+    assert_same_kernels(n1_kernels, want)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_march_matches_reference_random(seed, n):
+    disp = E1_DISP if n == 2 else N3_DISP
+    pot = random_potential(n, seed)
+    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_solve_kernels(pot, disp, **SMALL_GRID))
+
+
+def test_march_matches_reference_sampled_drive():
+    x = 0.05 * np.arange(120)
+    prof = SampledProfile(0.05, 0.4 * np.exp(-x) * (1.0 + 0.5j * np.cos(3.0 * x)), tail_rate=1.0)
+    pot = TriangularPotential(1, q12=[[prof]], q21=[[prof]], envelope=(1.0, 1.0))
+    disp = Dispersion(1, (-1.0, 2.0))
+    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_solve_kernels(pot, disp, **SMALL_GRID))
+
+
+@pytest.mark.parametrize("points, levels", [(1, 64), (200, 64), (1 << 20, 7)])
+def test_march_block_carry_matches_reference(monkeypatch, points, levels):
+    # one level per block; a few levels per block set by the point budget;
+    # 7 levels per block, so the band of feet moves on between blocks
+    pot = random_potential(2, seed=5)
+    want = reference_solve_kernels(pot, E1_DISP, **SMALL_GRID)
+    monkeypatch.setattr(forward, "_LEVEL_BLOCK_POINTS", points)
+    monkeypatch.setattr(forward, "_LEVELS_PER_BLOCK", levels)
+    assert_same_kernels(solve_kernels(pot, E1_DISP, **SMALL_GRID), want)
+
+
+def test_sweep_changes_history(n2_random_kernels):
+    changes = n2_random_kernels.sweep_changes
+    assert len(changes) == n2_random_kernels.sweeps
+    assert changes[-1] < DEFAULT_ITER_TOL
+    assert all(later < earlier for earlier, later in zip(changes, changes[1:]))
+
+
+def test_oversized_grid_refused_before_allocating(n1_pot, n1_disp):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="GiB"):
+            solve_kernels(n1_pot, n1_disp, step=1e-4, x_max=1e3, tau_max=2e3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- transforms and matrices -------------------------------------------------

@@ -74,7 +74,9 @@ def _awkward(rng, shape) -> np.ndarray:
     flat_re[picks[: len(SPECIAL)]] = SPECIAL
     flat_im[picks[len(SPECIAL) : 2 * len(SPECIAL)]] = SPECIAL
     flat_re[picks[2 * len(SPECIAL) :]] = 0.0
-    return re + 1j * im
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = re, im  # re + 1j * im would turn re into nan wherever im is inf or nan
+    return z
 
 
 def test_kernels_csv_matches_reference_writer():
