@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     except IspError as exc:
         kind = type(exc).__name__
         report = {"error": kind, "detail": str(exc)}
-        for attr in ("lam", "value", "deficiency", "fraction", "rcond", "field", "path"):
+        for attr in ("lam", "value", "deficiency", "fraction", "residual", "field", "path"):
             if hasattr(exc, attr):
                 report[attr] = getattr(exc, attr)
         try:
@@ -241,16 +241,13 @@ def _cmd_split(cfg, out_dir: Path):
 def _cmd_rh_solve(cfg, out_dir: Path):
     import numpy as np
 
-    from .rh import solve_regular_rh, split_residual
+    from .rh import solve_regular_rh
     from .serialize import linefuncs_to_csv
 
     funcs = _input_linefuncs(cfg)
     s_mat = funcs.get("S") or next(iter(funcs.values()))
-    plus, minus = solve_regular_rh(
-        s_mat,
-        edge_tol=cfg.split_edge_tol,
-        singularity_tol=cfg.singularity_tol,
-        rcond_tol=cfg.rh_rcond_tol,
+    plus, minus, diag = solve_regular_rh(
+        s_mat, edge_tol=cfg.split_edge_tol, singularity_tol=cfg.singularity_tol
     )
     residual = float(
         np.abs((plus.plus_identity() @ s_mat.values) - minus.plus_identity()).max()
@@ -260,8 +257,7 @@ def _cmd_rh_solve(cfg, out_dir: Path):
     report = {
         "command": "rh-solve",
         "factorization_residual": residual,
-        "plus_wrong_side_content": split_residual(plus, "plus"),
-        "minus_wrong_side_content": split_residual(minus, "minus"),
+        **diag,
         "manifest": manifest,
     }
     return report, True

@@ -43,7 +43,6 @@ class RunConfig:
     max_sweeps: int = 50
     split_edge_tol: float = 1e-3
     singularity_tol: float = 1e-10
-    rh_rcond_tol: float = 1e-12
     consistency_tol: float = 1e-6
     compare_to: float = 10.0
 
@@ -69,7 +68,6 @@ class RunConfig:
             "iteration_tol",
             "split_edge_tol",
             "singularity_tol",
-            "rh_rcond_tol",
             "consistency_tol",
         ):
             v = getattr(self, name)

@@ -75,15 +75,16 @@ class SingularScattering(NumericalError):
 
 
 class FredholmSingular(NumericalError):
-    """The discretized factorization system is rank deficient.
+    """The discretized factorization system has no regular solution.
 
-    Signals a nontrivial homogeneous solution, i.e. the problem is not
-    regular with zero partial indices.
+    GMRES stalled (a nontrivial homogeneous solution) or the factors it
+    returned are not one-sided: the problem is not regular with zero
+    partial indices.  `residual` is the final GMRES relative residual.
     """
 
-    def __init__(self, rcond: float):
-        super().__init__(f"collocation system rank deficient (rcond {rcond:.3e})")
-        self.rcond = rcond
+    def __init__(self, residual: float, reason: str):
+        super().__init__(f"factorization system not regular: {reason}")
+        self.residual = residual
 
 
 class DegenerateBoundaryPair(NumericalError):

@@ -78,9 +78,6 @@ class LineMatrixFunction:
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def with_values(self, values, analyticity: Analyticity | None = None):
-        return LineMatrixFunction(self.grid, values, analyticity or self.analyticity)
-
     def with_tag(self, analyticity: Analyticity):
         return LineMatrixFunction(self.grid, self.values, analyticity)
 

@@ -21,13 +21,20 @@ from .errors import (
     ValidationError,
 )
 from .linefunc import Analyticity, LineMatrixFunction
-from .projection import plus_projector_matrix, split_samples
+from .projection import split_samples
+# the benchmark's tracer (perfbench/trace_child.py) wraps rh.plus_projector_matrix
+from .projection import plus_projector_matrix  # noqa: F401
 from .rational import RationalMatrix
 
 DEFAULT_EDGE_TOL = 1e-3
-DEFAULT_RCOND_TOL = 1e-12
 CONSISTENCY_TOL = 1e-6
 VERIFY_TOL = 1e-3
+# restarted GMRES for the collocation system: stop at GMRES_TOL relative
+# residual, fail above GMRES_FAIL after GMRES_CYCLES restarts
+GMRES_TOL = 1e-13
+GMRES_FAIL = 1e-10
+GMRES_RESTART = 50
+GMRES_CYCLES = 4
 
 
 def _strip_delta(f: LineMatrixFunction) -> float:
@@ -68,30 +75,73 @@ def split_residual(f: LineMatrixFunction, kind: str) -> float:
     return float(np.abs(wrong).max())
 
 
+def _gmres(matvec, rhs: np.ndarray):
+    """Restarted GMRES for matvec(x) = rhs, x shaped like rhs.
+
+    Arnoldi with modified Gram-Schmidt; each iterate minimizes the residual
+    over the Krylov space by a small least-squares solve on the Hessenberg
+    matrix.  Returns (x, relative residual after each iteration).
+    """
+    bnorm = np.linalg.norm(rhs)
+    x = np.zeros_like(rhs)
+    history: list[float] = []
+    if bnorm == 0.0:
+        return x, history
+    basis = np.empty((GMRES_RESTART + 1,) + rhs.shape, dtype=complex)
+    for _ in range(GMRES_CYCLES):
+        r = rhs - matvec(x)
+        beta = np.linalg.norm(r)
+        basis[0] = r / beta
+        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART), dtype=complex)
+        e1 = np.zeros(GMRES_RESTART + 1, dtype=complex)
+        e1[0] = beta
+        for j in range(GMRES_RESTART):
+            w = matvec(basis[j])
+            for i in range(j + 1):
+                hess[i, j] = np.vdot(basis[i], w)
+                w -= hess[i, j] * basis[i]
+            hess[j + 1, j] = np.linalg.norm(w)
+            h, rhs_j = hess[: j + 2, : j + 1], e1[: j + 2]
+            y = np.linalg.lstsq(h, rhs_j, rcond=None)[0]
+            history.append(float(np.linalg.norm(h @ y - rhs_j) / bnorm))
+            if history[-1] <= GMRES_TOL or hess[j + 1, j] == 0.0:
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        x = x + np.tensordot(y, basis[: len(y)], axes=1)
+        if history[-1] <= GMRES_TOL:
+            break
+    return x, history
+
+
 def solve_regular_rh(
     s_matrix: LineMatrixFunction,
     *,
     edge_tol: float = DEFAULT_EDGE_TOL,
     singularity_tol: float = SINGULARITY_TOL,
-    rcond_tol: float = DEFAULT_RCOND_TOL,
     edge_correction: bool = True,
 ):
-    """Factor S as [I + A_plus]^{-1} [I + A_minus] by dense collocation.
+    """Factor S as [I + A_plus]^{-1} [I + A_minus] by matrix-free collocation.
 
     The factorization r S = I + A_minus with r = I + A_plus projects to the
-    singular integral equation A_plus + C_plus[A_plus g] = -C_plus[g],
-    g = S - I, discretized with the grid as collocation nodes and the
-    frequency-projection Cauchy operator.  The unknown decouples by rows, so
-    one (N m) dense LU serves all m rows.  A_minus is then r S - I; the
-    factorization identity holds pointwise by construction and the quality
-    metric is the one-sidedness of the returned parts.
-    """
-    import scipy.linalg
+    singular integral equation X + P[X g] = -P[g] for X = A_plus, g = S - I,
+    with the grid as collocation nodes and P the plus part of
+    `split_samples` (edge-corrected, linear in the samples).  Canonical
+    normalization with zero partial indices makes I + P[. g] Fredholm of
+    index 0, so a restarted GMRES solves it from its action alone: one
+    batched (N, m, m) product and one split per iteration, O(m^2 N) memory.
+    A_minus is then r S - I; the factorization identity holds pointwise by
+    construction and the quality metric is the one-sidedness of the parts.
 
+    Raises SingularScattering when det S vanishes on the grid,
+    EdgeDecayViolation when g does not decay at the grid ends, and
+    FredholmSingular when GMRES stalls above GMRES_FAIL (the system is
+    singular) or the factors carry content on the wrong side of the axis
+    (nonzero partial indices can leave the discrete system invertible).
+    Returns (A_plus, A_minus, diagnostics) with the GMRES residual history
+    and the wrong-side content of each factor.
+    """
     grid = s_matrix.grid
-    m = s_matrix.m
-    n = len(grid)
-    eye = np.eye(m)
+    eye = np.eye(s_matrix.m)
     g = s_matrix.values - eye
 
     dets = np.abs(np.linalg.det(s_matrix.values))
@@ -102,44 +152,28 @@ def solve_regular_rh(
     if edge > edge_tol:
         raise EdgeDecayViolation(float(edge), edge_tol)
 
-    proj = plus_projector_matrix(grid, edge_correction=edge_correction)
-    big = np.zeros((m * n, m * n), dtype=complex)
-    for c in range(m):
-        for b in range(m):
-            block = proj * g[:, b, c][None, :]
-            if b == c:
-                block = block + np.eye(n)
-            big[c * n : (c + 1) * n, b * n : (b + 1) * n] = block
+    def plus_part(values):
+        return split_samples(grid, values, edge_correction=edge_correction)[0]
 
-    anorm = np.abs(big).sum(axis=0).max()
-    lu, piv = scipy.linalg.lu_factor(big, check_finite=False)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (big,))
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if rcond < rcond_tol:
-        raise FredholmSingular(float(rcond))
-
-    rhs = np.zeros((m * n, m), dtype=complex)
-    for k in range(m):
-        for c in range(m):
-            rhs[c * n : (c + 1) * n, k] = -(proj @ g[:, k, c])
-    sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-    a_plus = np.zeros((n, m, m), dtype=complex)
-    for k in range(m):
-        for c in range(m):
-            a_plus[:, k, c] = sol[c * n : (c + 1) * n, k]
+    a_plus, history = _gmres(lambda x: x + plus_part(x @ g), -plus_part(g))
+    residual = history[-1] if history else 0.0
+    if not residual <= GMRES_FAIL:
+        raise FredholmSingular(residual, f"GMRES relative residual {residual:.3e} > {GMRES_FAIL:.0e}")
     a_minus = (a_plus + eye) @ s_matrix.values - eye
 
     delta = _strip_delta(s_matrix)
     out_plus = LineMatrixFunction(grid, a_plus, Analyticity("plus", delta))
     out_minus = LineMatrixFunction(grid, a_minus, Analyticity("minus", delta))
-    # nonzero partial indices can leave the system numerically invertible yet
-    # produce factors with content on the wrong side; verify one-sidedness
+    diagnostics = {
+        "gmres_residuals": history,
+        "plus_wrong_side_content": split_residual(out_plus, "plus"),
+        "minus_wrong_side_content": split_residual(out_minus, "minus"),
+    }
     scale = max(1.0, out_plus.sup_norm(), out_minus.sup_norm())
-    wrong = max(split_residual(out_plus, "plus"), split_residual(out_minus, "minus"))
+    wrong = max(diagnostics["plus_wrong_side_content"], diagnostics["minus_wrong_side_content"])
     if wrong > VERIFY_TOL * scale:
-        raise FredholmSingular(float(rcond))
-    return out_plus, out_minus
+        raise FredholmSingular(residual, f"factors carry wrong-side content {wrong:.3e}")
+    return out_plus, out_minus, diagnostics
 
 
 def solve_regular_rh_rational(
@@ -154,7 +188,7 @@ def solve_regular_rh_rational(
     Iterates r <- I - C_plus[r g] in partial-fraction arithmetic; the Cauchy
     projection just selects lower half-plane poles, so every iterate stays
     rational.  Converges when the Neumann series does (small ||g||); the
-    dense grid path covers the rest.
+    matrix-free grid path covers the rest.
     """
     m = s_matrix.m
     ident = RationalMatrix.identity(m)

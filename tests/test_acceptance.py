@@ -178,7 +178,7 @@ def test_criterion_06_regular_factorization():
         for m, seed in ((1, 61), (2, 62)):
             a_plus, a_minus, s_vals = _synthetic_jump(grid, m, seed)
             s = LineMatrixFunction(grid, s_vals)
-            got_plus, got_minus = solve_regular_rh(s, edge_tol=2e-2)
+            got_plus, got_minus, _ = solve_regular_rh(s, edge_tol=2e-2)
             residual = np.abs(
                 got_plus.plus_identity() @ s_vals - got_minus.plus_identity()
             ).max()

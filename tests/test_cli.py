@@ -85,9 +85,11 @@ def test_config_rejects_negative_step(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    path = _write(tmp_path, "c.json", {"lambada_max": 7})
-    with pytest.raises(ValidationError):
-        load_config(path)
+    # rh_rcond_tol is retired: the RH solve no longer forms a matrix to condition
+    for key in ("lambada_max", "rh_rcond_tol"):
+        path = _write(tmp_path, "c.json", {key: 7})
+        with pytest.raises(ValidationError, match="unknown configuration key"):
+            load_config(path)
 
 
 def test_config_parse_error_has_location(tmp_path):
@@ -231,33 +233,23 @@ def test_forward_refuses_grid_beyond_physical_memory(tmp_path):
     assert {p.name for p in out.iterdir()} == {"report.json"}
 
 
-def test_split_command(tmp_path):
+def _split_config(tmp_path):
     grid = make_grid(100.0, 2048)
     f = LineMatrixFunction(grid, (1j / (grid + 1j) - 1j / (grid - 1j))[:, None, None])
     inp = tmp_path / "f.csv"
     inp.write_text(linefuncs_to_csv({"f": f}))
-    cfg = _write(tmp_path, "c.json", {"input": str(inp)})
-    out = tmp_path / "out"
-    assert run_cli("split", "--config", cfg, "--out", str(out)) == 0
-    parts = linefuncs_from_csv(out / "split.csv")
-    assert np.abs(parts["f_plus"].values[:, 0, 0] - 1j / (grid + 1j)).max() < 1e-4
+    return _write(tmp_path, "split.json", {"input": str(inp)}), grid
 
 
-def test_rh_solve_command(tmp_path):
+def _rh_solve_config(tmp_path):
     grid = make_grid(100.0, 1024)
     s_vals = (1 + (0.1 + 0.1j) / (grid - 1.2j)) / (1 + 0.15 / (grid + 1.5j))
     inp = tmp_path / "s.csv"
     inp.write_text(linefuncs_to_csv({"S": LineMatrixFunction(grid, s_vals[:, None, None])}))
-    cfg = _write(tmp_path, "c.json", {"input": str(inp), "split_edge_tol": 0.01})
-    out = tmp_path / "out"
-    assert run_cli("rh-solve", "--config", cfg, "--out", str(out)) == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["factorization_residual"] < 1e-12
-    facs = linefuncs_from_csv(out / "factors.csv")
-    assert np.abs(facs["plus"].values[:, 0, 0] - 0.15 / (grid + 1.5j)).max() < 1e-4
+    return _write(tmp_path, "rh.json", {"input": str(inp), "split_edge_tol": 0.01}), grid
 
 
-def test_recover_blocks_command_and_degenerate_exit(tmp_path):
+def _recover_config(tmp_path, h2=2.0):
     # the grid must resolve the factor's analytic scale or the one-sided
     # content check would see aliased frequencies
     grid = make_grid(100.0, 2048)
@@ -269,15 +261,42 @@ def test_recover_blocks_command_and_degenerate_exit(tmp_path):
         path = tmp_path / f"{tag}.csv"
         path.write_text(linefuncs_to_csv({"plus": plus, "minus": minus}))
         fac_files[tag] = str(path)
-    prob = _write(tmp_path, "p.json", {"boundary": {"H": [[1.0]]}, "boundary2": {"H": [[2.0]]}})
-    cfg = _write(tmp_path, "c.json", {"problem": prob, "inputs": fac_files})
+    prob = _write(tmp_path, f"p{h2}.json", {"boundary": {"H": [[1.0]]}, "boundary2": {"H": [[h2]]}})
+    return _write(tmp_path, f"recover{h2}.json", {"problem": prob, "inputs": fac_files}), a12p
+
+
+def test_split_command(tmp_path):
+    cfg, grid = _split_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 0
+    parts = linefuncs_from_csv(out / "split.csv")
+    assert np.abs(parts["f_plus"].values[:, 0, 0] - 1j / (grid + 1j)).max() < 1e-4
+
+
+def test_rh_solve_command(tmp_path):
+    cfg, grid = _rh_solve_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("rh-solve", "--config", cfg, "--out", str(out)) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["factorization_residual"] < 1e-12
+    history = rep["gmres_residuals"]
+    assert 0 < len(history) < 50 and history[-1] <= 1e-13
+    assert rep["plus_wrong_side_content"] < 1e-4 and rep["minus_wrong_side_content"] < 1e-4
+    facs = linefuncs_from_csv(out / "factors.csv")
+    assert np.abs(facs["plus"].values[:, 0, 0] - 0.15 / (grid + 1.5j)).max() < 1e-4
+    out2 = tmp_path / "out2"
+    assert run_cli("rh-solve", "--config", cfg, "--out", str(out2)) == 0
+    assert (out2 / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+def test_recover_blocks_command_and_degenerate_exit(tmp_path):
+    cfg, a12p = _recover_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("recover-blocks", "--config", cfg, "--out", str(out)) == 0
     blocks = linefuncs_from_csv(out / "blocks.csv")
     assert np.abs(blocks["A12_plus"].values[:, 0, 0] - a12p).max() < 1e-10
 
-    prob_bad = _write(tmp_path, "pb.json", {"boundary": {"H": [[1.0]]}, "boundary2": {"H": [[1.0]]}})
-    cfg_bad = _write(tmp_path, "cb.json", {"problem": prob_bad, "inputs": fac_files})
+    cfg_bad, _ = _recover_config(tmp_path, h2=1.0)
     out_bad = tmp_path / "outb"
     assert run_cli("recover-blocks", "--config", cfg_bad, "--out", str(out_bad)) == 1
     rep = json.loads((out_bad / "report.json").read_text())
@@ -363,7 +382,7 @@ ERROR_EXIT_CODES = [
     (errors.SingularP(0.5, 1e-12), 1),
     (errors.EdgeDecayViolation(0.5, 1e-3), 1),
     (errors.SingularScattering(0.5, 1e-12), 1),
-    (errors.FredholmSingular(1e-15), 1),
+    (errors.FredholmSingular(1e-3, "GMRES relative residual 1.000e-03 > 1e-10"), 1),
     (errors.DegenerateBoundaryPair("|det(H1 - H2)| = 0"), 1),
     (errors.InconsistentInputs("a22_plus", 1e-3, 1e-6), 1),
     (errors.RankDeficient(1, 0.5), 1),
@@ -406,13 +425,8 @@ print(json.dumps(loaded))
 """
 
 
-def test_forward_commands_load_no_scipy(tmp_path):
-    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
-    fwd = _write(
-        tmp_path, "fwd.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
-    )
-    edge = _write(tmp_path, "edge.json", {"problem": _write(tmp_path, "e.json", EDGE_PROBLEM), "n_lambda": 64})
-    runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge)]
+def _scipy_modules_loaded(tmp_path, runs):
+    """Run the commands in one fresh interpreter; scipy modules loaded after each."""
     src = str(Path(isphalf.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out")],
@@ -422,5 +436,25 @@ def test_forward_commands_load_no_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_forward_commands_load_no_scipy(tmp_path):
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    fwd = _write(
+        tmp_path, "fwd.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
+    )
+    edge = _write(tmp_path, "edge.json", {"problem": _write(tmp_path, "e.json", EDGE_PROBLEM), "n_lambda": 64})
+    runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge)]
+    loaded = _scipy_modules_loaded(tmp_path, runs)
     assert loaded == {"import": [], "validate": [0, []], "forward": [0, []], "edge-forward": [0, []]}
+
+
+def test_inverse_commands_load_no_scipy(tmp_path):
+    runs = [
+        ("split", _split_config(tmp_path)[0]),
+        ("rh-solve", _rh_solve_config(tmp_path)[0]),
+        ("recover-blocks", _recover_config(tmp_path)[0]),
+    ]
+    loaded = _scipy_modules_loaded(tmp_path, runs)
+    assert loaded == {"import": [], "split": [0, []], "rh-solve": [0, []], "recover-blocks": [0, []]}

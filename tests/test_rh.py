@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isphalf.domain import BoundaryMatrix
 from isphalf.errors import (
@@ -11,8 +13,10 @@ from isphalf.errors import (
 )
 from isphalf.linefunc import Analyticity, LineMatrixFunction, make_grid
 from isphalf.rational import RationalFunction, RationalMatrix, simple_pole
+from isphalf.projection import sine_integral
 from isphalf.rh import (
     plemelj_split,
+    plus_projector_matrix,
     recover_blocks,
     solvability_report,
     solve_regular_rh,
@@ -77,6 +81,13 @@ def test_split_linearity(grid):
     )
 
 
+def test_sine_integral_matches_scipy():
+    from scipy.special import sici
+
+    x = np.linspace(0.0, 14.0, 2801)
+    assert np.abs(sine_integral(x) - sici(x)[0]).max() <= 1e-13
+
+
 def test_split_edge_guard(grid):
     f = _scalar(grid, np.full(len(grid), 0.1))
     with pytest.raises(EdgeDecayViolation):
@@ -93,14 +104,14 @@ def grid4096():
 
 def test_rh_identity(grid4096):
     s = _scalar(grid4096, np.ones(len(grid4096)))
-    p, m = solve_regular_rh(s)
+    p, m, _ = solve_regular_rh(s)
     assert p.sup_norm() < 1e-12 and m.sup_norm() < 1e-12
 
 
 def test_rh_scalar_closed_form(grid4096):
     lam = grid4096
     s = _scalar(lam, (1 - 2j * lam) / (1 - 2j * lam - 1j), Analyticity("strip", 0.25))
-    p, m = solve_regular_rh(s, edge_tol=2e-2)
+    p, m, _ = solve_regular_rh(s, edge_tol=2e-2)
     assert np.abs(p.values[:, 0, 0] + 1j / (1 - 2j * lam)).max() < 1e-6
     assert m.sup_norm() < 1e-6
     resid = np.abs(p.plus_identity() * s.values - m.plus_identity()).max()
@@ -129,7 +140,7 @@ def test_rh_recovers_synthetic_factors(grid4096, m):
     eye = np.eye(m)
     s_vals = np.linalg.solve(eye + ap, eye + am)
     s = LineMatrixFunction(make_grid(100.0, 2048), s_vals[::2], Analyticity("strip", 0.5))
-    got_p, got_m = solve_regular_rh(s, edge_tol=2e-2)
+    got_p, got_m, _ = solve_regular_rh(s, edge_tol=2e-2)
     assert np.abs(got_p.values - ap[::2]).max() < 1e-5
     assert np.abs(got_m.values - am[::2]).max() < 1e-5
     resid = np.abs(got_p.plus_identity() @ s.values - got_m.plus_identity()).max()
@@ -137,6 +148,49 @@ def test_rh_recovers_synthetic_factors(grid4096, m):
     # one-sidedness of the returned parts is the analyticity surrogate
     assert split_residual(got_p, "plus") < 1e-5
     assert split_residual(got_m, "minus") < 1e-5
+
+
+def dense_regular_rh(s: LineMatrixFunction) -> np.ndarray:
+    """A_plus from the dense (mN)^2 collocation system, solved directly.
+
+    Block (c, b) is P diag(g[:, b, c]) + delta_bc I with P the N x N
+    edge-corrected plus projector; the m rows k of A_plus are the m
+    right-hand sides.
+    """
+    grid, m, n = s.grid, s.m, len(s.grid)
+    g = s.values - np.eye(m)
+    proj = plus_projector_matrix(grid)
+    big = np.zeros((m * n, m * n), dtype=complex)
+    for c in range(m):
+        for b in range(m):
+            big[c * n : (c + 1) * n, b * n : (b + 1) * n] = proj * g[:, b, c][None, :] + (b == c) * np.eye(n)
+    rhs = -np.concatenate([proj @ g[:, :, c] for c in range(m)])  # (m n, m): column k is row k of A_plus
+    return np.linalg.solve(big, rhs).reshape(m, n, m).transpose(1, 2, 0)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2, 3]), n=st.sampled_from([64, 128, 256]))
+def test_rh_gmres_matches_dense_solve(seed, m, n):
+    grid = make_grid(20.0, n)
+    ap, am = _synthetic_pair(grid, m, seed, scale=0.1)
+    eye = np.eye(m)
+    s = LineMatrixFunction(grid, np.linalg.solve(eye + ap, eye + am))
+    got_p, _, diag = solve_regular_rh(s, edge_tol=5e-2)
+    want = dense_regular_rh(s)
+    assert np.abs(got_p.values - want).max() <= 1e-10 * np.abs(want).max()
+    history = diag["gmres_residuals"]
+    assert history[-1] <= 1e-13 and len(history) < 50
+
+
+def test_rh_m4_large_grid():
+    grid = make_grid(100.0, 4096)
+    ap, am = _synthetic_pair(grid, 4, seed=44)
+    eye = np.eye(4)
+    s = LineMatrixFunction(grid, np.linalg.solve(eye + ap, eye + am))
+    got_p, got_m, diag = solve_regular_rh(s, edge_tol=2e-2)
+    assert np.abs(got_p.values - ap).max() < 1e-5
+    assert np.abs(got_m.values - am).max() < 1e-5
+    assert diag["plus_wrong_side_content"] < 1e-5 and diag["minus_wrong_side_content"] < 1e-5
 
 
 def test_rh_rational_neumann_path(grid4096):
@@ -165,8 +219,9 @@ def test_rh_singular_scattering_guard(grid4096):
 def test_rh_detects_nonzero_index(winding):
     grid = make_grid(100.0, 1024)
     vals = (grid + winding * 1j) / (grid - winding * 1j)
-    with pytest.raises(FredholmSingular):
+    with pytest.raises(FredholmSingular) as exc:
         solve_regular_rh(_scalar(grid, vals), edge_tol=5e-2)
+    assert np.isfinite(exc.value.residual)
 
 
 # -- block recovery ----------------------------------------------------------
