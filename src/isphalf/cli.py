@@ -54,17 +54,14 @@ def main(argv=None) -> int:
     out_dir = _resolve_out_dir(args.out)
     try:
         cfg = load_config(args.config)
-        cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed, threads=args.threads)
+        cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed)
         out_dir = _resolve_out_dir(cfg.out_dir)
         report, ok = _dispatch(args.command, cfg, out_dir)
         _write_report(report, out_dir)
         return 0 if ok else 2
     except IspError as exc:
         kind = type(exc).__name__
-        report = {"error": kind, "detail": str(exc)}
-        for attr in ("lam", "value", "deficiency", "fraction", "residual", "field", "path"):
-            if hasattr(exc, attr):
-                report[attr] = getattr(exc, attr)
+        report = {**vars(exc), "error": kind, "detail": str(exc)}
         try:
             _write_report(report, out_dir)
         except OSError:
@@ -338,7 +335,6 @@ def _cmd_edge_roundtrip(cfg, out_dir: Path):
         grid,
         compare_to=cfg.compare_to,
         split_edge_tol=cfg.split_edge_tol,
-        s_step=cfg.s_step,
     )
     report = {"command": "edge-roundtrip", **result}
     return report, True

@@ -22,7 +22,8 @@ class RunConfig:
 
     Grid defaults match the library defaults; truncations left as None are
     derived from the potential envelope at run time (x_max = ln(C/tail)/eps,
-    t_max = x_max / theta, s_max = (xi_2n - xi_1) x_max).
+    t_max = x_max / theta).  The explicit-class roundtrip inverts on s in
+    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.
     """
 
     problem: str | None = None
@@ -31,12 +32,9 @@ class RunConfig:
 
     lambda_max: float = 100.0
     n_lambda: int = 4096
-    x_step: float = 0.01
     kernel_step: float = 0.01
-    s_step: float | None = None
     x_max: float | None = None
     t_max: float | None = None
-    s_max: float | None = None
 
     tail_tol: float = 1e-12
     iteration_tol: float = 1e-12
@@ -48,7 +46,6 @@ class RunConfig:
 
     out_dir: str | None = None
     seed: int | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         if not self.lambda_max > 0:
@@ -56,10 +53,9 @@ class RunConfig:
         n = self.n_lambda
         if n < 4 or (n & (n - 1)) != 0:
             raise ValidationError("n_lambda", f"must be a power of two >= 4, got {n}")
-        for name in ("x_step", "kernel_step"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(name, "step must be positive")
-        for name in ("s_step", "x_max", "t_max", "s_max"):
+        if not self.kernel_step > 0:
+            raise ValidationError("kernel_step", "step must be positive")
+        for name in ("x_max", "t_max"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValidationError(name, "must be positive when given")
@@ -77,10 +73,6 @@ class RunConfig:
             raise ValidationError("max_sweeps", "must be >= 1")
         if not self.compare_to > 0:
             raise ValidationError("compare_to", "must be positive")
-
-    @property
-    def effective_s_step(self) -> float:
-        return self.s_step if self.s_step is not None else math.pi / self.lambda_max
 
     def resolve_x_max(self, envelope: tuple[float, float]) -> float:
         return self.x_max if self.x_max is not None else truncation_length(envelope, self.tail_tol)

@@ -22,7 +22,8 @@ import numpy as np
 from .domain import Dispersion, SINGULARITY_TOL, TriangularPotential
 from .errors import RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
-from .profiles import ScalarProfile, ZERO_PROFILE, as_profile
+from .profiles import ScalarProfile, as_profile
+from .projection import MODEL_W, edge_indices, pole_basis
 from .rh import plemelj_split
 
 DEFAULT_RANK_TOL = 1e-10
@@ -131,6 +132,17 @@ class EdgeProfiles:
             raise ValidationError("EdgeProfiles", "shape mismatch between parts and s grid")
 
 
+def _edge_rates(disp: Dispersion) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row rates (beta_first, beta_last) at index r - 2, rows r = 2..2n-1.
+
+    beta_first = xi_r - xi_1 and beta_last = xi_2n - xi_r: the coupling
+    c_{r,first}(x) reaches the scattering data at s = beta_first x, and
+    c_{r,last}(x) at s = beta_last x.
+    """
+    xi = disp.xi_arr
+    return xi[1:-1] - xi[0], xi[-1] - xi[1:-1]
+
+
 def fit_profile_amplitude(s_grid: np.ndarray, rows: np.ndarray, rate: float) -> float:
     mags = np.abs(rows) * np.exp(rate * s_grid)[None, :]
     return float(mags.max()) if rows.size else 0.0
@@ -139,26 +151,26 @@ def fit_profile_amplitude(s_grid: np.ndarray, rows: np.ndarray, rate: float) -> 
 def _column_entries(sys: EdgeCoupledSystem, bnd: EdgeBoundary, lam: np.ndarray) -> np.ndarray:
     """S_{k,n}(lambda) for k = 1..n-1, shape (n-1, len(lam))."""
     n = sys.n
-    xi = sys.disp.xi_arr
+    beta_first, beta_last = _edge_rates(sys.disp)
     out = np.zeros((n - 1, len(lam)), dtype=complex)
     for k in range(1, n):
         acc = np.zeros(len(lam), dtype=complex)
         pf = sys.profile_first(n + k)
         if not pf.is_zero:
-            acc += pf.halfline_transform(-lam * (xi[n + k - 1] - xi[0]))
+            acc += pf.halfline_transform(-lam * beta_first[n + k - 2])
         pl = sys.profile_last(n + k)
         if not pl.is_zero:
-            acc += pl.halfline_transform(lam * (xi[2 * n - 1] - xi[n + k - 1]))
+            acc += pl.halfline_transform(lam * beta_last[n + k - 2])
         for j in range(2, n + 1):
             h = bnd.entry(k, j)
             if h == 0:
                 continue
             pf = sys.profile_first(j)
             if not pf.is_zero:
-                acc -= h * pf.halfline_transform(-lam * (xi[j - 1] - xi[0]))
+                acc -= h * pf.halfline_transform(-lam * beta_first[j - 2])
             pl = sys.profile_last(j)
             if not pl.is_zero:
-                acc -= h * pl.halfline_transform(lam * (xi[2 * n - 1] - xi[j - 1]))
+                acc -= h * pl.halfline_transform(lam * beta_last[j - 2])
         out[k - 1] = 1j * acc
     return out
 
@@ -210,7 +222,7 @@ def edge_explicit_solution(
     return z
 
 
-def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2, edge_correction: bool = True):
+def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
     """Entrywise additive split of the nonzero column, rows 1..n-1.
 
     Returns a list of (plus, minus) scalar LineMatrixFunctions; by the
@@ -221,26 +233,23 @@ def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2, edge_cor
     out = []
     for k in range(1, n):
         entry = s_matrix.entry(k - 1, n - 1)
-        out.append(plemelj_split(entry, edge_tol=edge_tol, edge_correction=edge_correction))
+        out.append(plemelj_split(entry, edge_tol=edge_tol))
     return out
 
 
-def _one_sided_inverse(
-    grid: np.ndarray, values: np.ndarray, s_points: np.ndarray, kind: str, w: float = 2.0
-):
+def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, s_points: np.ndarray, kind: str):
     """Invert a one-sided transform back to its half-line density.
 
     kind 'minus': C(l) = int c(s) e^{-i l s} ds, density (1/2pi) int C e^{+i l s} dl.
     kind 'plus':  C(l) = int c(s) e^{+i l s} ds, density (1/2pi) int C e^{-i l s} dl.
-    A one-sided rational tail model makes the window truncation analytic.
+    A one-sided rational tail model, fitted at the split's edge samples,
+    makes the window truncation analytic.
     """
-    n = len(grid)
     step = float(grid[1] - grid[0])
-    k = max(6, int(0.05 * n))
-    idx = np.concatenate([np.arange(k), np.arange(n - k, n)])
+    idx = edge_indices(len(grid))
     sgn = 1.0 if kind == "minus" else -1.0
-    pole = sgn * 1j * w  # minus-type poles sit in the upper half-plane
-    basis = np.stack([1.0 / (grid - pole), 1.0 / (grid - pole) ** 2, 1.0 / (grid - pole) ** 3], axis=1)
+    w = MODEL_W
+    basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
     scale = np.abs(basis[idx]).max(axis=0)
     coef, *_ = np.linalg.lstsq(basis[idx] / scale, values[idx], rcond=None)
     coef = coef / scale
@@ -261,16 +270,18 @@ def edge_invert_transforms(
     disp: Dispersion,
     *,
     s_max: float,
-    s_step: float | None = None,
     envelope_eps: float = 1.0,
 ) -> EdgeProfiles:
-    """Half-line densities c_{k+-}(s) from the split scattering entries."""
+    """Half-line densities c_{k+-}(s) from the split scattering entries.
+
+    The s-grid runs from 0 to s_max in steps of pi / lambda_max, the step
+    conjugate to the lambda grid (2 pi / (N d lambda)).
+    """
     n = disp.n
     xi = disp.xi_arr
-    if s_step is None:
-        grid0 = splits[0][0].grid
-        s_step = math.pi / float(max(abs(grid0[0]), abs(grid0[-1])))
-    s = np.arange(0.0, s_max + 0.5 * s_step, s_step)
+    grid0 = splits[0][0].grid
+    ds = math.pi / float(max(abs(grid0[0]), abs(grid0[-1])))
+    s = np.arange(0.0, s_max + 0.5 * ds, ds)
     c_minus = np.zeros((n - 1, len(s)), dtype=complex)
     c_plus = np.zeros((n - 1, len(s)), dtype=complex)
     for k, (part_plus, part_minus) in enumerate(splits):
@@ -294,19 +305,14 @@ def exact_edge_profiles(
     s = np.asarray(s_grid, dtype=float)
     c_minus = np.zeros((n - 1, len(s)), dtype=complex)
     c_plus = np.zeros((n - 1, len(s)), dtype=complex)
-    for k in range(1, n):
-        beta = xi[n + k - 1] - xi[0]
-        acc_m = sys.profile_first(n + k)(s / beta) / beta
-        beta_p = xi[2 * n - 1] - xi[n + k - 1]
-        acc_p = sys.profile_last(n + k)(s / beta_p) / beta_p
-        for j in range(2, n + 1):
-            h = bnd.entry(k, j)
-            bj = xi[j - 1] - xi[0]
-            acc_m = acc_m - h * sys.profile_first(j)(s / bj) / bj
-            bjp = xi[2 * n - 1] - xi[j - 1]
-            acc_p = acc_p - h * sys.profile_last(j)(s / bjp) / bjp
-        c_minus[k - 1] = 1j * acc_m
-        c_plus[k - 1] = 1j * acc_p
+    beta_first, beta_last = _edge_rates(sys.disp)
+    for out, profiles, rates in ((c_minus, sys.c_first, beta_first), (c_plus, sys.c_last, beta_last)):
+        density = [p(s / beta) / beta for p, beta in zip(profiles, rates)]
+        for k in range(1, n):
+            acc = density[n + k - 2]
+            for j in range(2, n + 1):
+                acc = acc - bnd.entry(k, j) * density[j - 2]
+            out[k - 1] = 1j * acc
     _, eps = sys.envelope
     rate = eps / (xi[2 * n - 1] - xi[0])
     amp = max(fit_profile_amplitude(s, c_minus, rate), fit_profile_amplitude(s, c_plus, rate))
@@ -314,68 +320,32 @@ def exact_edge_profiles(
 
 
 def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:
-    """Stacked per-point system matrix; identical at every s by construction."""
+    """Stacked per-point system matrix; identical at every s by construction.
+
+    Column r - 2 multiplies c_{r,first}(s / beta_first) for which='minus'
+    and c_{r,last}(s / beta_last) for which='plus', rows r = 2..2n-1; each
+    boundary contributes the n-1 equations of its rows k = 1..n-1.
+    """
     n = disp.n
-    xi = disp.xi_arr
-    rows = []
-    for bnd in boundaries:
-        for k in range(1, n):
-            row = np.zeros(2 * (n - 1), dtype=complex)
-            if which == "minus":
-                row[k - 1] = 1.0 / (xi[n + k - 1] - xi[0])
-                for j in range(2, n + 1):
-                    row[(n - 1) + (j - 2)] = -bnd.entry(k, j) / (xi[j - 1] - xi[0])
-            else:
-                row[k - 1] = 1.0 / (xi[2 * n - 1] - xi[n + k - 1])
-                for j in range(2, n + 1):
-                    row[(n - 1) + (j - 2)] = -bnd.entry(k, j) / (xi[2 * n - 1] - xi[j - 1])
-            rows.append(row)
-    return np.array(rows)
+    beta_first, beta_last = _edge_rates(disp)
+    rates = beta_first if which == "minus" else beta_last
+    return np.vstack(
+        [np.hstack([-bnd.h_block / rates[: n - 1], np.diag(1.0 / rates[n - 1 :])]) for bnd in boundaries]
+    )
 
 
 @dataclass(frozen=True)
 class RecoveredCoefficients:
-    """Recovered coupling data, native argument x = s / scale per family."""
+    """Recovered couplings on the s-grid of the inverted data.
+
+    Row r - 2 of `first` holds c_{r,first}(s / (xi_r - xi_1)) and row r - 2
+    of `last` holds c_{r,last}(s / (xi_2n - xi_r)), rows r = 2..2n-1.
+    """
 
     s_grid: np.ndarray = field(repr=False)
-    first_upper: np.ndarray = field(repr=False)  # rows k=1..n-1: c_{n+k,first}(s/(xi_{n+k}-xi_1))
-    first_lower: np.ndarray = field(repr=False)  # rows j=2..n:   c_{j,first}(s/(xi_j-xi_1))
-    last_upper: np.ndarray = field(repr=False)   # rows k=1..n-1: c_{n+k,last}(s/(xi_2n-xi_{n+k}))
-    last_lower: np.ndarray = field(repr=False)   # rows j=2..n:   c_{j,last}(s/(xi_2n-xi_j))
+    first: np.ndarray = field(repr=False)
+    last: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
-
-    def native_first(self, disp: Dispersion, row: int, x: np.ndarray) -> np.ndarray:
-        """c_{row,first}(x) by cubic resampling from the scaled samples."""
-        return _resample(self.s_grid, *_pick_first(self, disp, row), x)
-
-    def native_last(self, disp: Dispersion, row: int, x: np.ndarray) -> np.ndarray:
-        return _resample(self.s_grid, *_pick_last(self, disp, row), x)
-
-
-def _pick_first(rec: RecoveredCoefficients, disp: Dispersion, row: int):
-    n = disp.n
-    xi = disp.xi_arr
-    if row <= n:
-        return rec.first_lower[row - 2], xi[row - 1] - xi[0]
-    return rec.first_upper[row - n - 1], xi[row - 1] - xi[0]
-
-
-def _pick_last(rec: RecoveredCoefficients, disp: Dispersion, row: int):
-    n = disp.n
-    xi = disp.xi_arr
-    if row <= n:
-        return rec.last_lower[row - 2], xi[2 * n - 1] - xi[row - 1]
-    return rec.last_upper[row - n - 1], xi[2 * n - 1] - xi[row - 1]
-
-
-def _resample(s_grid: np.ndarray, samples: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-
-    s_target = scale * np.asarray(x, dtype=float)
-    spline_re = CubicSpline(s_grid, samples.real)
-    spline_im = CubicSpline(s_grid, samples.imag)
-    inside = np.clip(s_target, s_grid[0], s_grid[-1])
-    return spline_re(inside) + 1j * spline_im(inside)
 
 
 def edge_solve_coefficients(
@@ -401,7 +371,7 @@ def edge_solve_coefficients(
         if len(p.s_grid) != len(s) or not np.allclose(p.s_grid, s):
             raise ValidationError("edge_solve_coefficients", "datasets live on different s grids")
 
-    result = {}
+    solutions = []
     diagnostics = {"s_points": len(s)}
     for which in ("minus", "plus"):
         mat = _family_matrix(disp, boundaries, which)
@@ -420,17 +390,8 @@ def edge_solve_coefficients(
             diagnostics[f"{which}_deficiency"] = deficiency
             diagnostics["per_s_deficient_fraction"] = 1.0
             raise RankDeficient(deficiency, 1.0, diagnostics)
-        sol = np.linalg.pinv(mat) @ rhs
-        result[which] = sol
-    sol_m, sol_p = result["minus"], result["plus"]
-    return RecoveredCoefficients(
-        s_grid=s,
-        first_upper=sol_m[: n - 1],
-        first_lower=sol_m[n - 1 :],
-        last_upper=sol_p[: n - 1],
-        last_lower=sol_p[n - 1 :],
-        diagnostics=diagnostics,
-    )
+        solutions.append(np.linalg.pinv(mat) @ rhs)
+    return RecoveredCoefficients(s, *solutions, diagnostics)
 
 
 def edge_roundtrip(
@@ -441,41 +402,40 @@ def edge_roundtrip(
     *,
     compare_to: float = 10.0,
     split_edge_tol: float = 1e-2,
-    s_step: float | None = None,
 ) -> dict:
     """Forward both boundaries, split, invert, solve, and score the recovery.
 
-    Returns per-row relative errors of the recovered coupling profiles on
-    the native argument in [0, compare_to], plus the solver diagnostics.
+    Each coupling c_{r,family} is scored at the recovered s-grid points with
+    s / beta <= compare_to against the profile at s / beta (beta the row's
+    rate); per_family holds the sup error relative to the sup of the truth
+    there.  Also returns the solver diagnostics.
     """
-    n = sys.n
     xi = sys.disp.xi_arr
-    s_max = (xi[2 * n - 1] - xi[0]) * compare_to
     datasets = []
     for boundary in (bnd, bnd_tilde):
         s_mat = edge_scattering(sys, boundary, grid)
         splits = edge_split(s_mat, edge_tol=split_edge_tol)
         prof = edge_invert_transforms(
-            splits, sys.disp, s_max=s_max, s_step=s_step, envelope_eps=sys.envelope[1]
+            splits, sys.disp, s_max=(xi[-1] - xi[0]) * compare_to, envelope_eps=sys.envelope[1]
         )
         datasets.append((prof, boundary))
     rec = edge_solve_coefficients(datasets, sys.disp)
 
-    x_cmp = np.linspace(0.0, compare_to, 201)
     errors = {}
-    worst = 0.0
-    for row in range(2, 2 * n):
-        for which, native, truth in (
-            ("first", rec.native_first(sys.disp, row, x_cmp), sys.profile_first(row)(x_cmp)),
-            ("last", rec.native_last(sys.disp, row, x_cmp), sys.profile_last(row)(x_cmp)),
-        ):
+    beta_first, beta_last = _edge_rates(sys.disp)
+    for family, recovered, profiles, rates in (
+        ("first", rec.first, sys.c_first, beta_first),
+        ("last", rec.last, sys.c_last, beta_last),
+    ):
+        for r, (got, profile, beta) in enumerate(zip(recovered, profiles, rates), start=2):
+            x = rec.s_grid / beta
+            keep = x <= compare_to
+            truth = profile(x[keep])
             scale = float(np.abs(truth).max())
-            err = float(np.abs(native - truth).max())
-            rel = err / scale if scale > 0 else err
-            errors[f"c_{row}_{which}"] = rel
-            worst = max(worst, rel)
+            err = float(np.abs(got[keep] - truth).max())
+            errors[f"c_{r}_{family}"] = err / scale if scale > 0 else err
     return {
-        "max_rel_error": worst,
+        "max_rel_error": max(errors.values()),
         "per_family": errors,
         "diagnostics": rec.diagnostics,
         "compare_to": compare_to,

@@ -5,13 +5,13 @@ data, so the additive split is a masked FFT with the DC (and Nyquist) bin
 shared half-half between the parts.  Raw masking is limited by domain
 periodization: the split parts of an f that decays like 1/lambda^2 still
 carry +-i I0 / lambda tails (I0 the normalized integral of f), and wrapping
-those tails pollutes the window edges at the 1e-2 level.  The corrected
-path therefore subtracts a six-term rational model whose leading plus/minus
+those tails pollutes the window edges at the 1e-2 level.  The split
+therefore subtracts a six-term rational model whose leading plus/minus
 tail coefficients are pinned by I0 and by an edge fit of f's own Laurent
 tail, splits the model exactly, and masks only the remainder.  Every step
-is linear in the samples, so the corrected split is a linear operator that
-the matrix-free Riemann-Hilbert solver applies directly; the dense N x N
-form (`plus_projector_matrix`) serves only as a reference in tests.
+is linear in the samples, so the split is a linear operator that the
+matrix-free Riemann-Hilbert solver applies directly; the dense N x N form
+(`plus_projector_matrix`) serves only as a reference in tests.
 """
 
 from __future__ import annotations
@@ -41,11 +41,21 @@ def mask_project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec * mask.reshape(shape), axis=0)
 
 
-def _laurent_fit(grid: np.ndarray, flat: np.ndarray, edge_fraction: float):
+def edge_indices(n: int) -> np.ndarray:
+    """Indices of the grid-end samples the tail fits use: EDGE_FRACTION of n points."""
+    k = max(6, int(EDGE_FRACTION * n / 2))
+    return np.concatenate([np.arange(k), np.arange(n - k, n)])
+
+
+def pole_basis(grid: np.ndarray, pole: complex) -> np.ndarray:
+    """Columns 1/(lambda - pole)^p, p = 1, 2, 3: the three-term rational tail model."""
+    d = grid - pole
+    return np.stack([1.0 / d, 1.0 / d ** 2, 1.0 / d ** 3], axis=1)
+
+
+def _laurent_fit(grid: np.ndarray, flat: np.ndarray):
     """Edge least-squares fit of c1/l + c2/l^2 + c3/l^3 per column of flat."""
-    n = len(grid)
-    k = max(6, int(edge_fraction * n / 2))
-    idx = np.concatenate([np.arange(k), np.arange(n - k, n)])
+    idx = edge_indices(len(grid))
     le = grid[idx]
     basis = np.stack([1.0 / le, 1.0 / le ** 2, 1.0 / le ** 3], axis=1)
     scale = np.abs(basis).max(axis=0)
@@ -103,7 +113,7 @@ def _halfline_density(grid, flat, c, t_values):
     return (window + tails) / (2.0 * np.pi)
 
 
-def _split_model(grid: np.ndarray, flat: np.ndarray, edge_fraction: float, w: float):
+def _split_model(grid: np.ndarray, flat: np.ndarray):
     """Rational model of each column with the correct plus/minus tail split.
 
     Returns (model samples, plus-part samples, minus-part samples), each of
@@ -116,8 +126,9 @@ def _split_model(grid: np.ndarray, flat: np.ndarray, edge_fraction: float, w: fl
     """
     lam_max = float(max(abs(grid[0]), abs(grid[-1])))
     step = float(grid[1] - grid[0])
-    c = _laurent_fit(grid, flat, edge_fraction)
+    c = _laurent_fit(grid, flat)
     c1, c2, c3 = c[0], c[1], c[2]
+    w = MODEL_W
 
     # trapezoid over the half-open window, closed with the model value at +L,
     # plus the analytic tail of the even model part beyond the window
@@ -145,43 +156,29 @@ def _split_model(grid: np.ndarray, flat: np.ndarray, edge_fraction: float, w: fl
     a3 = l3p + 2j * w * a2 + w * w * a1
     g3 = (c3 - l3p) - 2j * w * g2 + w * w * g1
 
-    bp = np.stack([1.0 / (grid + 1j * w), 1.0 / (grid + 1j * w) ** 2, 1.0 / (grid + 1j * w) ** 3], axis=1)
-    bm = np.stack([1.0 / (grid - 1j * w), 1.0 / (grid - 1j * w) ** 2, 1.0 / (grid - 1j * w) ** 3], axis=1)
-    plus = bp @ np.stack([a1, a2, a3])
-    minus = bm @ np.stack([g1, g2, g3])
+    plus = pole_basis(grid, -1j * w) @ np.stack([a1, a2, a3])
+    minus = pole_basis(grid, 1j * w) @ np.stack([g1, g2, g3])
     return plus + minus, plus, minus
 
 
-def split_samples(
-    grid: np.ndarray,
-    values: np.ndarray,
-    edge_correction: bool = True,
-    edge_fraction: float = EDGE_FRACTION,
-    w: float = MODEL_W,
-):
+def split_samples(grid: np.ndarray, values: np.ndarray):
     """Additive split of samples (axis 0 is lambda): returns (plus, minus)."""
     n = len(grid)
     pm, mm = half_masks(n)
-    if not edge_correction:
-        return mask_project(values, pm), mask_project(values, mm)
     flat = values.reshape(n, -1)
-    model, mplus, mminus = _split_model(grid, flat, edge_fraction, w)
+    model, mplus, mminus = _split_model(grid, flat)
     rem = flat - model
     plus = mask_project(rem, pm) + mplus
     minus = mask_project(rem, mm) + mminus
     return plus.reshape(values.shape), minus.reshape(values.shape)
 
 
-def plus_projector_matrix(
-    grid: np.ndarray, edge_correction: bool = True, edge_fraction: float = EDGE_FRACTION
-) -> np.ndarray:
+def plus_projector_matrix(grid: np.ndarray) -> np.ndarray:
     """Dense N x N matrix with the same action as split_samples' plus part.
 
     N FFTs of the identity; a reference for tests of the matrix-free solver.
     """
-    n = len(grid)
-    plus, _ = split_samples(grid, np.eye(n), edge_correction=edge_correction, edge_fraction=edge_fraction)
-    return plus
+    return split_samples(grid, np.eye(len(grid)))[0]
 
 
 def continue_off_axis(f, delta: float) -> np.ndarray:

@@ -46,7 +46,6 @@ def plemelj_split(
     f: LineMatrixFunction,
     *,
     edge_tol: float = DEFAULT_EDGE_TOL,
-    edge_correction: bool = True,
 ):
     """Additive split f = f_plus + f_minus with one-sided frequency content.
 
@@ -56,7 +55,7 @@ def plemelj_split(
     edge = f.edge_norm()
     if edge > edge_tol:
         raise EdgeDecayViolation(edge, edge_tol)
-    plus, minus = split_samples(f.grid, f.values, edge_correction=edge_correction)
+    plus, minus = split_samples(f.grid, f.values)
     delta = _strip_delta(f)
     return (
         LineMatrixFunction(f.grid, plus, Analyticity("plus", delta)),
@@ -70,7 +69,7 @@ def split_residual(f: LineMatrixFunction, kind: str) -> float:
     The testable surrogate for "analytic in the upper/lower half-plane":
     a plus function has vanishing minus content and vice versa.
     """
-    plus, minus = split_samples(f.grid, f.values, edge_correction=True)
+    plus, minus = split_samples(f.grid, f.values)
     wrong = minus if kind == "plus" else plus
     return float(np.abs(wrong).max())
 
@@ -118,14 +117,13 @@ def solve_regular_rh(
     *,
     edge_tol: float = DEFAULT_EDGE_TOL,
     singularity_tol: float = SINGULARITY_TOL,
-    edge_correction: bool = True,
 ):
     """Factor S as [I + A_plus]^{-1} [I + A_minus] by matrix-free collocation.
 
     The factorization r S = I + A_minus with r = I + A_plus projects to the
     singular integral equation X + P[X g] = -P[g] for X = A_plus, g = S - I,
     with the grid as collocation nodes and P the plus part of
-    `split_samples` (edge-corrected, linear in the samples).  Canonical
+    `split_samples` (tail-model corrected, linear in the samples).  Canonical
     normalization with zero partial indices makes I + P[. g] Fredholm of
     index 0, so a restarted GMRES solves it from its action alone: one
     batched (N, m, m) product and one split per iteration, O(m^2 N) memory.
@@ -153,7 +151,7 @@ def solve_regular_rh(
         raise EdgeDecayViolation(float(edge), edge_tol)
 
     def plus_part(values):
-        return split_samples(grid, values, edge_correction=edge_correction)[0]
+        return split_samples(grid, values)[0]
 
     a_plus, history = _gmres(lambda x: x + plus_part(x @ g), -plus_part(g))
     residual = history[-1] if history else 0.0

@@ -69,7 +69,6 @@ def test_minimal_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.lambda_max == 100.0
     assert cfg.tail_tol == 1e-12
-    assert cfg.effective_s_step == pytest.approx(np.pi / 100.0)
 
 
 def test_config_rejects_non_power_of_two(tmp_path):
@@ -79,14 +78,16 @@ def test_config_rejects_non_power_of_two(tmp_path):
 
 
 def test_config_rejects_negative_step(tmp_path):
-    path = _write(tmp_path, "c.json", {"x_step": -0.1})
-    with pytest.raises(ValidationError, match="x_step"):
+    path = _write(tmp_path, "c.json", {"kernel_step": -0.1})
+    with pytest.raises(ValidationError, match="kernel_step"):
         load_config(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    # rh_rcond_tol is retired: the RH solve no longer forms a matrix to condition
-    for key in ("lambada_max", "rh_rcond_tol"):
+    # retired keys: rh_rcond_tol (the RH solve forms no matrix to condition),
+    # s_step (the s-step is pi / lambda_max), and x_step, s_max and threads,
+    # which nothing read (--threads stays a flag)
+    for key in ("lambada_max", "rh_rcond_tol", "s_step", "x_step", "s_max", "threads"):
         path = _write(tmp_path, "c.json", {key: 7})
         with pytest.raises(ValidationError, match="unknown configuration key"):
             load_config(path)
@@ -349,6 +350,19 @@ def test_failed_run_report_names_error(tmp_path):
     assert rep["error"] == "EdgeDecayViolation"
 
 
+def test_failure_report_carries_error_numbers(tmp_path):
+    # the offending edge norm and the tolerance it broke reach the report
+    grid = make_grid(100.0, 512)
+    inp = tmp_path / "f.csv"
+    inp.write_text(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))}))
+    cfg = _write(tmp_path, "c.json", {"input": str(inp), "split_edge_tol": 0.25})
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["edge_norm"] == pytest.approx(0.5) and rep["tol"] == 0.25
+    assert "5.000e-01" in rep["detail"]
+
+
 def test_failure_report_goes_to_config_out_dir(tmp_path, monkeypatch):
     grid = make_grid(100.0, 512)
     inp = tmp_path / "f.csv"
@@ -411,7 +425,10 @@ def test_exit_code_per_error_class(tmp_path, monkeypatch, exc, code):
     cfg = _write(tmp_path, "c.json", {})
     out = tmp_path / "out"
     assert run_cli("report", "--config", cfg, "--out", str(out)) == code
-    assert json.loads((out / "report.json").read_text())["error"] == type(exc).__name__
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == type(exc).__name__
+    # every field the exception carries reaches the report
+    assert set(vars(exc)) <= set(rep)
 
 
 SCIPY_FREE_SCRIPT = """
@@ -444,17 +461,20 @@ def test_forward_commands_load_no_scipy(tmp_path):
     fwd = _write(
         tmp_path, "fwd.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
     )
-    edge = _write(tmp_path, "edge.json", {"problem": _write(tmp_path, "e.json", EDGE_PROBLEM), "n_lambda": 64})
-    runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge)]
+    edge_prob = _write(tmp_path, "e.json", EDGE_PROBLEM)
+    edge = _write(tmp_path, "edge.json", {"problem": edge_prob, "n_lambda": 1024, "split_edge_tol": 0.01})
+    runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge), ("edge-roundtrip", edge)]
     loaded = _scipy_modules_loaded(tmp_path, runs)
-    assert loaded == {"import": [], "validate": [0, []], "forward": [0, []], "edge-forward": [0, []]}
+    assert loaded == {"import": [], **{command: [0, []] for command, _ in runs}}
 
 
 def test_inverse_commands_load_no_scipy(tmp_path):
+    rh = _rh_solve_config(tmp_path)[0]
     runs = [
         ("split", _split_config(tmp_path)[0]),
-        ("rh-solve", _rh_solve_config(tmp_path)[0]),
+        ("rh-solve", rh),
         ("recover-blocks", _recover_config(tmp_path)[0]),
+        ("report", rh),
     ]
     loaded = _scipy_modules_loaded(tmp_path, runs)
-    assert loaded == {"import": [], "split": [0, []], "rh-solve": [0, []], "recover-blocks": [0, []]}
+    assert loaded == {"import": [], **{command: [0, []] for command, _ in runs}}

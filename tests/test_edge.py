@@ -141,6 +141,8 @@ def test_split_of_column_entries(grid, e1_system, e1_boundaries):
 def test_invert_transform_closed_form(grid, e1_system, e1_boundaries, e1_disp):
     s = edge_scattering(e1_system, e1_boundaries[0], grid)
     prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0, envelope_eps=1.0)
+    # the s-step is conjugate to the lambda grid: pi / lambda_max
+    np.testing.assert_allclose(np.diff(prof.s_grid), np.pi / 100.0, rtol=1e-12)
     want = (1j / 3) * np.exp(-prof.s_grid / 3)
     assert np.abs(prof.c_minus[0] - want).max() < 1e-5
     assert np.abs(prof.c_plus[0]).max() < 1e-5
@@ -178,11 +180,15 @@ def test_solve_coefficients_recovers(e1_system, e1_boundaries, e1_disp, grid):
         prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0)
         datasets.append((prof, bnd))
     rec = edge_solve_coefficients(datasets, e1_disp)
-    x = np.linspace(0, 10, 101)
-    assert np.abs(rec.native_first(e1_disp, 3, x) - np.exp(-x)).max() < 1e-4
-    for row, which in ((2, "first"), (2, "last"), (3, "last")):
-        vals = rec.native_first(e1_disp, row, x) if which == "first" else rec.native_last(e1_disp, row, x)
-        assert np.abs(vals).max() < 1e-4
+    # row r - 2 of first / last holds c_{r,first}(s / (xi_r - xi_1)) / c_{r,last}(s / (xi_4 - xi_r));
+    # only c_{3,first}(x) = e^{-x} is nonzero
+    xi = e1_disp.xi_arr
+    for r in (2, 3):
+        for which, rows, beta in (("first", rec.first, xi[r - 1] - xi[0]), ("last", rec.last, xi[3] - xi[r - 1])):
+            x = rec.s_grid / beta
+            keep = x <= 10.0
+            truth = np.exp(-x[keep]) if (r, which) == (3, "first") else 0.0
+            assert np.abs(rows[r - 2][keep] - truth).max() < 1e-4
     assert rec.diagnostics["minus_rank"] == 2
 
 
