@@ -23,19 +23,7 @@ def _set_thread_env(threads: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="isp", description=__doc__)
-    parser.add_argument(
-        "command",
-        choices=[
-            "validate",
-            "forward",
-            "split",
-            "rh-solve",
-            "recover-blocks",
-            "edge-forward",
-            "edge-roundtrip",
-            "report",
-        ],
-    )
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument(
         "--out", default=None, help="output directory (default: the config's out_dir, else $ISP_OUT_DIR, else ./isp-out)"
@@ -91,17 +79,7 @@ def _write_artifact(out_dir: Path, name: str, text: str, manifest: dict):
 
 
 def _dispatch(command: str, cfg, out_dir: Path):
-    handlers = {
-        "validate": _cmd_validate,
-        "forward": _cmd_forward,
-        "split": _cmd_split,
-        "rh-solve": _cmd_rh_solve,
-        "recover-blocks": _cmd_recover_blocks,
-        "edge-forward": _cmd_edge_forward,
-        "edge-roundtrip": _cmd_edge_roundtrip,
-        "report": _cmd_report,
-    }
-    return handlers[command](cfg, out_dir)
+    return _COMMANDS[command](cfg, out_dir)
 
 
 def _require(problem: dict, key: str):
@@ -353,6 +331,17 @@ def _cmd_report(cfg, out_dir: Path):
         report["strips"] = strip_diagnostics(funcs["plus"], funcs["minus"])
     return report, True
 
+
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "forward": _cmd_forward,
+    "split": _cmd_split,
+    "rh-solve": _cmd_rh_solve,
+    "recover-blocks": _cmd_recover_blocks,
+    "edge-forward": _cmd_edge_forward,
+    "edge-roundtrip": _cmd_edge_roundtrip,
+    "report": _cmd_report,
+}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,5 @@
-"""Core value types: dispersion, block-triangular potentials, boundary matrices.
+"""Core value types: dispersion, block-triangular potentials, boundary matrices,
+and the kernel channel table that the structure fixes.
 
 All types are immutable after construction and safe to share across threads.
 Index conventions are 0-based internally; reports use 1-based labels.
@@ -7,6 +8,7 @@ Index conventions are 0-based internally; reports use 1-based labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,29 +50,6 @@ class Dispersion:
         return np.array(self.xi)
 
 
-def kernel_decay_exponent(disp: Dispersion) -> float:
-    """Slope constant of the kernel decay in the slanted direction.
-
-    Minimum over four families of speed ratios; empty families (n = 1 has no
-    strictly-lower or strictly-upper pairs) are skipped.  Invariant under
-    uniform positive scaling of all speeds.
-    """
-    n = disp.n
-    xi = disp.xi_arr
-    ratios: list[float] = []
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            if k > j:  # strictly lower family
-                ratios.append(xi[j - 1] / (xi[j - 1] - xi[k - 1]))
-            if k < j:  # strictly upper family
-                ratios.append(xi[n + j - 1] / (xi[n + j - 1] - xi[n + k - 1]))
-            if k + j > n:  # lower anti family
-                ratios.append(xi[n + j - 1] / (xi[n + j - 1] - xi[k - 1]))
-            if k + j < n + 2:  # upper anti family
-                ratios.append(xi[j - 1] / (xi[j - 1] - xi[n + k - 1]))
-    return min(ratios)
-
-
 def _strictly_lower(i: int, j: int, n: int) -> bool:
     return i > j
 
@@ -103,6 +82,51 @@ KERNEL_ALLOWED = {
     "A21": _upper_anti,
     "A22": lambda i, j, n: j >= i,
 }
+
+
+# (row block, column block) offsets of each kernel block into the 2n speeds
+KERNEL_BLOCKS = {"A11": (0, 0), "A12": (0, 1), "A21": (1, 0), "A22": (1, 1)}
+
+
+class Channel(NamedTuple):
+    """One admissible kernel entry (k, j) of a block and its characteristic."""
+
+    block: str
+    k: int
+    j: int
+    row_speed: float
+    col_speed: float
+    rho: float | None  # slope col / (col - row); None on the diagonal
+
+    @property
+    def q_block(self) -> str:
+        """The potential block whose (k, j) entry drives this channel."""
+        return "q" + self.block[1:]
+
+
+def channel_table(disp: Dispersion) -> tuple[Channel, ...]:
+    """Every admissible kernel entry, block by block, in row-major order."""
+    n = disp.n
+    xi = disp.xi_arr
+    chans = []
+    for name, (rb, cb) in KERNEL_BLOCKS.items():
+        for k in range(n):
+            for j in range(n):
+                if not KERNEL_ALLOWED[name](k, j, n):
+                    continue
+                row, col = xi[rb * n + k], xi[cb * n + j]
+                rho = None if row == col else col / (col - row)
+                chans.append(Channel(name, k, j, row, col, rho))
+    return tuple(chans)
+
+
+def kernel_decay_exponent(disp: Dispersion) -> float:
+    """Slope constant theta of the kernel decay in the slanted direction.
+
+    The smallest characteristic slope rho over the off-diagonal channels of
+    channel_table.  Invariant under uniform positive scaling of all speeds.
+    """
+    return min(c.rho for c in channel_table(disp) if c.rho is not None)
 
 
 def block_mask(name: str, n: int, kernel: bool = False) -> np.ndarray:

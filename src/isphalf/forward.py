@@ -19,10 +19,13 @@ from .config import truncation_length
 from .domain import (
     BLOCK_ALLOWED,
     KERNEL_ALLOWED,
+    KERNEL_BLOCKS,
     BoundaryMatrix,
+    Channel,
     Dispersion,
     SINGULARITY_TOL,
     TriangularPotential,
+    channel_table,
     kernel_decay_exponent,
 )
 from .errors import NonConvergence, SingularFactor, SingularP, ValidationError
@@ -175,23 +178,6 @@ def asymptotic_coefficients(sol: BoundedSolution, pot: TriangularPotential, disp
 # transformation-operator kernels
 # ---------------------------------------------------------------------------
 
-_BLOCK_SPEEDS = {
-    # (row block offset, column block offset) into the 2n speed vector
-    "A11": (0, 0),
-    "A12": (0, 1),
-    "A21": (1, 0),
-    "A22": (1, 1),
-}
-_DRIVE_BLOCK = {"A11": "q11", "A12": "q12", "A21": "q21", "A22": "q22"}
-# coupling products per kernel block: G_b = sum_q q_block @ kernel_block
-_COUPLING = {
-    "A11": (("q11", "A11"), ("q12", "A21")),
-    "A12": (("q11", "A12"), ("q12", "A22")),
-    "A21": (("q21", "A11"), ("q22", "A21")),
-    "A22": (("q21", "A12"), ("q22", "A22")),
-}
-
-
 @dataclass(frozen=True)
 class TransformationKernels:
     """The four matrix kernels on the slanted triangle, sampled uniformly.
@@ -231,35 +217,44 @@ class TransformationKernels:
         return self.blocks[name][:, :, :, 0]
 
 
-def _channel_table(disp: Dispersion):
-    """Per-entry characteristic data: (block, k, j, rho or None for diagonal)."""
-    n = disp.n
-    xi = disp.xi_arr
-    chans = []
-    for name, (rb, cb) in _BLOCK_SPEEDS.items():
-        rule = KERNEL_ALLOWED[name]
-        for k in range(n):
-            for j in range(n):
-                if not rule(k, j, n):
-                    continue
-                row_speed = xi[rb * n + k]
-                col_speed = xi[cb * n + j]
-                if row_speed == col_speed:
-                    chans.append((name, k, j, None))
-                else:
-                    chans.append((name, k, j, col_speed / (col_speed - row_speed)))
-    return chans
+def _kernel_peak_bytes(n: int, chans, driven: int, nx: int, nt: int) -> int:
+    """Upper bound on the memory solve_kernels allocates on an (nx, nt) grid.
 
-
-def _kernel_peak_bytes(n: int, nx: int, nt: int) -> int:
-    """Estimated peak memory of solve_kernels on an (nx, nt) grid.
-
-    Counts the drive, current and next iterates (four blocks each), one
-    coupling block, two single-channel work arrays and the temporaries of
-    one level-block gather.
+    Counts, in channel arrays of nx * nt complex values: the four kernel
+    blocks (n * n channels each), the stored drives, the next iterate of
+    every admissible channel, and two work arrays (the coupling being
+    integrated, and a product summed into it or the diagonal integral).
+    Then the temporaries of one level-block gather, at most 160 bytes per
+    point on at most _LEVEL_BLOCK_POINTS + 2 * feet points (a block of span
+    levels spans span + 1 rows of at most feet points), the accumulator on
+    the feet and the per-x potential samples.
     """
+    feet = max(nx + int(math.ceil(c.rho * (nt - 1))) + 1 for c in chans if c.rho is not None)
     channel = 16 * nx * nt
-    return channel * (13 * n * n + 2) + 160 * _LEVEL_BLOCK_POINTS
+    gather = 160 * (_LEVEL_BLOCK_POINTS + 2 * feet)
+    return channel * (4 * n * n + len(chans) + driven + 2) + gather + 16 * (feet + 4 * n * n * nx)
+
+
+def _coupling_terms(chan: Channel, pot: TriangularPotential):
+    """(q block, kernel block, m slice) of each product q_{km} A_{mj} in the
+    coupling of a channel: the full 2n x 2n product Q A restricted to the
+    channel's block, over the m from the first to the last where q_{km} is
+    nonzero and A_{mj} admissible.  The products left out are exact zeros,
+    so the sum is bit-identical to one over every m.
+    """
+    n = pot.n
+    rb, cb = KERNEL_BLOCKS[chan.block]
+    terms = []
+    for mb in (0, 1):
+        qname, aname = f"q{rb + 1}{mb + 1}", f"A{mb + 1}{cb + 1}"
+        ms = [
+            m
+            for m in range(n)
+            if not pot.block(qname)[chan.k][m].is_zero and KERNEL_ALLOWED[aname](m, chan.j, n)
+        ]
+        if ms:
+            terms.append((qname, aname, slice(ms[0], ms[-1] + 1)))
+    return terms
 
 
 def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
@@ -271,6 +266,61 @@ def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
     frac = pos - i0
     lo = np.clip(i0 + 1 - first, 0, width - 2) + width * np.arange(len(rows))[:, None]
     return (1.0 - frac) * rows.ravel()[lo] + frac * rows.ravel()[lo + 1]
+
+
+def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """D(x, tau) = i rho q(x + rho tau) of an off-diagonal channel driven by q."""
+    if isinstance(prof, ExpSumProfile):
+        d = np.zeros((len(x), len(tau)), dtype=complex)
+        for gamma, a in prof.terms:
+            d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
+    else:
+        d = prof(x[:, None] + rho * tau[None, :])
+    return 1j * rho * d
+
+
+def _next_iterate(chan: Channel, terms, qgrid: dict, kern: dict, drive, step: float) -> np.ndarray:
+    """One Jacobi update of a channel: its drive (None: zero) plus i times
+    the integral of its coupling, formed from the iterate kern, along the
+    channel's characteristics."""
+    nx, nt = kern["A11"].shape[2:]
+    g = np.zeros((nx, nt), dtype=complex)
+    for qname, aname, ms in terms:
+        g += np.einsum("mx,mxt->xt", qgrid[qname][chan.k, ms], kern[aname][ms, chan.j])
+    out = np.zeros((nx, nt), dtype=complex) if drive is None else drive.copy()
+    rho = chan.rho
+    if rho is None:
+        # integral along x to the truncation boundary, every tau level, in one
+        # work array; the x_max row keeps its zero drive
+        w = np.add(g[:-1], g[1:])
+        w *= 0.5 * step
+        np.cumsum(w[::-1], axis=0, out=w[::-1])
+        w *= 1j
+        out[:-1] += w
+        return out
+    # the feet over the nodes move right with tau (rho > 0); per block, feet
+    # left of f0 are never read again and feet from f1 on have met only zero
+    # coupling, so their w is still exactly +0
+    nodes = np.arange(nx, dtype=float)
+    n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
+    w = np.zeros(n_feet, dtype=complex)
+    span = max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // n_feet))
+    for a in range(1, nt, span):
+        b = min(a + span, nt)
+        shift = rho * np.arange(a - 1, b)
+        f0, f1 = int(shift[1]), min(n_feet, int(shift[-1]) + nx + 2)
+        # coupling on levels a-1 .. b-1 at the feet, clamped left of x = 0
+        rows = np.zeros((b - a + 1, nx + 3), dtype=complex)
+        rows[:, 0] = g[0, a - 1 : b]
+        rows[:, 1 : nx + 1] = g[:, a - 1 : b].T
+        g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
+        acc = np.zeros((b - a + 1, f1 - f0 + 3), dtype=complex)
+        acc[0, 1:-2] = w[f0:f1]
+        acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
+        acc = np.cumsum(acc, axis=0)
+        w[f0:f1] = acc[-1, 1:-2]
+        out[:, a:b] += 1j * _lerp_rows(acc[1:], nodes + shift[1:, None], f0).T
+    return out
 
 
 def solve_kernels(
@@ -286,28 +336,35 @@ def solve_kernels(
 ) -> TransformationKernels:
     """Solve the coupled Volterra systems along characteristics.
 
-    Jacobi sweeps: each sweep builds the coupling field of one kernel block
-    at a time from the previous iterate and integrates it along every
-    entry's characteristic.  An off-diagonal entry is accumulated on the
-    characteristic lattice, indexed by the foot position at tau = 0, so
-    interpolation error never feeds back into the accumulation.  The march
-    runs over blocks of tau levels (_LEVELS_PER_BLOCK, fewer where a gather
-    would exceed _LEVEL_BLOCK_POINTS points) and, per block, over the band
-    of feet whose characteristics cross the nodes: the coupling field is
-    gathered at the feet with 2-tap linear weights, the composite trapezoid
-    increments are summed by a cumsum along tau whose first row is the
-    accumulation carried from the previous block, and the result is
-    gathered back onto the nodes.  Every element sees the same
-    floating-point operations in the same order as a march one level at a
-    time, so the kernels are bit-identical to that march and do not depend
-    on the block size.  The diagonal entries integrate along x up to the
-    truncation boundary, where the envelope bounds the dropped tail.
+    The unknowns are the admissible channels of domain.channel_table, one
+    2-D (x, tau) array each.  Jacobi sweeps: each sweep forms, channel by
+    channel, the coupling from the previous iterate (the products
+    q_{km} A_{mj} whose factors are structurally nonzero) and integrates
+    it along the channel's characteristic onto its drive i rho q_{kj}
+    (stored only where q_{kj} is nonzero).  An off-diagonal entry is
+    accumulated on the characteristic lattice, indexed by the foot
+    position at tau = 0, so interpolation error never feeds back into the
+    accumulation.  The march runs over blocks of tau levels
+    (_LEVELS_PER_BLOCK, fewer where a gather would exceed
+    _LEVEL_BLOCK_POINTS points) and, per block, over the band of feet whose
+    characteristics cross the nodes: the coupling field is gathered at the
+    feet with 2-tap linear weights, the composite trapezoid increments are
+    summed by a cumsum along tau whose first row is the accumulation
+    carried from the previous block, and the result is gathered back onto
+    the nodes.  Every element sees the same floating-point operations in
+    the same order as a march one level at a time over full kernel blocks,
+    so the kernels are bit-identical to that march and do not depend on the
+    block size.  The diagonal entries integrate along x up to the
+    truncation boundary, where the envelope bounds the dropped tail.  The
+    result holds the four (n, n, Nx, Ntau) blocks, zero off the admissible
+    entries.
 
-    A grid whose estimated peak memory exceeds physical memory is refused
-    with ValidationError before anything is allocated.
+    A grid whose peak memory bound (from the channel and drive counts)
+    exceeds physical memory is refused with ValidationError before anything
+    is allocated.
     """
     n = disp.n
-    c_env, eps = pot.envelope
+    eps = pot.envelope[1]
     theta = kernel_decay_exponent(disp)
     if x_max is None:
         x_max = truncation_length(pot.envelope, tail_tol)
@@ -315,7 +372,9 @@ def solve_kernels(
         tau_max = x_max / theta
     nx = int(math.ceil(x_max / step)) + 1
     nt = int(math.ceil(tau_max / step)) + 1
-    need = _kernel_peak_bytes(n, nx, nt)
+    chans = channel_table(disp)
+    driven = [c for c in chans if c.rho is not None and not pot.block(c.q_block)[c.k][c.j].is_zero]
+    need = _kernel_peak_bytes(n, chans, len(driven), nx, nt)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValidationError(
@@ -326,74 +385,19 @@ def solve_kernels(
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
 
-    chans = _channel_table(disp)
     qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
-
-    # driving terms: D_{kj}(x, tau) = i rho q_{kj}(x + rho tau); zero on diagonals
-    drive = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in _BLOCK_SPEEDS}
-    for name, k, j, rho in chans:
-        if rho is None:
-            continue
-        prof = pot.block(_DRIVE_BLOCK[name])[k][j]
-        if prof.is_zero:
-            continue
-        if isinstance(prof, ExpSumProfile):
-            d = np.zeros((nx, nt), dtype=complex)
-            for gamma, a in prof.terms:
-                d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
-        else:
-            d = prof(x[:, None] + rho * tau[None, :])
-        drive[name][k, j] = 1j * rho * d
-
-    kern = {name: drive[name].copy() for name in _BLOCK_SPEEDS}
-    nodes = np.arange(nx, dtype=float)
+    terms = {c: _coupling_terms(c, pot) for c in chans}
+    drive = {c: _drive(pot.block(c.q_block)[c.k][c.j], c.rho, x, tau) for c in driven}
+    kern = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in KERNEL_BLOCKS}
+    for c, d in drive.items():
+        kern[c.block][c.k, c.j] = d
 
     change, changes = np.inf, []
     for sweep in range(1, max_sweeps + 1):
-        new = {}
-        for name in _BLOCK_SPEEDS:
-            coup = np.zeros((n, n, nx, nt), dtype=complex)
-            for qname, aname in _COUPLING[name]:
-                coup += np.einsum("kmx,mjxt->kjxt", qgrid[qname], kern[aname])
-            new[name] = drive[name].copy()
-            for _, k, j, rho in (c for c in chans if c[0] == name):
-                g = coup[k, j]
-                out = new[name][k, j]
-                if rho is None:
-                    # integral along x to the truncation boundary, every tau
-                    # level, in one work array; the x_max row keeps its zero drive
-                    w = np.add(g[:-1], g[1:])
-                    w *= 0.5 * step
-                    np.cumsum(w[::-1], axis=0, out=w[::-1])
-                    w *= 1j
-                    out[:-1] += w
-                    continue
-                # the feet over the nodes move right with tau (rho > 0); per block,
-                # feet left of f0 are never read again and feet from f1 on have
-                # met only zero coupling, so their w is still exactly +0
-                n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
-                w = np.zeros(n_feet, dtype=complex)
-                span = max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // n_feet))
-                for a in range(1, nt, span):
-                    b = min(a + span, nt)
-                    shift = rho * np.arange(a - 1, b)
-                    f0, f1 = int(shift[1]), min(n_feet, int(shift[-1]) + nx + 2)
-                    # coupling on levels a-1 .. b-1 at the feet, clamped left of x = 0
-                    rows = np.zeros((b - a + 1, nx + 3), dtype=complex)
-                    rows[:, 0] = g[0, a - 1 : b]
-                    rows[:, 1 : nx + 1] = g[:, a - 1 : b].T
-                    g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
-                    acc = np.zeros((b - a + 1, f1 - f0 + 3), dtype=complex)
-                    acc[0, 1:-2] = w[f0:f1]
-                    acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
-                    acc = np.cumsum(acc, axis=0)
-                    w[f0:f1] = acc[-1, 1:-2]
-                    out[:, a:b] += 1j * _lerp_rows(acc[1:], nodes + shift[1:, None], f0).T
-            del coup
-        change = 0.0
-        for name in _BLOCK_SPEEDS:
-            change = max(change, float(np.abs(new[name] - kern[name]).max()))
-            kern[name] = new[name]
+        new = {c: _next_iterate(c, terms[c], qgrid, kern, drive.get(c), step) for c in chans}
+        change = max(float(np.abs(new[c] - kern[c.block][c.k, c.j]).max()) for c in chans)
+        for c in chans:
+            kern[c.block][c.k, c.j] = new.pop(c)
         changes.append(change)
         if change < tol:
             break
@@ -401,10 +405,7 @@ def solve_kernels(
         raise NonConvergence("kernel system", max_sweeps, change)
 
     envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
-    c_tilde = 0.0
-    for name in _BLOCK_SPEEDS:
-        mags = np.abs(kern[name]).max(axis=(0, 1))
-        c_tilde = max(c_tilde, float((mags * envelope).max()))
+    c_tilde = max(float((np.abs(kern[c.block][c.k, c.j]) * envelope).max()) for c in chans)
     return TransformationKernels(
         disp=disp,
         step=step,
@@ -417,36 +418,24 @@ def solve_kernels(
     )
 
 
-_RECOVERY = {
-    # q_{kj} = -i * ratio(k, j) * A_block(x, x)_{kj}
-    "A11": ("q11", lambda xi, n, k, j: (xi[j] - xi[k]) / xi[j]),
-    "A12": ("q12", lambda xi, n, k, j: (xi[n + j] - xi[k]) / xi[n + j]),
-    "A21": ("q21", lambda xi, n, k, j: (xi[j] - xi[n + k]) / xi[j]),
-    "A22": ("q22", lambda xi, n, k, j: (xi[n + j] - xi[n + k]) / xi[n + j]),
-}
-
-
 def potential_from_kernels(kernels: TransformationKernels, disp: Dispersion) -> TriangularPotential:
-    """Potential read off the kernel diagonal t = x, entry by entry."""
+    """Potential read off the kernel diagonal t = x, channel by channel:
+    q_{kj}(x) = -i ((xi_c - xi_r) / xi_c) A_{kj}(x, x) on the off-diagonal
+    channels."""
     n = disp.n
-    xi = disp.xi_arr
     x = kernels.x_grid
     eps = kernels.envelope_eps
-    blocks = {}
+    blocks = {name: [[ZERO_PROFILE] * n for _ in range(n)] for name in BLOCK_ALLOWED}
     c_env = 0.0
-    for aname, (qname, ratio) in _RECOVERY.items():
-        grid = [[ZERO_PROFILE] * n for _ in range(n)]
-        diag = kernels.diagonal(aname)
-        for k in range(n):
-            for j in range(n):
-                if not BLOCK_ALLOWED[qname](k, j, n):
-                    continue
-                vals = -1j * ratio(xi, n, k, j) * diag[k, j]
-                if np.abs(vals).max() == 0.0:
-                    continue
-                grid[k][j] = SampledProfile(kernels.step, vals, tail_rate=eps)
-                c_env = max(c_env, float((np.abs(vals) * np.exp(eps * x)).max()))
-        blocks[qname] = tuple(tuple(r) for r in grid)
+    for c in channel_table(disp):
+        if c.rho is None:
+            continue
+        ratio = (c.col_speed - c.row_speed) / c.col_speed
+        vals = -1j * ratio * kernels.diagonal(c.block)[c.k, c.j]
+        if np.abs(vals).max() == 0.0:
+            continue
+        blocks[c.q_block][c.k][c.j] = SampledProfile(kernels.step, vals, tail_rate=eps)
+        c_env = max(c_env, float((np.abs(vals) * np.exp(eps * x)).max()))
     # chords of a convex decay overshoot the node values between nodes
     slack = math.cosh(0.5 * eps * kernels.step)
     envelope = (max(c_env * slack * (1.0 + 1e-9), 1e-300), eps)
@@ -486,7 +475,7 @@ def kernel_transforms(
     eps = kernels.envelope_eps
     h = kernels.step
     out = {}
-    for name, (rb, cb) in _BLOCK_SPEEDS.items():
+    for name, (rb, cb) in KERNEL_BLOCKS.items():
         trace = kernels.trace_at_zero(name)  # (n, n, nt)
         vals = np.zeros((len(grid), n, n), dtype=complex)
         for j in range(n):
@@ -619,7 +608,7 @@ def reconstruct_from_kernels(
     y = np.zeros(2 * n, dtype=complex)
     y[:n] = np.exp(1j * lam * xi[:n] * x) * A
     y[n:] = np.exp(1j * lam * xi[n:] * x) * B
-    for name, (rb, cb) in _BLOCK_SPEEDS.items():
+    for name, (rb, cb) in KERNEL_BLOCKS.items():
         block = kernels.blocks[name][:, :, x_index, :]  # (n, n, nt)
         amps = A if cb == 0 else B
         for j in range(n):

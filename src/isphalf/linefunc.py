@@ -93,9 +93,6 @@ class LineMatrixFunction:
         self._check_same_grid(other)
         return LineMatrixFunction(self.grid, self.values @ other.values, _merge_tags(self, other))
 
-    def scale(self, factor: complex):
-        return LineMatrixFunction(self.grid, factor * self.values, self.analyticity)
-
     def left_mul(self, mat: np.ndarray):
         return LineMatrixFunction(self.grid, np.einsum("ab,nbc->nac", mat, self.values), self.analyticity)
 

@@ -34,13 +34,6 @@ def half_masks(n: int):
     return plus, 1.0 - plus
 
 
-def mask_project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Apply a frequency mask along axis 0."""
-    spec = np.fft.fft(values, axis=0)
-    shape = (len(mask),) + (1,) * (values.ndim - 1)
-    return np.fft.ifft(spec * mask.reshape(shape), axis=0)
-
-
 def edge_indices(n: int) -> np.ndarray:
     """Indices of the grid-end samples the tail fits use: EDGE_FRACTION of n points."""
     k = max(6, int(EDGE_FRACTION * n / 2))
@@ -167,9 +160,9 @@ def split_samples(grid: np.ndarray, values: np.ndarray):
     pm, mm = half_masks(n)
     flat = values.reshape(n, -1)
     model, mplus, mminus = _split_model(grid, flat)
-    rem = flat - model
-    plus = mask_project(rem, pm) + mplus
-    minus = mask_project(rem, mm) + mminus
+    spec = np.fft.fft(flat - model, axis=0)
+    plus = np.fft.ifft(spec * pm[:, None], axis=0) + mplus
+    minus = np.fft.ifft(spec * mm[:, None], axis=0) + mminus
     return plus.reshape(values.shape), minus.reshape(values.shape)
 
 

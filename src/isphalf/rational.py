@@ -162,10 +162,6 @@ class RationalMatrix:
     def identity(cls, m: int):
         return cls([[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)])
 
-    @classmethod
-    def zeros(cls, m: int):
-        return cls([[0.0] * m for _ in range(m)])
-
     def __add__(self, other):
         return RationalMatrix(
             [[self.entries[i][j] + other.entries[i][j] for j in range(self.m)] for i in range(self.m)]
@@ -188,14 +184,8 @@ class RationalMatrix:
             out.append(row)
         return RationalMatrix(out)
 
-    def scale(self, factor: complex):
-        return RationalMatrix([[factor * e for e in row] for row in self.entries])
-
     def plus_part(self):
         return RationalMatrix([[e.plus_part() for e in row] for row in self.entries])
-
-    def minus_part(self):
-        return RationalMatrix([[e.minus_part() for e in row] for row in self.entries])
 
     def prune(self, drop_tol: float = DROP_TOL):
         return RationalMatrix([[e.prune(drop_tol) for e in row] for row in self.entries])

@@ -293,7 +293,7 @@ def linefuncs_from_csv(path) -> dict:
     return out
 
 
-def sidecar_metadata(kernels=None, linefuncs=None, extra=None) -> dict:
+def sidecar_metadata(kernels=None, linefuncs=None) -> dict:
     meta: dict = {}
     if kernels is not None:
         meta["kernels"] = {
@@ -316,8 +316,6 @@ def sidecar_metadata(kernels=None, linefuncs=None, extra=None) -> dict:
             }
             for name, f in linefuncs.items()
         }
-    if extra:
-        meta.update(extra)
     return meta
 
 

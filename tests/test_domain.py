@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from isphalf.domain import (
+    KERNEL_ALLOWED,
+    KERNEL_BLOCKS,
     BoundaryMatrix,
     Dispersion,
     TriangularPotential,
     block_mask,
+    channel_table,
     kernel_decay_exponent,
     max_possible_entries,
     validate_potential,
@@ -43,6 +46,55 @@ def test_decay_exponent_scale_invariance():
         scale = float(rng.uniform(0.1, 10.0))
         ds = Dispersion(n, tuple(scale * v for v in xi))
         assert kernel_decay_exponent(ds) == pytest.approx(kernel_decay_exponent(d), rel=1e-12)
+
+
+def _random_dispersion(rng, n):
+    neg = -np.sort(rng.uniform(0.2, 4.0, n))[::-1]
+    pos = np.sort(rng.uniform(0.2, 4.0, n))
+    return Dispersion(n, tuple(np.concatenate([neg, pos])))
+
+
+def _four_family_exponent(disp):
+    """The decay exponent as a loop over four families of speed ratios,
+    kept verbatim from before the channel table owned the formula."""
+    n = disp.n
+    xi = disp.xi_arr
+    ratios = []
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
+            if k > j:  # strictly lower family
+                ratios.append(xi[j - 1] / (xi[j - 1] - xi[k - 1]))
+            if k < j:  # strictly upper family
+                ratios.append(xi[n + j - 1] / (xi[n + j - 1] - xi[n + k - 1]))
+            if k + j > n:  # lower anti family
+                ratios.append(xi[n + j - 1] / (xi[n + j - 1] - xi[k - 1]))
+            if k + j < n + 2:  # upper anti family
+                ratios.append(xi[j - 1] / (xi[j - 1] - xi[n + k - 1]))
+    return min(ratios)
+
+
+def test_decay_exponent_matches_four_families():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        d = _random_dispersion(rng, int(rng.integers(1, 5)))
+        assert kernel_decay_exponent(d) == _four_family_exponent(d)
+
+
+def test_channel_table_is_the_admissible_pattern():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4):
+        d = _random_dispersion(rng, n)
+        chans = channel_table(d)
+        assert len(chans) == 2 * n * (n + 1)
+        want = {(name, k, j) for name in KERNEL_BLOCKS for k in range(n) for j in range(n) if KERNEL_ALLOWED[name](k, j, n)}
+        assert {(c.block, c.k, c.j) for c in chans} == want
+        for c in chans:
+            rb, cb = KERNEL_BLOCKS[c.block]
+            assert (c.row_speed, c.col_speed) == (d.xi[rb * n + c.k], d.xi[cb * n + c.j])
+            if rb == cb and c.k == c.j:
+                assert c.rho is None
+            else:
+                assert c.rho == c.col_speed / (c.col_speed - c.row_speed) > 0
 
 
 def test_decay_exponent_symmetric_pairs_below_one():

@@ -19,15 +19,11 @@ from isphalf.domain import (
 )
 from isphalf.errors import NonConvergence, ValidationError
 from isphalf.forward import (
-    _BLOCK_SPEEDS,
-    _COUPLING,
-    _DRIVE_BLOCK,
     DEFAULT_ITER_TOL,
     DEFAULT_STEP,
     DEFAULT_TAIL_TOL,
     MAX_SWEEPS,
     TransformationKernels,
-    _channel_table,
     asymptotic_coefficients,
     boundary_parts,
     kernel_transforms,
@@ -197,8 +193,46 @@ def test_representation_consistency(n2_random_pot, e1_disp, n2_random_kernels):
 # -- the level-blocked march against the per-level march it replaced ---------
 
 # The solver before the kernel march was vectorised, kept verbatim: one
-# sample_level call per channel, tau level and operand.  The blocked march
-# must reproduce it bit for bit.
+# sample_level call per channel, tau level and operand, over full
+# (n, n, nx, nt) blocks, with the block tables it used beside it.  The
+# blocked, channel-by-channel march must reproduce it bit for bit.
+_BLOCK_SPEEDS = {
+    # (row block offset, column block offset) into the 2n speed vector
+    "A11": (0, 0),
+    "A12": (0, 1),
+    "A21": (1, 0),
+    "A22": (1, 1),
+}
+_DRIVE_BLOCK = {"A11": "q11", "A12": "q12", "A21": "q21", "A22": "q22"}
+# coupling products per kernel block: G_b = sum_q q_block @ kernel_block
+_COUPLING = {
+    "A11": (("q11", "A11"), ("q12", "A21")),
+    "A12": (("q11", "A12"), ("q12", "A22")),
+    "A21": (("q21", "A11"), ("q22", "A21")),
+    "A22": (("q21", "A12"), ("q22", "A22")),
+}
+
+
+def _channel_table(disp: Dispersion):
+    """Per-entry characteristic data: (block, k, j, rho or None for diagonal)."""
+    n = disp.n
+    xi = disp.xi_arr
+    chans = []
+    for name, (rb, cb) in _BLOCK_SPEEDS.items():
+        rule = KERNEL_ALLOWED[name]
+        for k in range(n):
+            for j in range(n):
+                if not rule(k, j, n):
+                    continue
+                row_speed = xi[rb * n + k]
+                col_speed = xi[cb * n + j]
+                if row_speed == col_speed:
+                    chans.append((name, k, j, None))
+                else:
+                    chans.append((name, k, j, col_speed / (col_speed - row_speed)))
+    return chans
+
+
 def reference_solve_kernels(
     pot: TriangularPotential,
     disp: Dispersion,
@@ -392,6 +426,25 @@ def test_oversized_grid_refused_before_allocating(n1_pot, n1_disp):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_preflight_estimate_bounds_peak(monkeypatch, n1_pot, n1_disp, n):
+    # the preflight estimate is an upper bound on what the solve allocates;
+    # a small gather budget leaves the channel arrays as nearly all of it
+    pot, disp = {1: (n1_pot, n1_disp), 2: (random_potential(2, 42), E1_DISP), 3: (random_potential(3, 7), N3_DISP)}[n]
+    monkeypatch.setattr(forward, "_LEVEL_BLOCK_POINTS", 4096)
+    estimates = []
+    estimate = forward._kernel_peak_bytes
+    monkeypatch.setattr(forward, "_kernel_peak_bytes", lambda *a: estimates.append(estimate(*a)) or estimates[-1])
+    tracemalloc.start()
+    try:
+        solve_kernels(pot, disp, step=0.05, x_max=12.0, tau_max=24.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0]
 
 
 # -- transforms and matrices -------------------------------------------------

@@ -13,7 +13,7 @@ from isphalf.errors import (
 )
 from isphalf.linefunc import Analyticity, LineMatrixFunction, make_grid
 from isphalf.rational import RationalFunction, RationalMatrix, simple_pole
-from isphalf.projection import sine_integral
+from isphalf.projection import sine_integral, split_samples
 from isphalf.rh import (
     plemelj_split,
     plus_projector_matrix,
@@ -79,6 +79,33 @@ def test_split_linearity(grid):
     np.testing.assert_allclose(
         cm.values, alpha * fm.values + beta * gm.values, atol=1e-11
     )
+
+
+def _decaying_columns(rng, grid, cols):
+    """Columns of three random simple or double poles, off the axis on either side."""
+    vals = np.zeros((len(grid), cols), dtype=complex)
+    for c in range(cols):
+        for _ in range(3):
+            pole = complex(rng.uniform(-5.0, 5.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+            vals[:, c] += complex(*rng.standard_normal(2)) / (grid - pole) ** int(rng.integers(1, 3))
+    return vals
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 128, 256]), cols=st.integers(1, 3))
+def test_split_samples_linear_and_complete(seed, n, cols):
+    # the matrix-free RH solver treats the split as a linear operator
+    rng = np.random.default_rng(seed)
+    grid = make_grid(20.0, n)
+    f, g = _decaying_columns(rng, grid, cols), _decaying_columns(rng, grid, cols)
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    fp, fm = split_samples(grid, f)
+    gp, gm = split_samples(grid, g)
+    cp, cm = split_samples(grid, a * f + b * g)
+    scale = abs(a) * max(np.abs(fp).max(), np.abs(fm).max()) + abs(b) * max(np.abs(gp).max(), np.abs(gm).max())
+    assert np.abs(cp - (a * fp + b * gp)).max() <= 1e-12 * scale
+    assert np.abs(cm - (a * fm + b * gm)).max() <= 1e-12 * scale
+    assert np.abs(fp + fm - f).max() <= 1e-12 * np.abs(f).max()
 
 
 def test_sine_integral_matches_scipy():
