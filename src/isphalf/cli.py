@@ -117,7 +117,7 @@ def _cmd_validate(cfg, out_dir: Path):
 
 def _cmd_forward(cfg, out_dir: Path):
     from . import forward as fwd
-    from .domain import validate_potential
+    from .domain import SINGULARITY_TOL, validate_potential
     from .errors import ValidationError
     from .linefunc import make_grid
     from .serialize import kernels_to_csv, linefuncs_to_csv, render_report, sidecar_metadata
@@ -130,21 +130,11 @@ def _cmd_forward(cfg, out_dir: Path):
     if violations:
         raise ValidationError("potential", "; ".join(violations))
 
-    x_max = cfg.resolve_x_max(pot.envelope)
-    kernels = fwd.solve_kernels(
-        pot,
-        disp,
-        step=cfg.kernel_step,
-        x_max=x_max,
-        tau_max=cfg.t_max,
-        tail_tol=cfg.tail_tol,
-        tol=cfg.iteration_tol,
-        max_sweeps=cfg.max_sweeps,
-    )
+    kernels = fwd.solve_kernels(pot, disp, step=cfg.kernel_step, x_max=cfg.x_max, tau_max=cfg.t_max)
     grid = make_grid(cfg.lambda_max, cfg.n_lambda)
     blocks = fwd.kernel_transforms(kernels, disp, grid)
     plus, minus = fwd.boundary_parts(blocks, bnd)
-    s_mat = fwd.scattering_matrix(plus, minus, singularity_tol=cfg.singularity_tol)
+    s_mat = fwd.scattering_matrix(plus, minus)
     p_mat, pi_mat = fwd.transmission_matrix(blocks)
     strips = fwd.strip_diagnostics(plus, minus)
 
@@ -172,9 +162,9 @@ def _cmd_forward(cfg, out_dir: Path):
         "min_abs_det_plus": strips["min_abs_det_plus"],
         "strip_diagnostics": strips,
         "tolerances": {
-            "iteration_tol": cfg.iteration_tol,
-            "tail_tol": cfg.tail_tol,
-            "singularity_tol": cfg.singularity_tol,
+            "iteration_tol": fwd.DEFAULT_ITER_TOL,
+            "tail_tol": fwd.DEFAULT_TAIL_TOL,
+            "singularity_tol": SINGULARITY_TOL,
         },
         "grid": {"lambda_max": cfg.lambda_max, "n_lambda": cfg.n_lambda},
         "manifest": manifest,
@@ -221,9 +211,7 @@ def _cmd_rh_solve(cfg, out_dir: Path):
 
     funcs = _input_linefuncs(cfg)
     s_mat = funcs.get("S") or next(iter(funcs.values()))
-    plus, minus, diag = solve_regular_rh(
-        s_mat, edge_tol=cfg.split_edge_tol, singularity_tol=cfg.singularity_tol
-    )
+    plus, minus, diag = solve_regular_rh(s_mat, edge_tol=cfg.split_edge_tol)
     residual = float(
         np.abs((plus.plus_identity() @ s_mat.values) - minus.plus_identity()).max()
     )
@@ -239,7 +227,7 @@ def _cmd_rh_solve(cfg, out_dir: Path):
 
 
 def _cmd_recover_blocks(cfg, out_dir: Path):
-    from .rh import recover_blocks
+    from .rh import CONSISTENCY_TOL, recover_blocks
     from .serialize import linefuncs_to_csv
 
     problem = _load_problem(cfg)
@@ -247,16 +235,7 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
     bnd2 = _require(problem, "boundary2")
     fac1 = _input_linefuncs(cfg, "factorization1")
     fac2 = _input_linefuncs(cfg, "factorization2")
-    blocks, diag = recover_blocks(
-        fac1["plus"],
-        fac1["minus"],
-        fac2["plus"],
-        fac2["minus"],
-        bnd1,
-        bnd2,
-        singularity_tol=cfg.singularity_tol,
-        consistency_tol=cfg.consistency_tol,
-    )
+    blocks, diag = recover_blocks(fac1["plus"], fac1["minus"], fac2["plus"], fac2["minus"], bnd1, bnd2)
     a11m, a12p, a21m, a22p = blocks
     manifest: dict = {}
     _write_artifact(
@@ -270,7 +249,7 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
     report = {
         "command": "recover-blocks",
         "consistency": diag,
-        "consistency_tol": cfg.consistency_tol,
+        "consistency_tol": CONSISTENCY_TOL,
         "manifest": manifest,
     }
     return report, True
@@ -326,7 +305,7 @@ def _cmd_report(cfg, out_dir: Path):
     report: dict = {"command": "report"}
     if "S" in funcs or len(funcs) == 1:
         s_mat = funcs.get("S") or next(iter(funcs.values()))
-        report["solvability"] = solvability_report(s_mat, singularity_tol=cfg.singularity_tol)
+        report["solvability"] = solvability_report(s_mat)
     if "plus" in funcs and "minus" in funcs:
         report["strips"] = strip_diagnostics(funcs["plus"], funcs["minus"])
     return report, True

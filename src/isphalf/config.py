@@ -23,7 +23,10 @@ class RunConfig:
     Grid defaults match the library defaults; truncations left as None are
     derived from the potential envelope at run time (x_max = ln(C/tail)/eps,
     t_max = x_max / theta).  The explicit-class roundtrip inverts on s in
-    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.
+    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.  The
+    method's fixed tolerances are module constants, not keys:
+    forward.DEFAULT_TAIL_TOL, DEFAULT_ITER_TOL and MAX_SWEEPS,
+    domain.SINGULARITY_TOL and rh.CONSISTENCY_TOL.
     """
 
     problem: str | None = None
@@ -36,12 +39,7 @@ class RunConfig:
     x_max: float | None = None
     t_max: float | None = None
 
-    tail_tol: float = 1e-12
-    iteration_tol: float = 1e-12
-    max_sweeps: int = 50
     split_edge_tol: float = 1e-3
-    singularity_tol: float = 1e-10
-    consistency_tol: float = 1e-6
     compare_to: float = 10.0
 
     out_dir: str | None = None
@@ -59,23 +57,10 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValidationError(name, "must be positive when given")
-        for name in (
-            "tail_tol",
-            "iteration_tol",
-            "split_edge_tol",
-            "singularity_tol",
-            "consistency_tol",
-        ):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValidationError(name, f"tolerance must lie in (0, 1), got {v}")
-        if self.max_sweeps < 1:
-            raise ValidationError("max_sweeps", "must be >= 1")
+        if not (0.0 < self.split_edge_tol < 1.0):
+            raise ValidationError("split_edge_tol", f"tolerance must lie in (0, 1), got {self.split_edge_tol}")
         if not self.compare_to > 0:
             raise ValidationError("compare_to", "must be positive")
-
-    def resolve_x_max(self, envelope: tuple[float, float]) -> float:
-        return self.x_max if self.x_max is not None else truncation_length(envelope, self.tail_tol)
 
     def with_overrides(self, **kw) -> "RunConfig":
         data = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularH, ValidationError
-from .profiles import ScalarProfile, ZERO_PROFILE, as_profile
+from .profiles import ZERO_PROFILE, as_profile
 
 SINGULARITY_TOL = 1e-10
 
@@ -198,18 +198,18 @@ class TriangularPotential:
                         yield name, i, j, p
 
 
-def validate_potential(pot: TriangularPotential, x_probe=None, envelope_slack: float = 1e-9):
+def validate_potential(pot: TriangularPotential):
     """Structural and envelope check; returns a list of violation strings.
 
-    Empty list means the potential is valid.  Reports never raise: the point
-    is to name every offending entry at once.
+    The envelope is probed at 201 points on [0, max(1, 10 / eps)] with a
+    relative slack of 1e-9.  Empty list means the potential is valid.
+    Reports never raise: the point is to name every offending entry at once.
     """
     report: list[str] = []
     n = pot.n
     c_env, eps = pot.envelope
-    if x_probe is None:
-        x_probe = np.linspace(0.0, max(1.0, 10.0 / eps), 201)
-    bound = c_env * np.exp(-eps * x_probe) * (1.0 + envelope_slack) + 1e-300
+    x_probe = np.linspace(0.0, max(1.0, 10.0 / eps), 201)
+    bound = c_env * np.exp(-eps * x_probe) * (1.0 + 1e-9) + 1e-300
     for name, rule in BLOCK_ALLOWED.items():
         for i in range(n):
             for j in range(n):
@@ -240,15 +240,14 @@ class BoundaryMatrix:
     """Invertible boundary coupling y2(0) = H y1(0)."""
 
     H: np.ndarray = field(repr=False)
-    tol: float = SINGULARITY_TOL
 
     def __post_init__(self):
         h = np.asarray(self.H, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValidationError("BoundaryMatrix.H", "H must be square")
         object.__setattr__(self, "H", h)
-        if abs(np.linalg.det(h)) <= self.tol:
-            raise SingularH(f"|det H| = {abs(np.linalg.det(h)):.3e} <= tol {self.tol:.1e}")
+        if abs(np.linalg.det(h)) <= SINGULARITY_TOL:
+            raise SingularH(f"|det H| = {abs(np.linalg.det(h)):.3e} <= tol {SINGULARITY_TOL:.1e}")
 
     @property
     def n(self) -> int:

@@ -96,14 +96,13 @@ class EdgeBoundary:
 
     n: int
     h_block: np.ndarray = field(repr=False)
-    tol: float = SINGULARITY_TOL
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.h_block, dtype=complex))
         if h.shape != (self.n - 1, self.n - 1):
             raise ValidationError("EdgeBoundary.h_block", f"need shape {(self.n - 1, self.n - 1)}")
         object.__setattr__(self, "h_block", h)
-        if abs(np.linalg.det(h)) <= self.tol:
+        if abs(np.linalg.det(h)) <= SINGULARITY_TOL:
             raise ValidationError("EdgeBoundary.h_block", "block determinant below tolerance")
 
     def entry(self, k: int, j: int) -> complex:
@@ -348,18 +347,15 @@ class RecoveredCoefficients:
     diagnostics: dict = field(default_factory=dict)
 
 
-def edge_solve_coefficients(
-    datasets,
-    disp: Dispersion,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> RecoveredCoefficients:
+def edge_solve_coefficients(datasets, disp: Dispersion) -> RecoveredCoefficients:
     """Solve the stacked per-point systems for the coupling coefficients.
 
     datasets: sequence of (EdgeProfiles, EdgeBoundary) sharing one s-grid.
     Rank deficiency is a first-class outcome: one dataset, or boundary blocks
     with a singular difference, leave the 2(n-1) unknowns underdetermined at
     every s, and that is reported rather than silently least-squared away.
+    The rank counts singular values above DEFAULT_RANK_TOL times
+    max(1, the largest).
     """
     if not datasets:
         raise ValidationError("edge_solve_coefficients", "need at least one dataset")
@@ -380,7 +376,7 @@ def edge_solve_coefficients(
         )
         svals = np.linalg.svd(mat, compute_uv=False)
         smax = svals[0] if len(svals) else 0.0
-        rank = int(np.sum(svals > rank_tol * max(smax, 1.0)))
+        rank = int(np.sum(svals > DEFAULT_RANK_TOL * max(smax, 1.0)))
         unknowns = 2 * (n - 1)
         diagnostics[f"{which}_singular_values"] = svals.tolist()
         diagnostics[f"{which}_rank"] = rank

@@ -86,9 +86,6 @@ def solve_bounded_solution(
     *,
     step: float = DEFAULT_STEP,
     x_max: float | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    tol: float = DEFAULT_ITER_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> BoundedSolution:
     """Unique bounded solution with prescribed amplitudes at infinity.
 
@@ -100,7 +97,7 @@ def solve_bounded_solution(
     A = np.asarray(A, dtype=complex).reshape(n)
     B = np.asarray(B, dtype=complex).reshape(n)
     if x_max is None:
-        x_max = truncation_length(pot.envelope, tail_tol)
+        x_max = truncation_length(pot.envelope, DEFAULT_TAIL_TOL)
     nx = int(math.ceil(x_max / step)) + 1
     x = step * np.arange(nx)
     xi = disp.xi_arr
@@ -117,7 +114,7 @@ def solve_bounded_solution(
 
     w = np.tile(free[:, None], (1, nx))
     last_change = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         w_new = np.tile(free[:, None], (1, nx))
         for k in range(2 * n):
             for m in range(2 * n):
@@ -130,10 +127,10 @@ def solve_bounded_solution(
                 w_new[k] += 1j * acc
         last_change = float(np.abs(w_new - w).max())
         w = w_new
-        if last_change < tol:
+        if last_change < DEFAULT_ITER_TOL:
             break
     else:
-        raise NonConvergence("bounded solution", max_sweeps, last_change)
+        raise NonConvergence("bounded solution", MAX_SWEEPS, last_change)
 
     phase = np.exp(1j * lam * xi[:, None] * x[None, :])
     y = phase * w
@@ -330,9 +327,6 @@ def solve_kernels(
     step: float = DEFAULT_STEP,
     x_max: float | None = None,
     tau_max: float | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    tol: float = DEFAULT_ITER_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> TransformationKernels:
     """Solve the coupled Volterra systems along characteristics.
 
@@ -359,6 +353,13 @@ def solve_kernels(
     result holds the four (n, n, Nx, Ntau) blocks, zero off the admissible
     entries.
 
+    x_max defaults to the length where the envelope falls below
+    DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The sweeps stop once the
+    sup-norm change falls below DEFAULT_ITER_TOL; a solve that has not got
+    there after MAX_SWEEPS sweeps raises NonConvergence.  Successive
+    approximation contracts factorially on the nested domains, so these
+    constants belong to the method and are read at call time.
+
     A grid whose peak memory bound (from the channel and drive counts)
     exceeds physical memory is refused with ValidationError before anything
     is allocated.
@@ -367,7 +368,7 @@ def solve_kernels(
     eps = pot.envelope[1]
     theta = kernel_decay_exponent(disp)
     if x_max is None:
-        x_max = truncation_length(pot.envelope, tail_tol)
+        x_max = truncation_length(pot.envelope, DEFAULT_TAIL_TOL)
     if tau_max is None:
         tau_max = x_max / theta
     nx = int(math.ceil(x_max / step)) + 1
@@ -393,16 +394,16 @@ def solve_kernels(
         kern[c.block][c.k, c.j] = d
 
     change, changes = np.inf, []
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         new = {c: _next_iterate(c, terms[c], qgrid, kern, drive.get(c), step) for c in chans}
         change = max(float(np.abs(new[c] - kern[c.block][c.k, c.j]).max()) for c in chans)
         for c in chans:
             kern[c.block][c.k, c.j] = new.pop(c)
         changes.append(change)
-        if change < tol:
+        if change < DEFAULT_ITER_TOL:
             break
     else:
-        raise NonConvergence("kernel system", max_sweeps, change)
+        raise NonConvergence("kernel system", MAX_SWEEPS, change)
 
     envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
     c_tilde = max(float((np.abs(kern[c.block][c.k, c.j]) * envelope).max()) for c in chans)
@@ -502,14 +503,12 @@ def boundary_parts(blocks: BlockTransforms, bnd: BoundaryMatrix):
 def scattering_matrix(
     plus_part: LineMatrixFunction,
     minus_part: LineMatrixFunction,
-    *,
-    singularity_tol: float = SINGULARITY_TOL,
 ) -> LineMatrixFunction:
     """S(lambda) = [I + plus]^{-1} [I + minus], pointwise on the grid."""
     plus_part._check_same_grid(minus_part)
     lhs = plus_part.plus_identity()
     dets = np.abs(np.linalg.det(lhs))
-    if dets.min() <= singularity_tol:
+    if dets.min() <= SINGULARITY_TOL:
         idx = int(np.argmin(dets))
         raise SingularFactor(float(plus_part.grid[idx]), float(dets[idx]))
     s = np.linalg.solve(lhs, minus_part.plus_identity())

@@ -56,7 +56,7 @@ def _m1(z):
     return out
 
 
-def segment_transform_sum(x, v, z, chunk: int = 512):
+def segment_transform_sum(x, v, z):
     """Exact transform of the piecewise-linear interpolant of v on grid x.
 
     Returns integral_{x[0]}^{x[-1]} v_lin(s) e^{i z s} ds for each z.
@@ -67,6 +67,7 @@ def segment_transform_sum(x, v, z, chunk: int = 512):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     h = np.diff(x)
     out = np.zeros(z.shape, dtype=complex)
+    chunk = 512  # z values per (z, segment) temporary
     for lo in range(0, len(z), chunk):
         zz = z[lo : lo + chunk][:, None]
         arg = 1j * zz * h[None, :]
@@ -120,7 +121,7 @@ def _g2(theta):
     return np.where(small, series, out)
 
 
-def filon_simpson_transform(values, t0: float, dt: float, omegas, chunk: int = 1024):
+def filon_simpson_transform(values, t0: float, dt: float, omegas):
     """integral values(t) e^{i omega t} dt over the sample range.
 
     values has the time axis last; a quadratic is fitted per pair of cells
@@ -148,6 +149,7 @@ def filon_simpson_transform(values, t0: float, dt: float, omegas, chunk: int = 1
     lead = values.shape[:-1]
     out = np.zeros(lead + omegas.shape, dtype=complex)
     h = dt
+    chunk = 1024  # omegas per (cell, omega) phase matrix
     for lo in range(0, len(omegas), chunk):
         w = omegas[lo : lo + chunk]
         theta = w * h

@@ -83,9 +83,9 @@ class RationalFunction:
                 "RationalFunction", f"projection of a non-vanishing function (const {self.const})"
             )
 
-    def prune(self, drop_tol: float = DROP_TOL):
+    def prune(self):
         scale = max([abs(self.const)] + [abs(c) for _, _, c in self.terms] + [1.0])
-        kept = tuple(t for t in self.terms if abs(t[2]) > drop_tol * scale)
+        kept = tuple(t for t in self.terms if abs(t[2]) > DROP_TOL * scale)
         return RationalFunction(self.const, kept)
 
     def __call__(self, lam):
@@ -187,8 +187,8 @@ class RationalMatrix:
     def plus_part(self):
         return RationalMatrix([[e.plus_part() for e in row] for row in self.entries])
 
-    def prune(self, drop_tol: float = DROP_TOL):
-        return RationalMatrix([[e.prune(drop_tol) for e in row] for row in self.entries])
+    def prune(self):
+        return RationalMatrix([[e.prune() for e in row] for row in self.entries])
 
     def evaluate(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))

@@ -18,7 +18,6 @@ from .errors import (
     InconsistentInputs,
     NonConvergence,
     SingularScattering,
-    ValidationError,
 )
 from .linefunc import Analyticity, LineMatrixFunction
 from .projection import split_samples
@@ -30,11 +29,16 @@ DEFAULT_EDGE_TOL = 1e-3
 CONSISTENCY_TOL = 1e-6
 VERIFY_TOL = 1e-3
 # restarted GMRES for the collocation system: stop at GMRES_TOL relative
-# residual, fail above GMRES_FAIL after GMRES_CYCLES restarts
+# residual, after a restart cycle that fails to halve its starting residual
+# or after GMRES_CYCLES restarts; fail above GMRES_FAIL
 GMRES_TOL = 1e-13
 GMRES_FAIL = 1e-10
 GMRES_RESTART = 50
 GMRES_CYCLES = 4
+# Neumann iteration of the rational path: stop when an iterate moves the
+# partial-fraction coefficients by less than RATIONAL_TOL
+RATIONAL_TOL = 1e-12
+RATIONAL_MAX_ITER = 200
 
 
 def _strip_delta(f: LineMatrixFunction) -> float:
@@ -79,7 +83,9 @@ def _gmres(matvec, rhs: np.ndarray):
 
     Arnoldi with modified Gram-Schmidt; each iterate minimizes the residual
     over the Krylov space by a small least-squares solve on the Hessenberg
-    matrix.  Returns (x, relative residual after each iteration).
+    matrix.  A restart cycle that does not halve the residual it started
+    from has stalled (the system is singular), and ends the solve.  Returns
+    (x, relative residual after each iteration).
     """
     bnorm = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
@@ -107,7 +113,7 @@ def _gmres(matvec, rhs: np.ndarray):
                 break
             basis[j + 1] = w / hess[j + 1, j]
         x = x + np.tensordot(y, basis[: len(y)], axes=1)
-        if history[-1] <= GMRES_TOL:
+        if history[-1] <= GMRES_TOL or history[-1] > 0.5 * beta / bnorm:
             break
     return x, history
 
@@ -116,7 +122,6 @@ def solve_regular_rh(
     s_matrix: LineMatrixFunction,
     *,
     edge_tol: float = DEFAULT_EDGE_TOL,
-    singularity_tol: float = SINGULARITY_TOL,
 ):
     """Factor S as [I + A_plus]^{-1} [I + A_minus] by matrix-free collocation.
 
@@ -130,11 +135,12 @@ def solve_regular_rh(
     A_minus is then r S - I; the factorization identity holds pointwise by
     construction and the quality metric is the one-sidedness of the parts.
 
-    Raises SingularScattering when det S vanishes on the grid,
-    EdgeDecayViolation when g does not decay at the grid ends, and
-    FredholmSingular when GMRES stalls above GMRES_FAIL (the system is
-    singular) or the factors carry content on the wrong side of the axis
-    (nonzero partial indices can leave the discrete system invertible).
+    Raises SingularScattering when |det S| falls to domain.SINGULARITY_TOL
+    on the grid, EdgeDecayViolation when g does not decay at the grid ends
+    (edge_tol), and FredholmSingular when GMRES stalls above GMRES_FAIL (the
+    system is singular) or the factors carry content on the wrong side of
+    the axis (nonzero partial indices can leave the discrete system
+    invertible).
     Returns (A_plus, A_minus, diagnostics) with the GMRES residual history
     and the wrong-side content of each factor.
     """
@@ -143,7 +149,7 @@ def solve_regular_rh(
     g = s_matrix.values - eye
 
     dets = np.abs(np.linalg.det(s_matrix.values))
-    if dets.min() <= singularity_tol:
+    if dets.min() <= SINGULARITY_TOL:
         idx = int(np.argmin(dets))
         raise SingularScattering(float(grid[idx]), float(dets[idx]))
     edge = max(np.abs(g[0]).max(), np.abs(g[-1]).max())
@@ -177,9 +183,6 @@ def solve_regular_rh(
 def solve_regular_rh_rational(
     s_matrix: RationalMatrix,
     grid: np.ndarray,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ):
     """Exact-structure factorization path for rational S.
 
@@ -194,17 +197,17 @@ def solve_regular_rh_rational(
     r = ident
     change = np.inf
     best = np.inf
-    for it in range(max_iter):
+    for it in range(RATIONAL_MAX_ITER):
         r_new = ident - (r @ g).plus_part().prune()
         change = (r_new - r).coeff_norm()
         r = r_new
-        if change < tol:
+        if change < RATIONAL_TOL:
             break
         best = min(best, change)
         if change > 1e3 * best or not np.isfinite(change):
             raise NonConvergence("rational factorization", it + 1, float(change))
     else:
-        raise NonConvergence("rational factorization", max_iter, float(change))
+        raise NonConvergence("rational factorization", RATIONAL_MAX_ITER, float(change))
     a_plus_rat = (r - ident).prune()
     a_minus_rat = ((r @ s_matrix) - ident).prune()
     a_plus = LineMatrixFunction(grid, a_plus_rat.evaluate(grid), Analyticity("plus", 0.0))
@@ -219,24 +222,22 @@ def recover_blocks(
     minus2: LineMatrixFunction,
     bnd1: BoundaryMatrix,
     bnd2: BoundaryMatrix,
-    *,
-    singularity_tol: float = SINGULARITY_TOL,
-    consistency_tol: float = CONSISTENCY_TOL,
 ):
     """Block transforms from two boundary factorizations.
 
-    Requires det(H1 - H2) != 0.  The redundant second-row expressions are
-    reported (they agree identically once the first-row formulas are
-    substituted, so their mismatch only measures floating-point noise); the
-    operative check that both factorizations come from one potential is
-    one-sidedness of the recovered blocks.  Returns (a11_minus, a12_plus,
+    Requires |det(H1 - H2)| > domain.SINGULARITY_TOL.  The redundant
+    second-row expressions are reported (they agree identically once the
+    first-row formulas are substituted, so their mismatch only measures
+    floating-point noise); the operative check that both factorizations come
+    from one potential is one-sidedness of the recovered blocks, to
+    CONSISTENCY_TOL relative to their size.  Returns (a11_minus, a12_plus,
     a21_minus, a22_plus) and a diagnostics dict.
     """
     h1, h2 = bnd1.H, bnd2.H
     dh = h1 - h2
     det = abs(np.linalg.det(dh))
-    if det <= singularity_tol:
-        raise DegenerateBoundaryPair(f"|det(H1 - H2)| = {det:.3e} <= tol {singularity_tol:.1e}")
+    if det <= SINGULARITY_TOL:
+        raise DegenerateBoundaryPair(f"|det(H1 - H2)| = {det:.3e} <= tol {SINGULARITY_TOL:.1e}")
     dinv = np.linalg.inv(dh)
 
     a12p = (plus2 - plus1).left_mul(dinv).with_tag(plus1.analyticity)
@@ -248,10 +249,10 @@ def recover_blocks(
     a21m_1 = a11m.left_mul(h1) - minus1.right_mul(h1)
     a21m_2 = a11m.left_mul(h2) - minus2.right_mul(h2)
     mismatch_21 = float(np.abs(a21m_1.values - a21m_2.values).max())
-    if mismatch_22 > consistency_tol:
-        raise InconsistentInputs("a22_plus", mismatch_22, consistency_tol)
-    if mismatch_21 > consistency_tol:
-        raise InconsistentInputs("a21_minus", mismatch_21, consistency_tol)
+    if mismatch_22 > CONSISTENCY_TOL:
+        raise InconsistentInputs("a22_plus", mismatch_22, CONSISTENCY_TOL)
+    if mismatch_21 > CONSISTENCY_TOL:
+        raise InconsistentInputs("a21_minus", mismatch_21, CONSISTENCY_TOL)
 
     # the expression mismatches vanish identically by the A12/A11 formulas, so
     # the operative compatibility check is one-sidedness of the recovered blocks:
@@ -266,8 +267,8 @@ def recover_blocks(
         1.0, a12p.sup_norm(), a22p_1.sup_norm(), a11m.sup_norm(), a21m_1.sup_norm()
     )
     worst = max(wrong, key=wrong.get)
-    if wrong[worst] > max(consistency_tol * scale, 1e3 * np.finfo(float).eps):
-        raise InconsistentInputs(worst, wrong[worst], consistency_tol * scale)
+    if wrong[worst] > max(CONSISTENCY_TOL * scale, 1e3 * np.finfo(float).eps):
+        raise InconsistentInputs(worst, wrong[worst], CONSISTENCY_TOL * scale)
 
     diagnostics = {
         "mismatch_a22_plus": mismatch_22,
@@ -282,7 +283,7 @@ def recover_blocks(
     ), diagnostics
 
 
-def solvability_report(s_matrix: LineMatrixFunction, *, singularity_tol: float = SINGULARITY_TOL) -> dict:
+def solvability_report(s_matrix: LineMatrixFunction) -> dict:
     """Determinant and definiteness diagnostics for a candidate jump matrix.
 
     Definiteness of the symmetrized real or imaginary part at every grid
@@ -309,7 +310,7 @@ def solvability_report(s_matrix: LineMatrixFunction, *, singularity_tol: float =
     return {
         "min_abs_det": float(np.abs(dets).min()),
         "argmin_lambda": float(s_matrix.grid[idx]),
-        "nonsingular": bool(np.abs(dets).min() > singularity_tol),
+        "nonsingular": bool(np.abs(dets).min() > SINGULARITY_TOL),
         "re_part": definiteness(re_eigs),
         "im_part": definiteness(im_eigs),
         "definite_condition": definiteness(re_eigs) != "indefinite"

@@ -68,7 +68,7 @@ def test_minimal_config_defaults(tmp_path):
     path = _write(tmp_path, "c.json", {"lambda_max": 100, "n_lambda": 4096})
     cfg = load_config(path)
     assert cfg.lambda_max == 100.0
-    assert cfg.tail_tol == 1e-12
+    assert cfg.kernel_step == 0.01 and cfg.x_max is None
 
 
 def test_config_rejects_non_power_of_two(tmp_path):
@@ -85,9 +85,12 @@ def test_config_rejects_negative_step(tmp_path):
 
 def test_config_rejects_unknown_key(tmp_path):
     # retired keys: rh_rcond_tol (the RH solve forms no matrix to condition),
-    # s_step (the s-step is pi / lambda_max), and x_step, s_max and threads,
-    # which nothing read (--threads stays a flag)
-    for key in ("lambada_max", "rh_rcond_tol", "s_step", "x_step", "s_max", "threads"):
+    # s_step (the s-step is pi / lambda_max), x_step, s_max and threads,
+    # which nothing read (--threads stays a flag), and the method's fixed
+    # tolerances, now module constants
+    retired = ("rh_rcond_tol", "s_step", "x_step", "s_max", "threads")
+    fixed = ("tail_tol", "iteration_tol", "max_sweeps", "singularity_tol", "consistency_tol")
+    for key in ("lambada_max",) + retired + fixed:
         path = _write(tmp_path, "c.json", {key: 7})
         with pytest.raises(ValidationError, match="unknown configuration key"):
             load_config(path)
@@ -198,7 +201,8 @@ def test_forward_command_artifacts_and_determinism(tmp_path):
     assert "min_abs_det_plus" in rep
     changes = rep["kernel_sweep_changes"]
     assert len(changes) == rep["sweeps"]
-    assert changes[-1] < load_config(cfg).iteration_tol
+    assert changes[-1] < rep["tolerances"]["iteration_tol"]
+    assert rep["tolerances"]["tail_tol"] == 1e-12
     assert set(rep["manifest"]) == {p.name for p in out1.iterdir()} - {"report.json"}
     for name, digest in rep["manifest"].items():
         assert digest == hashlib.sha256((out1 / name).read_bytes()).hexdigest()
@@ -376,6 +380,25 @@ def test_failure_report_goes_to_config_out_dir(tmp_path, monkeypatch):
     assert run_cli("split", "--config", cfg) == 1
     assert json.loads((wanted / "report.json").read_text())["error"] == "EdgeDecayViolation"
     assert list(cwd.iterdir()) == []
+
+
+def test_forward_nonconvergence_reaches_report(tmp_path, monkeypatch):
+    # q12 and q21 together couple the kernel channels, so one sweep cannot
+    # converge; the sweep budget is read when the solve runs
+    from isphalf import forward
+
+    coupled = {**EXP_PROBLEM, "potential": {**EXP_PROBLEM["potential"], "q21": EXP_PROBLEM["potential"]["q12"]}}
+    prob = _write(tmp_path, "p.json", coupled)
+    cfg = _write(
+        tmp_path, "c.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
+    )
+    monkeypatch.setattr(forward, "MAX_SWEEPS", 1)
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", cfg, "--out", str(out)) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "NonConvergence"
+    assert rep["what"] == "kernel system" and rep["sweeps"] == 1
+    assert np.isfinite(rep["last_change"]) and rep["last_change"] > 0.0
 
 
 def test_threads_flag_overrides_inherited_env(tmp_path, monkeypatch):

@@ -174,6 +174,34 @@ def test_potential_recovery_roundtrip(n2_random_pot, e1_disp, n2_random_kernels)
                 assert np.abs(got - truth).max() / scale < 1e-6
 
 
+@st.composite
+def _speeds(draw, n):
+    """n negative and n positive speeds, increasing, at least 0.1 apart."""
+    tenths = st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True)
+    neg, pos = draw(tenths), draw(tenths)
+    return tuple(sorted(-0.1 * v for v in neg)) + tuple(sorted(0.1 * v for v in pos))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_potential_from_kernel_diagonal_roundtrip(data, n, seed):
+    # the tau = 0 face of each off-diagonal channel is its drive i rho q, so
+    # the diagonal gives back every potential entry at the x nodes
+    disp = Dispersion(n, data.draw(_speeds(n)))
+    pot = random_potential(n, seed)
+    ker = solve_kernels(pot, disp, step=0.1, x_max=4.0, tau_max=6.0)
+    back = potential_from_kernels(ker, disp)
+    x = ker.x_grid
+    for name in BLOCK_ALLOWED:
+        for i in range(n):
+            for j in range(n):
+                truth, got = pot.block(name)[i][j], back.block(name)[i][j]
+                assert got.is_zero == truth.is_zero
+                if not truth.is_zero:
+                    want = truth(x)
+                    assert np.abs(got(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_representation_consistency(n2_random_pot, e1_disp, n2_random_kernels):
     # solution rebuilt from the kernels matches the integral-equation solver
     rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ from isphalf.errors import (
     InconsistentInputs,
     SingularScattering,
 )
+from isphalf import rh
 from isphalf.linefunc import Analyticity, LineMatrixFunction, make_grid
 from isphalf.rational import RationalFunction, RationalMatrix, simple_pole
 from isphalf.projection import sine_integral, split_samples
@@ -249,6 +250,24 @@ def test_rh_detects_nonzero_index(winding):
     with pytest.raises(FredholmSingular) as exc:
         solve_regular_rh(_scalar(grid, vals), edge_tol=5e-2)
     assert np.isfinite(exc.value.residual)
+
+
+def test_rh_stalled_gmres_stops_early(monkeypatch):
+    # winding +1: the residual stays near 0.79 from the first restart cycle
+    # on, so the solve ends after a cycle that fails to halve it instead of
+    # spending all GMRES_CYCLES (each cycle is GMRES_RESTART + 1 splits)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return split_samples(*args)
+
+    monkeypatch.setattr(rh, "split_samples", counted)
+    grid = make_grid(100.0, 1024)
+    vals = (grid + 1j) / (grid - 1j)
+    with pytest.raises(FredholmSingular):
+        solve_regular_rh(_scalar(grid, vals), edge_tol=5e-2)
+    assert len(calls) <= 2 * (rh.GMRES_RESTART + 1) + 1
 
 
 # -- block recovery ----------------------------------------------------------
