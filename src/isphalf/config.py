@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-
-
-def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
-    """x beyond which the envelope C e^{-eps x} is below tail_tol."""
-    c, eps = envelope
-    return max(1.0, math.log(max(c, tail_tol * math.e) / tail_tol) / eps)
 
 
 @dataclass(frozen=True)

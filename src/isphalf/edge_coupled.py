@@ -6,6 +6,11 @@ entries are single quadratures, the inverse problem reduces to scalar
 additive splits plus per-point linear systems, and non-uniqueness of the
 one-boundary problem is visible as plain rank deficiency.
 
+Row data is held as arrays indexed r - 2 for rows r = 2..2n-1, and a
+boundary acts on such an array as one linear combination of its rows
+(`_boundary_rows`), whatever the rows hold: transforms, densities or the
+unknowns of the per-point system.
+
 Sign convention: this module implements the closed-form solution with the
 coupling integrals entering as -i (and the matching scattering quadratures);
 the generic solver's convention differs by negating the coupling profiles,
@@ -22,7 +27,7 @@ import numpy as np
 from .domain import Dispersion, SINGULARITY_TOL, TriangularPotential
 from .errors import RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
-from .profiles import ScalarProfile, as_profile
+from .profiles import as_profile
 from .projection import MODEL_W, edge_indices, pole_basis
 from .rh import plemelj_split
 
@@ -56,13 +61,6 @@ class EdgeCoupledSystem:
     def n(self) -> int:
         return self.disp.n
 
-    def profile_first(self, k: int) -> ScalarProfile:
-        """Coupling of row k (1-based, 2 <= k <= 2n-1) to the first component."""
-        return self.c_first[k - 2]
-
-    def profile_last(self, k: int) -> ScalarProfile:
-        return self.c_last[k - 2]
-
     def as_potential(self) -> TriangularPotential:
         """Embedding: first-column entries below the diagonal blocks, last column above."""
         n = self.n
@@ -70,14 +68,13 @@ class EdgeCoupledSystem:
         q12 = [[None] * n for _ in range(n)]
         q21 = [[None] * n for _ in range(n)]
         q22 = [[None] * n for _ in range(n)]
-        for k in range(2, 2 * n):
-            first, last = self.profile_first(k), self.profile_last(k)
-            if k <= n:
-                q11[k - 1][0] = first
-                q12[k - 1][n - 1] = last
+        for r, (first, last) in enumerate(zip(self.c_first, self.c_last), start=2):
+            if r <= n:
+                q11[r - 1][0] = first
+                q12[r - 1][n - 1] = last
             else:
-                q21[k - n - 1][0] = first
-                q22[k - n - 1][n - 1] = last
+                q21[r - n - 1][0] = first
+                q22[r - n - 1][n - 1] = last
         return TriangularPotential(n, q11=q11, q12=q12, q21=q21, q22=q22, envelope=self.envelope)
 
     def negated(self) -> "EdgeCoupledSystem":
@@ -105,10 +102,6 @@ class EdgeBoundary:
         if abs(np.linalg.det(h)) <= SINGULARITY_TOL:
             raise ValidationError("EdgeBoundary.h_block", "block determinant below tolerance")
 
-    def entry(self, k: int, j: int) -> complex:
-        """h_{kj}, 1-based with k = 1..n-1, j = 2..n."""
-        return complex(self.h_block[k - 1, j - 2])
-
     def as_matrix(self) -> np.ndarray:
         h = np.zeros((self.n, self.n), dtype=complex)
         h[: self.n - 1, 1:] = self.h_block
@@ -124,11 +117,16 @@ class EdgeProfiles:
     c_minus: np.ndarray = field(repr=False)
     c_plus: np.ndarray = field(repr=False)
     decay_rate: float
-    amplitude: float  # fitted M with |c| <= M e^{-rate s}
 
     def __post_init__(self):
         if self.c_minus.shape != self.c_plus.shape or self.c_minus.shape[1] != len(self.s_grid):
             raise ValidationError("EdgeProfiles", "shape mismatch between parts and s grid")
+
+    @property
+    def amplitude(self) -> float:
+        """The smallest M with |c_{k+-}(s)| <= M e^{-decay_rate s} on the s-grid."""
+        mags = np.abs(np.concatenate([self.c_minus, self.c_plus])) * np.exp(self.decay_rate * self.s_grid)
+        return float(mags.max()) if mags.size else 0.0
 
 
 def _edge_rates(disp: Dispersion) -> tuple[np.ndarray, np.ndarray]:
@@ -142,36 +140,26 @@ def _edge_rates(disp: Dispersion) -> tuple[np.ndarray, np.ndarray]:
     return xi[1:-1] - xi[0], xi[-1] - xi[1:-1]
 
 
-def fit_profile_amplitude(s_grid: np.ndarray, rows: np.ndarray, rate: float) -> float:
-    mags = np.abs(rows) * np.exp(rate * s_grid)[None, :]
-    return float(mags.max()) if rows.size else 0.0
+def _boundary_rows(h_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row n+k minus sum_j h_{kj} row j for k = 1..n-1 (result index k - 1).
+
+    rows holds rows r = 2..2n-1 at index r - 2 along axis 0; this is the one
+    combination through which a boundary enters every formula of the class.
+    """
+    n = len(h_block) + 1
+    return rows[n - 1 :] - h_block @ rows[: n - 1]
 
 
 def _column_entries(sys: EdgeCoupledSystem, bnd: EdgeBoundary, lam: np.ndarray) -> np.ndarray:
     """S_{k,n}(lambda) for k = 1..n-1, shape (n-1, len(lam))."""
-    n = sys.n
     beta_first, beta_last = _edge_rates(sys.disp)
-    out = np.zeros((n - 1, len(lam)), dtype=complex)
-    for k in range(1, n):
-        acc = np.zeros(len(lam), dtype=complex)
-        pf = sys.profile_first(n + k)
-        if not pf.is_zero:
-            acc += pf.halfline_transform(-lam * beta_first[n + k - 2])
-        pl = sys.profile_last(n + k)
-        if not pl.is_zero:
-            acc += pl.halfline_transform(lam * beta_last[n + k - 2])
-        for j in range(2, n + 1):
-            h = bnd.entry(k, j)
-            if h == 0:
-                continue
-            pf = sys.profile_first(j)
-            if not pf.is_zero:
-                acc -= h * pf.halfline_transform(-lam * beta_first[j - 2])
-            pl = sys.profile_last(j)
-            if not pl.is_zero:
-                acc -= h * pl.halfline_transform(lam * beta_last[j - 2])
-        out[k - 1] = 1j * acc
-    return out
+    rows = np.array(
+        [
+            pf.halfline_transform(-lam * bf) + pl.halfline_transform(lam * bl)
+            for pf, pl, bf, bl in zip(sys.c_first, sys.c_last, beta_first, beta_last)
+        ]
+    )
+    return 1j * _boundary_rows(bnd.h_block, rows)
 
 
 def edge_scattering(sys: EdgeCoupledSystem, bnd: EdgeBoundary, grid: np.ndarray) -> LineMatrixFunction:
@@ -184,9 +172,7 @@ def edge_scattering(sys: EdgeCoupledSystem, bnd: EdgeBoundary, grid: np.ndarray)
     n = sys.n
     xi = sys.disp.xi_arr
     vals = np.tile(np.eye(n, dtype=complex), (len(grid), 1, 1))
-    col = _column_entries(sys, bnd, np.asarray(grid, dtype=float))
-    for k in range(1, n):
-        vals[:, k - 1, n - 1] += col[k - 1]
+    vals[:, : n - 1, n - 1] += _column_entries(sys, bnd, np.asarray(grid, dtype=float)).T
     _, eps = sys.envelope
     delta = eps / (xi[2 * n - 1] - xi[0])
     return LineMatrixFunction(grid, vals, Analyticity("strip", delta))
@@ -208,16 +194,14 @@ def edge_explicit_solution(
     x = np.asarray(x_grid, dtype=float)
     amps = np.concatenate([a, b])
     z = amps[:, None] * np.exp(1j * lam * xi[:, None] * x[None, :])
-    for k in range(2, 2 * n):
-        pf = sys.profile_first(k)
-        phase = np.exp(1j * lam * xi[k - 1] * x)
+    for r, (pf, pl) in enumerate(zip(sys.c_first, sys.c_last), start=2):
+        phase = np.exp(1j * lam * xi[r - 1] * x)
         if not pf.is_zero:
-            tr = pf.halfline_transform_from(x, lam * (xi[0] - xi[k - 1]))
-            z[k - 1] -= 1j * a[0] * tr * phase
-        pl = sys.profile_last(k)
+            tr = pf.halfline_transform_from(x, lam * (xi[0] - xi[r - 1]))
+            z[r - 1] -= 1j * a[0] * tr * phase
         if not pl.is_zero:
-            tr = pl.halfline_transform_from(x, lam * (xi[2 * n - 1] - xi[k - 1]))
-            z[k - 1] -= 1j * b[n - 1] * tr * phase
+            tr = pl.halfline_transform_from(x, lam * (xi[-1] - xi[r - 1]))
+            z[r - 1] -= 1j * b[n - 1] * tr * phase
     return z
 
 
@@ -237,12 +221,13 @@ def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
 
 
 def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, s_points: np.ndarray, kind: str):
-    """Invert a one-sided transform back to its half-line density.
+    """Invert one-sided transforms (the columns of values) to half-line densities.
 
     kind 'minus': C(l) = int c(s) e^{-i l s} ds, density (1/2pi) int C e^{+i l s} dl.
     kind 'plus':  C(l) = int c(s) e^{+i l s} ds, density (1/2pi) int C e^{-i l s} dl.
     A one-sided rational tail model, fitted at the split's edge samples,
-    makes the window truncation analytic.
+    makes the window truncation analytic.  Returns one density per column,
+    shape (values.shape[1], len(s_points)).
     """
     step = float(grid[1] - grid[0])
     idx = edge_indices(len(grid))
@@ -251,17 +236,15 @@ def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, s_points: np.ndarra
     basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
     scale = np.abs(basis[idx]).max(axis=0)
     coef, *_ = np.linalg.lstsq(basis[idx] / scale, values[idx], rcond=None)
-    coef = coef / scale
+    coef = coef / scale[:, None]
     rem = values - basis @ coef
 
     phases = np.exp(sgn * 1j * np.outer(s_points, grid))
     dens = (step / (2.0 * np.pi)) * (phases @ rem)
-    es = np.exp(-w * s_points)
-    if kind == "minus":
-        dens += coef[0] * 1j * es + coef[1] * (-s_points * es) + coef[2] * (-0.5j * s_points ** 2 * es)
-    else:
-        dens += coef[0] * (-1j) * es + coef[1] * (-s_points * es) + coef[2] * (0.5j * s_points ** 2 * es)
-    return dens
+    s = s_points[:, None]
+    es = np.exp(-w * s)
+    dens += sgn * 1j * coef[0] * es - coef[1] * (s * es) - sgn * 0.5j * coef[2] * (s ** 2 * es)
+    return dens.T
 
 
 def edge_invert_transforms(
@@ -276,46 +259,34 @@ def edge_invert_transforms(
     The s-grid runs from 0 to s_max in steps of pi / lambda_max, the step
     conjugate to the lambda grid (2 pi / (N d lambda)).
     """
-    n = disp.n
     xi = disp.xi_arr
-    grid0 = splits[0][0].grid
-    ds = math.pi / float(max(abs(grid0[0]), abs(grid0[-1])))
+    grid = splits[0][0].grid
+    ds = math.pi / float(max(abs(grid[0]), abs(grid[-1])))
     s = np.arange(0.0, s_max + 0.5 * ds, ds)
-    c_minus = np.zeros((n - 1, len(s)), dtype=complex)
-    c_plus = np.zeros((n - 1, len(s)), dtype=complex)
-    for k, (part_plus, part_minus) in enumerate(splits):
-        grid = part_plus.grid
-        c_minus[k] = _one_sided_inverse(grid, part_minus.values[:, 0, 0], s, "minus")
-        c_plus[k] = _one_sided_inverse(grid, part_plus.values[:, 0, 0], s, "plus")
-    rate = envelope_eps / (xi[2 * n - 1] - xi[0])
-    amp = max(
-        fit_profile_amplitude(s, c_minus, rate),
-        fit_profile_amplitude(s, c_plus, rate),
+    plus = np.stack([part_plus.values[:, 0, 0] for part_plus, _ in splits], axis=1)
+    minus = np.stack([part_minus.values[:, 0, 0] for _, part_minus in splits], axis=1)
+    return EdgeProfiles(
+        s,
+        _one_sided_inverse(grid, minus, s, "minus"),
+        _one_sided_inverse(grid, plus, s, "plus"),
+        envelope_eps / (xi[-1] - xi[0]),
     )
-    return EdgeProfiles(s, c_minus, c_plus, rate, amp)
 
 
 def exact_edge_profiles(
     sys: EdgeCoupledSystem, bnd: EdgeBoundary, s_grid: np.ndarray
 ) -> EdgeProfiles:
     """Closed-form c_{k+-}(s) for oracle comparisons."""
-    n = sys.n
     xi = sys.disp.xi_arr
     s = np.asarray(s_grid, dtype=float)
-    c_minus = np.zeros((n - 1, len(s)), dtype=complex)
-    c_plus = np.zeros((n - 1, len(s)), dtype=complex)
     beta_first, beta_last = _edge_rates(sys.disp)
-    for out, profiles, rates in ((c_minus, sys.c_first, beta_first), (c_plus, sys.c_last, beta_last)):
-        density = [p(s / beta) / beta for p, beta in zip(profiles, rates)]
-        for k in range(1, n):
-            acc = density[n + k - 2]
-            for j in range(2, n + 1):
-                acc = acc - bnd.entry(k, j) * density[j - 2]
-            out[k - 1] = 1j * acc
-    _, eps = sys.envelope
-    rate = eps / (xi[2 * n - 1] - xi[0])
-    amp = max(fit_profile_amplitude(s, c_minus, rate), fit_profile_amplitude(s, c_plus, rate))
-    return EdgeProfiles(s, c_minus, c_plus, rate, amp)
+
+    def part(profiles, rates):
+        density = np.array([p(s / beta) / beta for p, beta in zip(profiles, rates)])
+        return 1j * _boundary_rows(bnd.h_block, density)
+
+    rate = sys.envelope[1] / (xi[-1] - xi[0])
+    return EdgeProfiles(s, part(sys.c_first, beta_first), part(sys.c_last, beta_last), rate)
 
 
 def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:
@@ -325,12 +296,9 @@ def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:
     and c_{r,last}(s / beta_last) for which='plus', rows r = 2..2n-1; each
     boundary contributes the n-1 equations of its rows k = 1..n-1.
     """
-    n = disp.n
     beta_first, beta_last = _edge_rates(disp)
-    rates = beta_first if which == "minus" else beta_last
-    return np.vstack(
-        [np.hstack([-bnd.h_block / rates[: n - 1], np.diag(1.0 / rates[n - 1 :])]) for bnd in boundaries]
-    )
+    to_density = np.diag(1.0 / (beta_first if which == "minus" else beta_last))
+    return np.vstack([_boundary_rows(bnd.h_block, to_density) for bnd in boundaries])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import truncation_length
 from .domain import (
     BLOCK_ALLOWED,
     KERNEL_ALLOWED,
@@ -40,6 +39,12 @@ MAX_SWEEPS = 50
 # kernel march blocks: tau levels, and points per gather (~16 MB of temporaries)
 _LEVELS_PER_BLOCK = 64
 _LEVEL_BLOCK_POINTS = 1 << 20
+
+
+def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
+    """x beyond which the envelope C e^{-eps x} is below tail_tol."""
+    c, eps = envelope
+    return max(1.0, math.log(max(c, tail_tol * math.e) / tail_tol) / eps)
 
 
 def _full_profile(pot: TriangularPotential, row: int, col: int) -> ScalarProfile:

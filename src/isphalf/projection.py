@@ -25,13 +25,13 @@ MODEL_W = 2.0
 NOISE_FLOOR = 1e-13
 
 
-def half_masks(n: int):
-    """(plus, minus) frequency masks with the shared-bin convention."""
+def plus_mask(n: int) -> np.ndarray:
+    """Frequency mask of the plus part with the shared-bin convention."""
     plus = np.zeros(n)
     plus[1 : n // 2] = 1.0
     plus[0] = 0.5
     plus[n // 2] = 0.5
-    return plus, 1.0 - plus
+    return plus
 
 
 def edge_indices(n: int) -> np.ndarray:
@@ -109,13 +109,13 @@ def _halfline_density(grid, flat, c, t_values):
 def _split_model(grid: np.ndarray, flat: np.ndarray):
     """Rational model of each column with the correct plus/minus tail split.
 
-    Returns (model samples, plus-part samples, minus-part samples), each of
-    flat's shape.  The split parts of f carry 1/lambda tails that f itself
-    need not show; their leading coefficients are fixed exactly by the
-    moments of f (i phi(0+) via I0 and -phi'(0+) via the small-t half-line
-    density), while order three only matches f's own tail and is assigned
-    symmetrically, wrapping at the negligible 1/lambda^3 periodization
-    level.
+    Returns (model samples, plus-part samples), each of flat's shape; the
+    minus part is the difference.  The split parts of f carry 1/lambda
+    tails that f itself need not show; their leading coefficients are fixed
+    exactly by the moments of f (i phi(0+) via I0 and -phi'(0+) via the
+    small-t half-line density), while order three only matches f's own tail
+    and is assigned symmetrically, wrapping at the negligible 1/lambda^3
+    periodization level.
     """
     lam_max = float(max(abs(grid[0]), abs(grid[-1])))
     step = float(grid[1] - grid[0])
@@ -151,19 +151,21 @@ def _split_model(grid: np.ndarray, flat: np.ndarray):
 
     plus = pole_basis(grid, -1j * w) @ np.stack([a1, a2, a3])
     minus = pole_basis(grid, 1j * w) @ np.stack([g1, g2, g3])
-    return plus + minus, plus, minus
+    return plus + minus, plus
 
 
 def split_samples(grid: np.ndarray, values: np.ndarray):
-    """Additive split of samples (axis 0 is lambda): returns (plus, minus)."""
+    """Additive split of samples (axis 0 is lambda): returns (plus, minus).
+
+    The minus mask is one minus the plus mask and the model's parts sum to
+    the model, so the minus part is the samples minus the plus part.
+    """
     n = len(grid)
-    pm, mm = half_masks(n)
     flat = values.reshape(n, -1)
-    model, mplus, mminus = _split_model(grid, flat)
+    model, mplus = _split_model(grid, flat)
     spec = np.fft.fft(flat - model, axis=0)
-    plus = np.fft.ifft(spec * pm[:, None], axis=0) + mplus
-    minus = np.fft.ifft(spec * mm[:, None], axis=0) + mminus
-    return plus.reshape(values.shape), minus.reshape(values.shape)
+    plus = (np.fft.ifft(spec * plus_mask(n)[:, None], axis=0) + mplus).reshape(values.shape)
+    return plus, values - plus
 
 
 def plus_projector_matrix(grid: np.ndarray) -> np.ndarray:

@@ -281,13 +281,13 @@ def linefuncs_from_csv(path) -> dict:
     out = {}
     for name, entries in data.items():
         m = max(max(k, j) for k, j in entries)
-        pairs = sorted(next(iter(entries.values())))
-        grid = np.array([p[0] for p in pairs])
+        lams = sorted(p[0] for p in next(iter(entries.values())))
+        grid = np.array(lams)
         vals = np.zeros((len(grid), m, m), dtype=complex)
         for (k, j), pts in entries.items():
             pts.sort()
-            if len(pts) != len(grid):
-                raise ParseError(path, f"ragged entry ({k},{j}) in block {name}")
+            if [p[0] for p in pts] != lams:
+                raise ParseError(path, f"entry ({k},{j}) in block {name} is not sampled on the block's lambda grid")
             vals[:, k - 1, j - 1] = [p[1] for p in pts]
         out[name] = LineMatrixFunction(grid, vals)
     return out

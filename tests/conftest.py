@@ -1,11 +1,28 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from isphalf.domain import Dispersion, TriangularPotential, block_mask
 from isphalf.edge_coupled import EdgeBoundary, EdgeCoupledSystem
 from isphalf.forward import solve_kernels
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # hypothesis keeps a cache of source constants under its home directory
+    # even with database=None; point it at a temporary directory, not the checkout
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="isphalf-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

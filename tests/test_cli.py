@@ -278,6 +278,19 @@ def test_split_command(tmp_path):
     assert np.abs(parts["f_plus"].values[:, 0, 0] - 1j / (grid + 1j)).max() < 1e-4
 
 
+def test_split_rejects_entries_on_different_grids(tmp_path):
+    # (1,1) on lambda = 0..3, (1,2) on lambda = 10..13
+    rows = [f"{lam},S,1,1,1,0" for lam in range(4)] + [f"{lam},S,1,2,0.5,0" for lam in range(10, 14)]
+    inp = tmp_path / "s.csv"
+    inp.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    cfg = _write(tmp_path, "split.json", {"input": str(inp)})
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError"
+    assert "(1,2)" in rep["detail"]
+
+
 def test_rh_solve_command(tmp_path):
     cfg, grid = _rh_solve_config(tmp_path)
     out = tmp_path / "out"
@@ -501,3 +514,13 @@ def test_inverse_commands_load_no_scipy(tmp_path):
     ]
     loaded = _scipy_modules_loaded(tmp_path, runs)
     assert loaded == {"import": [], **{command: [0, []] for command, _ in runs}}
+
+
+def test_hypothesis_storage_outside_checkout():
+    # hypothesis writes a constants cache into its storage directory even
+    # with database=None; the test session keeps it out of the checkout
+    from hypothesis.configuration import storage_directory
+
+    repo_root = Path(__file__).resolve().parents[1]
+    where = storage_directory(intent_to_write=False).path.resolve()
+    assert not where.is_relative_to(repo_root)

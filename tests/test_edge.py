@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isphalf.domain import Dispersion, validate_potential
 from isphalf.edge_coupled import (
     EdgeBoundary,
     EdgeCoupledSystem,
+    _column_entries,
+    _edge_rates,
+    _family_matrix,
+    _one_sided_inverse,
     edge_explicit_solution,
     edge_invert_transforms,
     edge_roundtrip,
@@ -24,6 +30,8 @@ from isphalf.forward import (
 from isphalf.domain import BoundaryMatrix
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile
+from isphalf.projection import MODEL_W, edge_indices, pole_basis
+from isphalf.serialize import random_edge_system
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +271,168 @@ def test_split_symmetric_rational_sum_tight(grid):
     )[0]
     assert np.abs(fp.values[:, 0, 0] - 1j / (grid + 1j)).max() < 5e-8
     assert np.abs(fm.values[:, 0, 0] + 1j / (grid - 1j)).max() < 5e-8
+
+
+# -- references: the per-row loop forms of the boundary combination, kept
+# verbatim; the shims give them the 1-based accessors they were written for
+
+
+class _OneBasedSystem:
+    def __init__(self, sys):
+        self.n, self.disp, self.envelope = sys.n, sys.disp, sys.envelope
+        self.c_first, self.c_last = sys.c_first, sys.c_last
+
+    def profile_first(self, k):
+        return self.c_first[k - 2]
+
+    def profile_last(self, k):
+        return self.c_last[k - 2]
+
+
+class _OneBasedBoundary:
+    def __init__(self, bnd):
+        self.h_block = bnd.h_block
+
+    def entry(self, k, j):
+        return complex(self.h_block[k - 1, j - 2])
+
+
+def fit_profile_amplitude(s_grid, rows, rate):
+    mags = np.abs(rows) * np.exp(rate * s_grid)[None, :]
+    return float(mags.max()) if rows.size else 0.0
+
+
+def reference_column_entries(sys, bnd, lam):
+    n = sys.n
+    beta_first, beta_last = _edge_rates(sys.disp)
+    out = np.zeros((n - 1, len(lam)), dtype=complex)
+    for k in range(1, n):
+        acc = np.zeros(len(lam), dtype=complex)
+        pf = sys.profile_first(n + k)
+        if not pf.is_zero:
+            acc += pf.halfline_transform(-lam * beta_first[n + k - 2])
+        pl = sys.profile_last(n + k)
+        if not pl.is_zero:
+            acc += pl.halfline_transform(lam * beta_last[n + k - 2])
+        for j in range(2, n + 1):
+            h = bnd.entry(k, j)
+            if h == 0:
+                continue
+            pf = sys.profile_first(j)
+            if not pf.is_zero:
+                acc -= h * pf.halfline_transform(-lam * beta_first[j - 2])
+            pl = sys.profile_last(j)
+            if not pl.is_zero:
+                acc -= h * pl.halfline_transform(lam * beta_last[j - 2])
+        out[k - 1] = 1j * acc
+    return out
+
+
+def reference_exact_edge_profiles(sys, bnd, s_grid):
+    """(c_minus, c_plus, rate, amplitude) of the closed form."""
+    n = sys.n
+    xi = sys.disp.xi_arr
+    s = np.asarray(s_grid, dtype=float)
+    c_minus = np.zeros((n - 1, len(s)), dtype=complex)
+    c_plus = np.zeros((n - 1, len(s)), dtype=complex)
+    beta_first, beta_last = _edge_rates(sys.disp)
+    for out, profiles, rates in ((c_minus, sys.c_first, beta_first), (c_plus, sys.c_last, beta_last)):
+        density = [p(s / beta) / beta for p, beta in zip(profiles, rates)]
+        for k in range(1, n):
+            acc = density[n + k - 2]
+            for j in range(2, n + 1):
+                acc = acc - bnd.entry(k, j) * density[j - 2]
+            out[k - 1] = 1j * acc
+    _, eps = sys.envelope
+    rate = eps / (xi[2 * n - 1] - xi[0])
+    amp = max(fit_profile_amplitude(s, c_minus, rate), fit_profile_amplitude(s, c_plus, rate))
+    return c_minus, c_plus, rate, amp
+
+
+def reference_family_matrix(disp, boundaries, which):
+    n = disp.n
+    beta_first, beta_last = _edge_rates(disp)
+    rates = beta_first if which == "minus" else beta_last
+    return np.vstack(
+        [np.hstack([-bnd.h_block / rates[: n - 1], np.diag(1.0 / rates[n - 1 :])]) for bnd in boundaries]
+    )
+
+
+def reference_one_sided_inverse(grid, values, s_points, kind):
+    step = float(grid[1] - grid[0])
+    idx = edge_indices(len(grid))
+    sgn = 1.0 if kind == "minus" else -1.0
+    w = MODEL_W
+    basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
+    scale = np.abs(basis[idx]).max(axis=0)
+    coef, *_ = np.linalg.lstsq(basis[idx] / scale, values[idx], rcond=None)
+    coef = coef / scale
+    rem = values - basis @ coef
+
+    phases = np.exp(sgn * 1j * np.outer(s_points, grid))
+    dens = (step / (2.0 * np.pi)) * (phases @ rem)
+    es = np.exp(-w * s_points)
+    if kind == "minus":
+        dens += coef[0] * 1j * es + coef[1] * (-s_points * es) + coef[2] * (-0.5j * s_points ** 2 * es)
+    else:
+        dens += coef[0] * (-1j) * es + coef[1] * (-s_points * es) + coef[2] * (0.5j * s_points ** 2 * es)
+    return dens
+
+
+def assert_close(got, want):
+    """Sup-norm agreement within 1e-13 relative; a zero reference must come out zero."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_row_array_formulas_match_per_row_references(n, seed, data):
+    gaps = data.draw(st.lists(st.floats(0.2, 1.5), min_size=2 * n, max_size=2 * n))
+    xi = [-float(v) for v in np.cumsum(gaps[:n])[::-1]] + [float(v) for v in np.cumsum(gaps[n:])]
+    drawn = random_edge_system({"n": n, "xi": xi}, seed)
+    zero = data.draw(st.lists(st.booleans(), min_size=4 * n - 4, max_size=4 * n - 4))
+    sys_ = EdgeCoupledSystem(
+        drawn.disp,
+        tuple(None if z else p for z, p in zip(zero[: 2 * n - 2], drawn.c_first)),
+        tuple(None if z else p for z, p in zip(zero[2 * n - 2 :], drawn.c_last)),
+        drawn.envelope,
+    )
+    rng = np.random.default_rng(seed)
+    boundaries = [
+        EdgeBoundary(n, 0.5 * (rng.uniform(-1, 1, (n - 1, n - 1)) + 1j * rng.uniform(-1, 1, (n - 1, n - 1)))
+                     + n * np.eye(n - 1))
+        for _ in range(2)
+    ]
+    bnd = boundaries[0]
+    if n > 2:
+        assert not np.allclose(bnd.h_block, bnd.h_block.T)
+    ref_sys, ref_bnd = _OneBasedSystem(sys_), _OneBasedBoundary(bnd)
+
+    grid = make_grid(50.0, 256)
+    col = _column_entries(sys_, bnd, grid)
+    assert_close(col, reference_column_entries(ref_sys, ref_bnd, grid))
+
+    s = np.arange(0.0, 10.0, np.pi / 50.0)
+    exact = exact_edge_profiles(sys_, bnd, s)
+    c_minus, c_plus, rate, amp = reference_exact_edge_profiles(ref_sys, ref_bnd, s)
+    assert_close(exact.c_minus, c_minus)
+    assert_close(exact.c_plus, c_plus)
+    assert exact.decay_rate == rate
+    assert exact.amplitude == pytest.approx(amp, rel=1e-13, abs=0.0)
+
+    # the minus-type part of the column comes from the first family alone,
+    # the plus-type part from the last
+    one_sided = {
+        "minus": _column_entries(EdgeCoupledSystem(sys_.disp, c_first=sys_.c_first), bnd, grid),
+        "plus": _column_entries(EdgeCoupledSystem(sys_.disp, c_last=sys_.c_last), bnd, grid),
+    }
+    for which, part in one_sided.items():
+        assert_close(_family_matrix(sys_.disp, boundaries, which),
+                     reference_family_matrix(sys_.disp, boundaries, which))
+        got = _one_sided_inverse(grid, part.T, s, which)
+        assert_close(got, np.array([reference_one_sided_inverse(grid, c, s, which) for c in part]))

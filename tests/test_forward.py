@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isphalf import forward
-from isphalf.config import truncation_length
 from isphalf.domain import (
     BLOCK_ALLOWED,
     BoundaryMatrix,
@@ -34,6 +33,7 @@ from isphalf.forward import (
     solve_kernels,
     strip_diagnostics,
     transmission_matrix,
+    truncation_length,
 )
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile, SampledProfile

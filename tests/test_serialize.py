@@ -2,10 +2,12 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isphalf.domain import Dispersion
+from isphalf.errors import ParseError
 from isphalf.forward import TransformationKernels
 from isphalf.linefunc import LineMatrixFunction, make_grid
 from isphalf.serialize import kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv
@@ -133,3 +135,12 @@ def test_linefuncs_csv_roundtrip_is_bit_exact(tmp_path_factory, lambda_max, log_
     back = linefuncs_from_csv(path)[name]
     assert np.array_equal(back.grid.view(np.uint64), f.grid.view(np.uint64))
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_linefuncs_from_csv_rejects_entry_off_the_block_grid(tmp_path):
+    # (1,1) on lambda = 0..3, (1,2) on lambda = 10..13: same length, other grid
+    rows = [f"{lam},S,1,1,1,0" for lam in range(4)] + [f"{lam},S,1,2,0.5,0" for lam in range(10, 14)]
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    with pytest.raises(ParseError, match=r"entry \(1,2\) in block S"):
+        linefuncs_from_csv(path)
