@@ -25,11 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Dispersion, SINGULARITY_TOL, TriangularPotential
-from .errors import RankDeficient, ValidationError
+from .errors import EdgeDecayViolation, RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import as_profile
-from .projection import MODEL_W, edge_indices, pole_basis
-from .rh import plemelj_split
+from .projection import MODEL_W, edge_indices, pole_basis, split_samples
+from .rh import _strip_delta
+# the benchmark's tracer (perfbench/trace_child.py) wraps edge_coupled.plemelj_split
+from .rh import plemelj_split  # noqa: F401
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -206,31 +208,58 @@ def edge_explicit_solution(
 
 
 def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
-    """Entrywise additive split of the nonzero column, rows 1..n-1.
+    """Additive split of the nonzero column, rows 1..n-1, as one split of all n-1 entries.
 
-    Returns a list of (plus, minus) scalar LineMatrixFunctions; by the
-    entire-function argument the parts coincide with the forward transforms
-    of the underlying half-line data.
+    Each entry must decay at the grid ends (checked in row order, as
+    `plemelj_split` checks a scalar entry).  Returns a list of (plus, minus)
+    scalar LineMatrixFunctions; by the entire-function argument the parts
+    coincide with the forward transforms of the underlying half-line data.
     """
     n = s_matrix.m
-    out = []
-    for k in range(1, n):
-        entry = s_matrix.entry(k - 1, n - 1)
-        out.append(plemelj_split(entry, edge_tol=edge_tol))
-    return out
+    grid = s_matrix.grid
+    column = s_matrix.values[:, : n - 1, n - 1]
+    for edge in np.maximum(np.abs(column[0]), np.abs(column[-1])):
+        if edge > edge_tol:
+            raise EdgeDecayViolation(float(edge), edge_tol)
+    plus, minus = split_samples(grid, column)
+    delta = _strip_delta(s_matrix)
+    return [
+        (
+            LineMatrixFunction(grid, plus[:, k], Analyticity("plus", delta)),
+            LineMatrixFunction(grid, minus[:, k], Analyticity("minus", delta)),
+        )
+        for k in range(n - 1)
+    ]
 
 
-def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, s_points: np.ndarray, kind: str):
+def _s_step(grid: np.ndarray) -> float:
+    """2 pi / (N d lambda), the s-step conjugate to the N-point grid."""
+    return 2.0 * math.pi / (len(grid) * float(grid[1] - grid[0]))
+
+
+def _s_grid(grid: np.ndarray, count: int) -> np.ndarray:
+    """The first count points s_k = k 2 pi / (N d lambda) of the s-lattice conjugate to grid.
+
+    On it s_k d lambda = 2 pi k / N, so e^{+-i s_k lambda_j} is e^{+-i s_k lambda_0}
+    times the length-N DFT kernel, periodic in k with period N.
+    """
+    return _s_step(grid) * np.arange(count)
+
+
+def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, count: int, kind: str):
     """Invert one-sided transforms (the columns of values) to half-line densities.
 
     kind 'minus': C(l) = int c(s) e^{-i l s} ds, density (1/2pi) int C e^{+i l s} dl.
     kind 'plus':  C(l) = int c(s) e^{+i l s} ds, density (1/2pi) int C e^{-i l s} dl.
     A one-sided rational tail model, fitted at the split's edge samples,
-    makes the window truncation analytic.  Returns one density per column,
-    shape (values.shape[1], len(s_points)).
+    makes the window truncation analytic; the remainder's phase sum on the
+    first count points of `_s_grid` is one length-N DFT per column.  Returns
+    one density per column, shape (values.shape[1], count).
     """
+    n = len(grid)
     step = float(grid[1] - grid[0])
-    idx = edge_indices(len(grid))
+    s = _s_grid(grid, count)
+    idx = edge_indices(n)
     sgn = 1.0 if kind == "minus" else -1.0
     w = MODEL_W
     basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
@@ -239,9 +268,11 @@ def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, s_points: np.ndarra
     coef = coef / scale[:, None]
     rem = values - basis @ coef
 
-    phases = np.exp(sgn * 1j * np.outer(s_points, grid))
-    dens = (step / (2.0 * np.pi)) * (phases @ rem)
-    s = s_points[:, None]
+    # sum_j rem_j e^{sgn i s_k lambda_j} = e^{sgn i s_k lambda_0} sum_j rem_j e^{sgn 2 pi i k j / N}
+    sums = n * np.fft.ifft(rem, axis=0) if kind == "minus" else np.fft.fft(rem, axis=0)
+    lattice = sums[np.arange(count) % n]
+    dens = (step / (2.0 * np.pi)) * np.exp(sgn * 1j * s * grid[0])[:, None] * lattice
+    s = s[:, None]
     es = np.exp(-w * s)
     dens += sgn * 1j * coef[0] * es - coef[1] * (s * es) - sgn * 0.5j * coef[2] * (s ** 2 * es)
     return dens.T
@@ -256,19 +287,18 @@ def edge_invert_transforms(
 ) -> EdgeProfiles:
     """Half-line densities c_{k+-}(s) from the split scattering entries.
 
-    The s-grid runs from 0 to s_max in steps of pi / lambda_max, the step
-    conjugate to the lambda grid (2 pi / (N d lambda)).
+    The s-grid runs from 0 to s_max in steps of 2 pi / (N d lambda), the step
+    conjugate to the lambda grid (pi / lambda_max on a `make_grid` grid).
     """
     xi = disp.xi_arr
     grid = splits[0][0].grid
-    ds = math.pi / float(max(abs(grid[0]), abs(grid[-1])))
-    s = np.arange(0.0, s_max + 0.5 * ds, ds)
+    count = math.ceil(s_max / _s_step(grid) + 0.5)
     plus = np.stack([part_plus.values[:, 0, 0] for part_plus, _ in splits], axis=1)
     minus = np.stack([part_minus.values[:, 0, 0] for _, part_minus in splits], axis=1)
     return EdgeProfiles(
-        s,
-        _one_sided_inverse(grid, minus, s, "minus"),
-        _one_sided_inverse(grid, plus, s, "plus"),
+        _s_grid(grid, count),
+        _one_sided_inverse(grid, minus, count, "minus"),
+        _one_sided_inverse(grid, plus, count, "plus"),
         envelope_eps / (xi[-1] - xi[0]),
     )
 

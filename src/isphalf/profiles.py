@@ -84,6 +84,7 @@ class ExpSumProfile(ScalarProfile):
 
 
 ZERO_PROFILE = ExpSumProfile(())
+_Z_CHUNK = 512  # distinct z values per (z, segment) temporary of SampledProfile
 
 
 @dataclass(frozen=True)
@@ -127,26 +128,36 @@ class SampledProfile(ScalarProfile):
         return self.halfline_transform_from(0.0, z)
 
     def halfline_transform_from(self, x0, z):
-        # transform of the piecewise-linear part (exact per segment) plus the
-        # analytic tail; exactness per segment keeps the result one-sided in z.
-        from .quadrature import segment_transform_sum
+        """Integral of f(x) e^{i z x} over [max(x0, 0), inf), elementwise in the broadcast of x0 and z.
 
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        x0 = float(x0)
-        grid = self.x_grid
-        vals = self.values
-        if x0 >= self.x_max:
-            amp = self.values[-1] * np.exp(-self.tail_rate * (x0 - self.x_max))
-            out = amp * np.exp(1j * z * x0) / (self.tail_rate - 1j * z)
-            return out
-        if x0 > 0:
-            i0 = int(np.searchsorted(grid, x0))
-            first = np.array([x0, grid[i0]]) if grid[i0] > x0 else np.array([x0])
-            head_x = np.concatenate([first, grid[i0 + 1 :]]) if grid[i0] > x0 else grid[i0:]
-            head_v = self(head_x)
-            grid, vals = head_x, head_v
-        out = segment_transform_sum(grid, vals, z)
-        out += vals[-1] * np.exp(1j * z * self.x_max) / (self.tail_rate - 1j * z)
+        The piecewise-linear part is transformed exactly per segment, which
+        keeps the result one-sided in z: from a start point inside the
+        samples the transform is the piece up to the next sample plus the
+        suffix sum of the segment transforms beyond it and of the analytic tail.
+        """
+        from .quadrature import linear_segment_transform
+
+        x0, z = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(z, dtype=complex))
+        grid, vals, rate, x_max = self.x_grid, self.values, self.tail_rate, self.x_max
+        out = np.empty(x0.shape, dtype=complex)
+        beyond = x0 >= x_max
+        xb, zb = x0[beyond], z[beyond]
+        out[beyond] = vals[-1] * np.exp(-rate * (xb - x_max)) * np.exp(1j * zb * xb) / (rate - 1j * zb)
+
+        start, zi = np.maximum(x0[~beyond], 0.0), z[~beyond]
+        nxt = np.searchsorted(grid, start)  # grid[nxt - 1] < start <= grid[nxt]
+        inside = linear_segment_transform(start, grid[nxt] - start, self(start), vals[nxt], zi)
+        lo = int(nxt.min(initial=len(grid) - 1))
+        z_unique, which = np.unique(zi, return_inverse=True)
+        for c in range(0, len(z_unique), _Z_CHUNK):
+            zz = z_unique[c : c + _Z_CHUNK, None]
+            segs = linear_segment_transform(grid[lo:-1], np.diff(grid[lo:]), vals[lo:-1], vals[lo + 1 :], zz)
+            tail = vals[-1] * np.exp(1j * zz * x_max) / (rate - 1j * zz)
+            # column k: the transform from grid[lo + k] on
+            suffix = np.cumsum(np.concatenate([tail, segs[:, ::-1]], axis=1), axis=1)[:, ::-1]
+            sel = (which >= c) & (which < c + _Z_CHUNK)
+            inside[sel] += suffix[which[sel] - c, nxt[sel] - lo]
+        out[~beyond] = inside
         return out
 
     @property

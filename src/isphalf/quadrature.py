@@ -56,26 +56,14 @@ def _m1(z):
     return out
 
 
-def segment_transform_sum(x, v, z):
-    """Exact transform of the piecewise-linear interpolant of v on grid x.
+def linear_segment_transform(x_left, h, v_left, v_right, z):
+    """integral_{x_left}^{x_left + h} v_lin(s) e^{i z s} ds, elementwise in the broadcast.
 
-    Returns integral_{x[0]}^{x[-1]} v_lin(s) e^{i z s} ds for each z.
-    The grid need not be uniform.
+    v_lin is the linear interpolant of v_left at x_left and v_right at x_left + h.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=complex)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    h = np.diff(x)
-    out = np.zeros(z.shape, dtype=complex)
-    chunk = 512  # z values per (z, segment) temporary
-    for lo in range(0, len(z), chunk):
-        zz = z[lo : lo + chunk][:, None]
-        arg = 1j * zz * h[None, :]
-        seg = h[None, :] * (
-            v[None, :-1] * _m0(arg) + (v[None, 1:] - v[None, :-1]) * _m1(arg)
-        )
-        out[lo : lo + chunk] = np.sum(np.exp(1j * zz * x[None, :-1]) * seg, axis=1)
-    return out
+    arg = 1j * z * h
+    seg = h * (v_left * _m0(arg) + (v_right - v_left) * _m1(arg))
+    return np.exp(1j * z * x_left) * seg
 
 
 def cumulative_right_linear(x0: float, dx: float, g, omega: float):

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -274,22 +275,28 @@ def linefuncs_from_csv(path) -> dict:
     if header != ["lambda", "block", "k", "j", "re", "im"]:
         raise ParseError(path, f"unexpected header {header}")
     data: dict = {}
-    for row in reader:
-        lam, name, k, j, re, im = row
-        entry = data.setdefault(name, {})
-        entry.setdefault((int(k), int(j)), []).append((float(lam), complex(float(re), float(im))))
+    try:
+        for row in reader:
+            lam, name, k, j, re, im = row
+            entry = data.setdefault(name, {})
+            entry.setdefault((int(k), int(j)), []).append((float(lam), complex(float(re), float(im))))
+    except (ValueError, csv.Error) as exc:
+        raise ParseError(path, f"line {reader.line_num}: {exc}") from exc
     out = {}
     for name, entries in data.items():
         m = max(max(k, j) for k, j in entries)
-        lams = sorted(p[0] for p in next(iter(entries.values())))
-        grid = np.array(lams)
-        vals = np.zeros((len(grid), m, m), dtype=complex)
+        lams = vals = None
         for (k, j), pts in entries.items():
-            pts.sort()
-            if [p[0] for p in pts] != lams:
+            pts.sort(key=itemgetter(0))
+            entry_lams = [p[0] for p in pts]
+            if len(set(entry_lams)) < len(entry_lams):
+                raise ParseError(path, f"entry ({k},{j}) in block {name} repeats a lambda value")
+            if lams is None:
+                lams, vals = entry_lams, np.zeros((len(entry_lams), m, m), dtype=complex)
+            elif entry_lams != lams:
                 raise ParseError(path, f"entry ({k},{j}) in block {name} is not sampled on the block's lambda grid")
             vals[:, k - 1, j - 1] = [p[1] for p in pts]
-        out[name] = LineMatrixFunction(grid, vals)
+        out[name] = LineMatrixFunction(np.array(lams), vals)
     return out
 
 

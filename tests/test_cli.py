@@ -291,6 +291,34 @@ def test_split_rejects_entries_on_different_grids(tmp_path):
     assert "(1,2)" in rep["detail"]
 
 
+def test_split_rejects_repeated_lambda(tmp_path):
+    # (1,1) samples lambda = 1 twice with different values
+    rows = ["0,S,1,1,1,0", "1,S,1,1,2,0", "1,S,1,1,3,0", "2,S,1,1,4,0"]
+    inp = tmp_path / "s.csv"
+    inp.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    cfg = _write(tmp_path, "split.json", {"input": str(inp)})
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError"
+    assert rep["path"] == str(inp)
+    assert "entry (1,1) in block S repeats a lambda value" in rep["detail"]
+
+
+@pytest.mark.parametrize("bad_row", ["1,S,1,1,abc,0", "1,S,1,1", "1,S,1,1,2,0,7"])
+def test_split_rejects_malformed_row(tmp_path, bad_row):
+    rows = ["0,S,1,1,1,0", bad_row, "2,S,1,1,4,0"]
+    inp = tmp_path / "s.csv"
+    inp.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    cfg = _write(tmp_path, "split.json", {"input": str(inp)})
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError"
+    assert rep["path"] == str(inp)
+    assert rep["detail"].startswith(f"{inp}: line 3: ")
+
+
 def test_rh_solve_command(tmp_path):
     cfg, grid = _rh_solve_config(tmp_path)
     out = tmp_path / "out"
@@ -524,3 +552,9 @@ def test_hypothesis_storage_outside_checkout():
     repo_root = Path(__file__).resolve().parents[1]
     where = storage_directory(intent_to_write=False).path.resolve()
     assert not where.is_relative_to(repo_root)
+
+
+def test_benchmark_plugin_not_loaded(pytestconfig):
+    # pytest-benchmark would create .benchmarks/ in the working directory
+    assert pytestconfig.pluginmanager.is_blocked("benchmark")
+    assert not pytestconfig.pluginmanager.has_plugin("benchmark")

@@ -19,7 +19,7 @@ from isphalf.edge_coupled import (
     edge_split,
     exact_edge_profiles,
 )
-from isphalf.errors import RankDeficient, ValidationError
+from isphalf.errors import EdgeDecayViolation, RankDeficient, ValidationError
 from isphalf.forward import (
     boundary_parts,
     kernel_transforms,
@@ -29,8 +29,9 @@ from isphalf.forward import (
 )
 from isphalf.domain import BoundaryMatrix
 from isphalf.linefunc import make_grid
-from isphalf.profiles import ExpSumProfile
+from isphalf.profiles import ExpSumProfile, SampledProfile
 from isphalf.projection import MODEL_W, edge_indices, pole_basis
+from isphalf.rh import plemelj_split
 from isphalf.serialize import random_edge_system
 
 
@@ -434,5 +435,96 @@ def test_row_array_formulas_match_per_row_references(n, seed, data):
     for which, part in one_sided.items():
         assert_close(_family_matrix(sys_.disp, boundaries, which),
                      reference_family_matrix(sys_.disp, boundaries, which))
-        got = _one_sided_inverse(grid, part.T, s, which)
+        got = _one_sided_inverse(grid, part.T, len(s), which)
         assert_close(got, np.array([reference_one_sided_inverse(grid, c, s, which) for c in part]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    log_n=st.sampled_from([6, 8, 10]),
+    kind=st.sampled_from(["minus", "plus"]),
+    cols=st.integers(1, 3),
+    lam_max=st.integers(10, 200),
+    offset_quarter=st.floats(-1.0, 1.0),
+    short_fraction=st.floats(0.0, 1.0),
+    long_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_sided_inverse_fft_matches_dense_phase_sum(
+    log_n, kind, cols, lam_max, offset_quarter, short_fraction, long_fraction, seed
+):
+    # the FFT path against the dense s x lambda product on the conjugate
+    # lattice, with s-grids shorter and longer than N (the k mod N wrap) and
+    # a grid shifted by whole steps; integer lambda_max keeps every grid
+    # point exact, so the dense phases carry only their own rounding
+    n = 2**log_n
+    step = 2.0 * lam_max / n
+    grid = make_grid(float(lam_max), n) + round(offset_quarter * n / 4) * step
+    rng = np.random.default_rng(seed)
+    sgn = 1.0 if kind == "minus" else -1.0
+    values = np.zeros((n, cols), dtype=complex)
+    for c in range(cols):
+        # one-sided transforms of c(s) = sum gamma e^{-a s}: poles on the kind's side
+        for _ in range(3):
+            gamma = rng.standard_normal() + 1j * rng.standard_normal()
+            values[:, c] += gamma / (rng.uniform(0.5, 3.0) + sgn * 1j * grid)
+    for count in (1 + round(short_fraction * (n - 1)), n + 1 + round(long_fraction * n)):
+        s = (2.0 * np.pi / (n * (grid[1] - grid[0]))) * np.arange(count)
+        got = _one_sided_inverse(grid, values, count, kind)
+        want = np.array([reference_one_sided_inverse(grid, c, s, kind) for c in values.T])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    tol_index=st.integers(0, 4),
+)
+def test_edge_split_matches_per_entry_plemelj_split(n, seed, tol_index):
+    gaps = np.random.default_rng(seed).uniform(0.2, 1.5, 2 * n)
+    xi = [-float(v) for v in np.cumsum(gaps[:n])[::-1]] + [float(v) for v in np.cumsum(gaps[n:])]
+    sys_ = random_edge_system({"n": n, "xi": xi}, seed)
+    rng = np.random.default_rng(seed)
+    bnd = EdgeBoundary(n, rng.uniform(-1, 1, (n - 1, n - 1)) + n * np.eye(n - 1))
+    s_mat = edge_scattering(sys_, bnd, make_grid(50.0, 256))
+    entries = [s_mat.entry(k, n - 1) for k in range(n - 1)]
+    # a tolerance just under one entry's edge norm makes the checks raise,
+    # and the first entry in row order over it must be the one reported
+    edges = sorted(f.edge_norm() for f in entries)
+    edge_tol = 1.0 if tol_index >= len(edges) else edges[tol_index] * (1 - 1e-9)
+    try:
+        want = [plemelj_split(f, edge_tol=edge_tol) for f in entries]
+    except EdgeDecayViolation as exc:
+        with pytest.raises(EdgeDecayViolation) as info:
+            edge_split(s_mat, edge_tol=edge_tol)
+        assert str(info.value) == str(exc)
+        return
+    got = edge_split(s_mat, edge_tol=edge_tol)
+    assert len(got) == len(want)
+    for got_parts, want_parts in zip(got, want):
+        for g, w in zip(got_parts, want_parts):
+            assert g.analyticity == w.analyticity
+            assert np.array_equal(g.grid, w.grid)
+            assert_close(g.values, w.values)
+
+
+def test_explicit_solution_sampled_coupling_matches_expsum(e1_disp):
+    # c_{3,first}(x) = e^{-x} and c_{2,last}(x) = 0.5i e^{-2x}, sampled at dx with
+    # the exact tail rate: the sampled transforms differ from the closed form
+    # only by the linear-interpolation error, at most dx^2/8 |f''| per unit
+    # length, so |transform error| <= (dx^2/8) sum |gamma| a e^{a dx}
+    dx, x_max = 0.01, 12.0
+    x_samples = np.arange(0.0, x_max + dx / 2, dx)
+    terms = {"first": (1.0, 1.0), "last": (0.5j, 2.0)}
+    exact = {k: ExpSumProfile(((g, a),)) for k, (g, a) in terms.items()}
+    sampled = {k: SampledProfile(dx, g * np.exp(-a * x_samples), tail_rate=a) for k, (g, a) in terms.items()}
+    systems = [EdgeCoupledSystem(e1_disp, c_first=(None, p["first"]), c_last=(p["last"], None)) for p in (exact, sampled)]
+    a, b = np.array([1.0, 0.5 - 0.2j]), np.array([0.7, 0.3 + 0.4j])
+    bound = max(abs(a[0]), abs(b[-1])) * sum(abs(g) * r * np.exp(r * dx) for g, r in terms.values()) * dx**2 / 8
+    x = np.linspace(0.0, 15.0, 301)  # past the last sample as well
+    for lam in (0.0, 1.3, -4.2):
+        want, got = (edge_explicit_solution(sys_, lam, a, b, x) for sys_ in systems)
+        err = np.abs(got - want).max()
+        assert 0 < err <= bound
