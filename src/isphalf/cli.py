@@ -71,8 +71,8 @@ def _write_report(report: dict, out_dir: Path):
     atomic_write_text(out_dir / "report.json", render_report(report))
 
 
-def _write_artifact(out_dir: Path, name: str, text: str, manifest: dict):
-    """Write one artifact and record the sha256 of the bytes written."""
+def _write_artifact(out_dir: Path, name: str, text, manifest: dict):
+    """Write one artifact (a str or str chunks) and record the sha256 of its bytes."""
     from .serialize import atomic_write_text
 
     manifest[name] = atomic_write_text(out_dir / name, text)

@@ -256,8 +256,3 @@ class BoundaryMatrix:
     @property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.H)
-
-
-def max_possible_entries(n: int) -> int:
-    """Count of structurally admissible scalar entries: 2 n^2."""
-    return sum(int(block_mask(name, n).sum()) for name in BLOCK_ALLOWED)

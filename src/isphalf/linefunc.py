@@ -123,10 +123,6 @@ class LineMatrixFunction:
             raise ValidationError("lambda", f"{lam} is not a grid point")
         return self.values[idx]
 
-    def window(self, lo: float, hi: float) -> np.ndarray:
-        """Boolean mask of grid points inside [lo, hi]."""
-        return (self.grid >= lo) & (self.grid <= hi)
-
     def _check_same_grid(self, other):
         if len(self.grid) != len(other.grid) or not np.allclose(self.grid, other.grid):
             raise ValidationError("grid", "operands live on different grids")

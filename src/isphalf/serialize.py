@@ -4,7 +4,8 @@ Conventions: complex numbers serialize as [re, im] pairs, bulk numerics go
 to columnar CSV, metadata to JSON with sorted keys and fixed 17-significant-
 digit float formatting so identical runs produce byte-identical artifacts.
 All writes are atomic (write to a temp file, then rename) and return the
-sha256 of the bytes written, so hash manifests need no second read.
+sha256 of the bytes written, so hash manifests need no second read.  CSV
+artifacts are written and hashed slab by slab, never held whole in memory.
 """
 
 from __future__ import annotations
@@ -193,74 +194,65 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path, text: str) -> str:
-    """Write text as UTF-8 atomically; returns the sha256 hex digest of the bytes."""
-    data = text.encode("utf-8")
+def atomic_write_text(path, text) -> str:
+    """Write text (a str or an iterable of str chunks) atomically as UTF-8, one
+    chunk at a time; returns the sha256 hex digest of the bytes."""
+    chunks = (text,) if isinstance(text, str) else text
+    digest = hashlib.sha256()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
-def _csv_field(value: str) -> str:
-    """One inner CSV field quoted as csv.writer quotes it, escaped for %-templates."""
+def _csv_rows(lead, label, values) -> str:
+    """One CSV row per value: the lead columns (a float or an array each), the
+    (block, k, j) label with k, j written 1-based, then re, im.  One %-format
+    call prints every float as format(v, ".17g") and the block as csv.writer."""
+    name, k, j = label
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[: -len(",\n")].replace("%", "%%")
+    csv.writer(buf, lineterminator="\n").writerow([name, k + 1, j + 1])
+    cols = np.empty((len(values), len(lead) + 2))
+    for c, col in enumerate(lead):
+        cols[:, c] = col
+    cols[:, -2] = values.real
+    cols[:, -1] = values.imag
+    template = "%.17g," * len(lead) + buf.getvalue()[:-1].replace("%", "%%") + ",%.17g,%.17g\n"
+    return (template * len(values)) % tuple(cols.ravel().tolist())
 
 
-def kernels_to_csv(kernels) -> str:
-    """Columnar kernel dump: x, t, block, k, j, re, im (1-based indices).
-
-    Each x row of a channel is one %-format call over a row template, which
-    prints every float exactly as format(v, ".17g") does.
-    """
-    x = kernels.x_grid
+def kernels_to_csv(kernels):
+    """Kernel dump x, t, block, k, j, re, im: a slab per x row of each nonzero channel."""
+    yield "x,t,block,k,j,re,im\n"
     tau = kernels.tau_grid
-    n = kernels.n
-    parts = ["x,t,block,k,j,re,im\n"]
-    cols = np.empty((len(tau), 4))
     for name in ("A11", "A12", "A21", "A22"):
         block = kernels.blocks[name]
-        for k in range(n):
-            for j in range(n):
-                vals = block[k, j]
-                if np.abs(vals).max() == 0.0:
+        for k in range(kernels.n):
+            for j in range(kernels.n):
+                if np.abs(block[k, j]).max() == 0.0:
                     continue
-                template = f"%.17g,%.17g,{_csv_field(name)},{k + 1},{j + 1},%.17g,%.17g\n" * len(tau)
-                for ix in range(len(x)):
-                    cols[:, 0] = x[ix]
-                    cols[:, 1] = x[ix] + tau
-                    cols[:, 2] = vals[ix].real
-                    cols[:, 3] = vals[ix].imag
-                    parts.append(template % tuple(cols.ravel().tolist()))
-    return "".join(parts)
+                for x, row in zip(kernels.x_grid, block[k, j]):
+                    yield _csv_rows((x, x + tau), (name, k, j), row)
 
 
-def linefuncs_to_csv(named) -> str:
-    """lambda, block, k, j, re, im for a mapping name -> LineMatrixFunction."""
-    parts = ["lambda,block,k,j,re,im\n"]
+def linefuncs_to_csv(named):
+    """lambda, block, k, j, re, im of each name -> LineMatrixFunction: a slab per entry."""
+    yield "lambda,block,k,j,re,im\n"
     for name, f in named.items():
-        grid = f.grid
-        cols = np.empty((len(grid), 3))
-        cols[:, 0] = grid
-        field = _csv_field(name)
         for k in range(f.m):
             for j in range(f.m):
-                col = f.values[:, k, j]
-                cols[:, 1] = col.real
-                cols[:, 2] = col.imag
-                template = f"%.17g,{field},{k + 1},{j + 1},%.17g,%.17g\n" * len(grid)
-                parts.append(template % tuple(cols.ravel().tolist()))
-    return "".join(parts)
+                yield _csv_rows((f.grid,), (name, k, j), f.values[:, k, j])
 
 
 def linefuncs_from_csv(path) -> dict:
@@ -284,19 +276,26 @@ def linefuncs_from_csv(path) -> dict:
         raise ParseError(path, f"line {reader.line_num}: {exc}") from exc
     out = {}
     for name, entries in data.items():
-        m = max(max(k, j) for k, j in entries)
-        lams = vals = None
+        lams = None
         for (k, j), pts in entries.items():
+            if min(k, j) < 1:
+                raise ParseError(path, f"entry ({k},{j}) in block {name} has an index below 1")
             pts.sort(key=itemgetter(0))
             entry_lams = [p[0] for p in pts]
             if len(set(entry_lams)) < len(entry_lams):
                 raise ParseError(path, f"entry ({k},{j}) in block {name} repeats a lambda value")
             if lams is None:
-                lams, vals = entry_lams, np.zeros((len(entry_lams), m, m), dtype=complex)
+                lams = entry_lams
             elif entry_lams != lams:
                 raise ParseError(path, f"entry ({k},{j}) in block {name} is not sampled on the block's lambda grid")
-            vals[:, k - 1, j - 1] = [p[1] for p in pts]
-        out[name] = LineMatrixFunction(np.array(lams), vals)
+        m = max(max(k, j) for k, j in entries)
+        if len(entries) != m * m:
+            raise ParseError(path, f"block {name} has {len(entries)} of the {m * m} entries of a {m} x {m} matrix")
+        columns = [[p[1] for p in entries[k, j]] for k in range(1, m + 1) for j in range(1, m + 1)]
+        try:
+            out[name] = LineMatrixFunction(np.array(lams), np.stack(columns, axis=-1).reshape(-1, m, m))
+        except ValidationError as exc:
+            raise ParseError(path, f"block {name}: {exc}") from exc
     return out
 
 

@@ -140,7 +140,7 @@ def test_linefunc_csv_roundtrip(tmp_path):
     grid = make_grid(10.0, 16)
     vals = np.arange(16 * 4, dtype=float).reshape(16, 2, 2) + 0.5j
     f = LineMatrixFunction(grid, vals)
-    text = linefuncs_to_csv({"S": f})
+    text = "".join(linefuncs_to_csv({"S": f}))
     path = tmp_path / "f.csv"
     path.write_text(text)
     back = linefuncs_from_csv(path)["S"]
@@ -242,7 +242,7 @@ def _split_config(tmp_path):
     grid = make_grid(100.0, 2048)
     f = LineMatrixFunction(grid, (1j / (grid + 1j) - 1j / (grid - 1j))[:, None, None])
     inp = tmp_path / "f.csv"
-    inp.write_text(linefuncs_to_csv({"f": f}))
+    inp.write_text("".join(linefuncs_to_csv({"f": f})))
     return _write(tmp_path, "split.json", {"input": str(inp)}), grid
 
 
@@ -250,7 +250,7 @@ def _rh_solve_config(tmp_path):
     grid = make_grid(100.0, 1024)
     s_vals = (1 + (0.1 + 0.1j) / (grid - 1.2j)) / (1 + 0.15 / (grid + 1.5j))
     inp = tmp_path / "s.csv"
-    inp.write_text(linefuncs_to_csv({"S": LineMatrixFunction(grid, s_vals[:, None, None])}))
+    inp.write_text("".join(linefuncs_to_csv({"S": LineMatrixFunction(grid, s_vals[:, None, None])})))
     return _write(tmp_path, "rh.json", {"input": str(inp), "split_edge_tol": 0.01}), grid
 
 
@@ -264,7 +264,7 @@ def _recover_config(tmp_path, h2=2.0):
         plus = LineMatrixFunction(grid, (-h * a12p)[:, None, None])
         minus = LineMatrixFunction(grid, np.zeros((len(grid), 1, 1), complex))
         path = tmp_path / f"{tag}.csv"
-        path.write_text(linefuncs_to_csv({"plus": plus, "minus": minus}))
+        path.write_text("".join(linefuncs_to_csv({"plus": plus, "minus": minus})))
         fac_files[tag] = str(path)
     prob = _write(tmp_path, f"p{h2}.json", {"boundary": {"H": [[1.0]]}, "boundary2": {"H": [[h2]]}})
     return _write(tmp_path, f"recover{h2}.json", {"problem": prob, "inputs": fac_files}), a12p
@@ -303,6 +303,19 @@ def test_split_rejects_repeated_lambda(tmp_path):
     assert rep["error"] == "ParseError"
     assert rep["path"] == str(inp)
     assert "entry (1,1) in block S repeats a lambda value" in rep["detail"]
+
+
+def test_split_rejects_index_below_one(tmp_path):
+    # a k of 0 would index the value array at -1 and load into S[2,1]
+    rows = ["0,S,0,1,1,0", "1,S,0,1,2,0", "0,S,2,2,3,0", "1,S,2,2,4,0"]
+    inp = tmp_path / "s.csv"
+    inp.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    cfg = _write(tmp_path, "split.json", {"input": str(inp)})
+    out = tmp_path / "out"
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError"
+    assert "entry (0,1) in block S has an index below 1" in rep["detail"]
 
 
 @pytest.mark.parametrize("bad_row", ["1,S,1,1,abc,0", "1,S,1,1", "1,S,1,1,2,0,7"])
@@ -368,7 +381,7 @@ def test_report_command(tmp_path):
     grid = make_grid(100.0, 512)
     s_vals = (1 - 2j * grid) / (1 - 2j * grid - 1j)
     inp = tmp_path / "s.csv"
-    inp.write_text(linefuncs_to_csv({"S": LineMatrixFunction(grid, s_vals[:, None, None])}))
+    inp.write_text("".join(linefuncs_to_csv({"S": LineMatrixFunction(grid, s_vals[:, None, None])})))
     cfg = _write(tmp_path, "c.json", {"input": str(inp)})
     out = tmp_path / "out"
     assert run_cli("report", "--config", cfg, "--out", str(out)) == 0
@@ -387,7 +400,7 @@ def test_failed_run_report_names_error(tmp_path):
     grid = make_grid(100.0, 512)
     f = LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))
     inp = tmp_path / "f.csv"
-    inp.write_text(linefuncs_to_csv({"f": f}))
+    inp.write_text("".join(linefuncs_to_csv({"f": f})))
     cfg = _write(tmp_path, "c.json", {"input": str(inp)})
     out = tmp_path / "out"
     assert run_cli("split", "--config", cfg, "--out", str(out)) == 1
@@ -399,7 +412,7 @@ def test_failure_report_carries_error_numbers(tmp_path):
     # the offending edge norm and the tolerance it broke reach the report
     grid = make_grid(100.0, 512)
     inp = tmp_path / "f.csv"
-    inp.write_text(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))}))
+    inp.write_text("".join(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))})))
     cfg = _write(tmp_path, "c.json", {"input": str(inp), "split_edge_tol": 0.25})
     out = tmp_path / "out"
     assert run_cli("split", "--config", cfg, "--out", str(out)) == 1
@@ -411,7 +424,7 @@ def test_failure_report_carries_error_numbers(tmp_path):
 def test_failure_report_goes_to_config_out_dir(tmp_path, monkeypatch):
     grid = make_grid(100.0, 512)
     inp = tmp_path / "f.csv"
-    inp.write_text(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))}))
+    inp.write_text("".join(linefuncs_to_csv({"f": LineMatrixFunction(grid, np.full((512, 1, 1), 0.5 + 0j))})))
     wanted = tmp_path / "wanted"
     cfg = _write(tmp_path, "c.json", {"input": str(inp), "out_dir": str(wanted)})
     cwd = tmp_path / "cwd"

@@ -10,7 +10,6 @@ from isphalf.domain import (
     block_mask,
     channel_table,
     kernel_decay_exponent,
-    max_possible_entries,
     validate_potential,
 )
 from isphalf.errors import SingularH, ValidationError
@@ -132,7 +131,7 @@ def test_envelope_violation_reported():
 
 def test_admissible_entry_count_is_2n_squared():
     for n in range(1, 6):
-        assert max_possible_entries(n) == 2 * n * n
+        assert sum(int(block_mask(name, n).sum()) for name in ("q11", "q12", "q21", "q22")) == 2 * n * n
 
 
 def test_valid_iff_forced_zeros_are_zero():

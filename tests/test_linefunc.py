@@ -42,15 +42,13 @@ def test_pointwise_algebra_and_norms():
     assert b.right_mul(np.diag([1.0, 4.0])).values[0, 0, 1] == 4.0
 
 
-def test_at_and_window():
+def test_at():
     g = make_grid(8.0, 16)
     f = LineMatrixFunction(g, g.astype(complex))
     assert f.at(0.0)[0, 0] == 0.0
     assert f.at(g[3])[0, 0] == pytest.approx(g[3])
     with pytest.raises(ValidationError):
         f.at(0.123456)
-    mask = f.window(-2.0, 2.0)
-    assert np.all(np.abs(g[mask]) <= 2.0)
 
 
 def test_tags():

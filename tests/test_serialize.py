@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from isphalf.domain import Dispersion
 from isphalf.errors import ParseError
 from isphalf.forward import TransformationKernels
 from isphalf.linefunc import LineMatrixFunction, make_grid
-from isphalf.serialize import kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv
+from isphalf.serialize import atomic_write_text, kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv
 
 # -- reference writers: one csv.writer row per cell, format(v, ".17g") per float
 
@@ -96,7 +98,7 @@ def test_kernels_csv_matches_reference_writer():
         envelope_eps=1.0,
         sweeps=1,
     )
-    got = kernels_to_csv(kernels)
+    got = "".join(kernels_to_csv(kernels))
     assert got == reference_kernels_to_csv(kernels)
     assert "A12,1,2," not in got and "A21,2,1," not in got
 
@@ -108,7 +110,7 @@ def test_linefuncs_csv_matches_reference_writer():
         name: LineMatrixFunction(grid, _awkward(rng, (16, m, m)))
         for name, m in (("S", 2), ("A11_minus", 1), ("comma,name", 1), ('quote"d', 1), ("pct%d%%", 2), ("", 1))
     }
-    assert linefuncs_to_csv(named) == reference_linefuncs_to_csv(named)
+    assert "".join(linefuncs_to_csv(named)) == reference_linefuncs_to_csv(named)
 
 
 _finite_or_inf = st.floats(allow_nan=False, width=64)
@@ -131,7 +133,7 @@ def test_linefuncs_csv_roundtrip_is_bit_exact(tmp_path_factory, lambda_max, log_
     vals.real, vals.imag = re, im  # separate stores keep -0.0 and inf parts exact
     f = LineMatrixFunction(grid, vals.reshape(len(grid), m, m))
     path = tmp_path_factory.mktemp("roundtrip") / "f.csv"
-    path.write_text(linefuncs_to_csv({name: f}))
+    path.write_text("".join(linefuncs_to_csv({name: f})))
     back = linefuncs_from_csv(path)[name]
     assert np.array_equal(back.grid.view(np.uint64), f.grid.view(np.uint64))
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
@@ -144,3 +146,116 @@ def test_linefuncs_from_csv_rejects_entry_off_the_block_grid(tmp_path):
     path.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
     with pytest.raises(ParseError, match=r"entry \(1,2\) in block S"):
         linefuncs_from_csv(path)
+
+
+def _write_rows(tmp_path, rows):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
+    return path
+
+
+def test_linefuncs_from_csv_rejects_index_below_one(tmp_path):
+    # a k of 0 would index the value array at -1 and land in S[2,1]
+    path = _write_rows(tmp_path, ["0,S,0,1,1,0", "1,S,0,1,2,0", "0,S,2,2,3,0", "1,S,2,2,4,0"])
+    with pytest.raises(ParseError, match=r"entry \(0,1\) in block S has an index below 1"):
+        linefuncs_from_csv(path)
+
+
+def test_linefuncs_from_csv_rejects_incomplete_block(tmp_path):
+    path = _write_rows(tmp_path, ["0,S,1,1,1,0", "1,S,1,1,2,0", "0,S,2,2,3,0", "1,S,2,2,4,0"])
+    with pytest.raises(ParseError, match="block S has 2 of the 4 entries"):
+        linefuncs_from_csv(path)
+
+
+# tokens that break a field, or spell a value, an index or a lambda
+TOKENS = ["", "x", "0", "-1", "1.5", "nan", str(2**63), str(10**400)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    m=st.integers(2, 3),  # a 1x1 block has no second entry to check a moved lambda against
+    log_n=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    entry=st.integers(0, 8),
+    row=st.integers(0, 7),
+    whole_entry=st.booleans(),
+    column=st.integers(0, 5),
+    token=st.sampled_from(TOKENS),
+)
+def test_linefuncs_from_csv_mutated_field_loads_exactly_or_raises_parse_error(
+    tmp_path_factory, m, log_n, seed, entry, row, whole_entry, column, token
+):
+    n_points = 2**log_n
+    rng = np.random.default_rng(seed)
+    f = LineMatrixFunction(make_grid(2.0, n_points), rng.standard_normal((n_points, m, m, 2)) @ [1, 1j])
+    lines = "".join(linefuncs_to_csv({"S": f})).splitlines()
+    entry %= m * m
+    rows = range(entry * n_points, (entry + 1) * n_points) if whole_entry else [entry * n_points + row % n_points]
+    expected = f.values.copy()
+    for r in rows:
+        fields = lines[1 + r].split(",")
+        fields[column] = token
+        lines[1 + r] = ",".join(fields)
+        if column >= 4 and token not in ("", "x"):
+            part = expected.real if column == 4 else expected.imag
+            part[r % n_points, entry // m, entry % m] = float(token)
+    path = tmp_path_factory.mktemp("mutated") / "f.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        back = linefuncs_from_csv(path)
+    except ParseError:
+        return
+    # only a value field, or a token that spells the field's old value, loads
+    assert list(back) == ["S"]
+    assert np.array_equal(back["S"].grid.view(np.uint64), f.grid.view(np.uint64))
+    assert np.array_equal(back["S"].values.view(np.uint64), expected.view(np.uint64))
+
+
+def _chunks_then_fail():
+    yield "lambda,block\n"
+    yield "0,S\n"
+    raise RuntimeError("formatter failed")
+
+
+@pytest.mark.parametrize("existed", [True, False])
+def test_atomic_write_text_failure_leaves_no_trace(tmp_path, existed):
+    target = tmp_path / "f.csv"
+    if existed:
+        target.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        atomic_write_text(target, _chunks_then_fail())
+    assert [p.name for p in tmp_path.iterdir()] == (["f.csv"] if existed else [])
+    if existed:
+        assert target.read_bytes() == b"old bytes\n"
+
+
+def test_atomic_write_text_hashes_the_chunks_it_writes(tmp_path):
+    chunks = ["x,t\n", "0,\u03bb\n", "", "1,2\n"]
+    digest = atomic_write_text(tmp_path / "a.csv", iter(chunks))
+    data = (tmp_path / "a.csv").read_bytes()
+    assert data == "".join(chunks).encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest() == atomic_write_text(tmp_path / "b.csv", "".join(chunks))
+
+
+def test_kernels_dump_streams_in_bounded_memory(tmp_path):
+    rng = np.random.default_rng(5)
+    shape = (1, 1, 100, 200)
+    kernels = TransformationKernels(
+        disp=Dispersion(1, (-1.0, 1.0)),
+        step=0.01,
+        blocks={name: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for name in ("A11", "A12", "A21", "A22")},
+        theta=0.5,
+        c_tilde=1.0,
+        envelope_eps=1.0,
+        sweeps=1,
+    )
+    path = tmp_path / "kernels.csv"
+    tracemalloc.start()
+    try:
+        atomic_write_text(path, kernels_to_csv(kernels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 4_000_000
+    assert peak < size / 8
