@@ -21,6 +21,13 @@ def _set_thread_env(threads: int):
         os.environ[var] = str(threads)
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="isp", description=__doc__)
     parser.add_argument("command", choices=list(_COMMANDS))
@@ -28,7 +35,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, help="output directory (default: the config's out_dir, else $ISP_OUT_DIR, else ./isp-out)"
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap; 1 is the determinism reference")
+    parser.add_argument(
+        "--threads", type=_thread_count, default=None, help="worker thread cap; 1 is the determinism reference"
+    )
     parser.add_argument("--seed", type=int, default=None, help="seed for generated fixtures")
     args = parser.parse_args(argv)
 

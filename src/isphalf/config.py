@@ -8,6 +8,26 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 
+_NUMBER = ((int, float), "a number")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+_STRING_OR_NULL = ((str, type(None)), "a string or null")
+
+# the JSON type of every RunConfig field; a bool is never a number here
+_FIELD_TYPES = {
+    "problem": _STRING_OR_NULL,
+    "input": _STRING_OR_NULL,
+    "inputs": ((dict,), "an object of strings"),
+    "lambda_max": _NUMBER,
+    "n_lambda": ((int,), "an integer"),
+    "kernel_step": _NUMBER,
+    "x_max": _NUMBER_OR_NULL,
+    "t_max": _NUMBER_OR_NULL,
+    "split_edge_tol": _NUMBER,
+    "compare_to": _NUMBER,
+    "out_dir": _STRING_OR_NULL,
+    "seed": ((int, type(None)), "an integer or null"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,6 +59,14 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            types, what = _FIELD_TYPES[f.name]
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise ValidationError(f.name, f"must be {what}, got {json.dumps(v, default=repr)}")
+        for key, path in self.inputs.items():
+            if not isinstance(path, str):
+                raise ValidationError(f"inputs.{key}", f"must be a string, got {json.dumps(path, default=repr)}")
         if not self.lambda_max > 0:
             raise ValidationError("lambda_max", "must be positive")
         n = self.n_lambda

@@ -233,17 +233,20 @@ def _csv_rows(lead, label, values) -> str:
 
 
 def kernels_to_csv(kernels):
-    """Kernel dump x, t, block, k, j, re, im: a slab per x row of each nonzero channel."""
+    """The two kernel faces the method reads, as x, t, block, k, j, re, im rows
+    of each nonzero channel: the x = 0 trace (every tau), then the t = x
+    diagonal from the second x on.  The full triangle stays in kernels.blocks."""
     yield "x,t,block,k,j,re,im\n"
-    tau = kernels.tau_grid
+    x, tau = kernels.x_grid, kernels.tau_grid
     for name in ("A11", "A12", "A21", "A22"):
         block = kernels.blocks[name]
+        trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
         for k in range(kernels.n):
             for j in range(kernels.n):
                 if np.abs(block[k, j]).max() == 0.0:
                     continue
-                for x, row in zip(kernels.x_grid, block[k, j]):
-                    yield _csv_rows((x, x + tau), (name, k, j), row)
+                yield _csv_rows((x[0], x[0] + tau), (name, k, j), trace[k, j])
+                yield _csv_rows((x[1:], x[1:] + tau[0]), (name, k, j), diag[k, j, 1:])
 
 
 def linefuncs_to_csv(named):

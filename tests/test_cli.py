@@ -108,6 +108,19 @@ def test_config_tolerance_range():
         RunConfig(split_edge_tol=2.0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda_max", "100"), ("n_lambda", 1024.0), ("kernel_step", None), ("x_max", "5"), ("compare_to", True),
+     ("problem", 3), ("seed", 1.5), ("inputs", ["a.csv"]), ("inputs", {"factorization1": None})],
+)
+def test_config_value_of_wrong_type_is_input_error(tmp_path, key, value):
+    cfg = _write(tmp_path, "c.json", {key: value})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"].startswith(key)
+
+
 # -- problem files and round trips -------------------------------------------
 
 
@@ -206,6 +219,10 @@ def test_forward_command_artifacts_and_determinism(tmp_path):
     assert set(rep["manifest"]) == {p.name for p in out1.iterdir()} - {"report.json"}
     for name, digest in rep["manifest"].items():
         assert digest == hashlib.sha256((out1 / name).read_bytes()).hexdigest()
+    grid = json.loads((out1 / "sidecar.json").read_text())["kernels"]
+    rows = (out1 / "kernels.csv").read_text().splitlines()[1:]
+    channels = {tuple(row.split(",")[2:5]) for row in rows}
+    assert channels and len(rows) == len(channels) * (grid["x_points"] + grid["tau_points"] - 1)
     funcs = linefuncs_from_csv(out1 / "scattering.csv")
     lam = funcs["S"].grid
     want = (1 - 2j * lam) / (1 - 2j * lam - 1j)
@@ -463,6 +480,17 @@ def test_threads_flag_overrides_inherited_env(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "c.json", {"problem": prob})
     assert run_cli("validate", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1") == 0
     assert {var: os.environ[var] for var in thread_vars} == dict.fromkeys(thread_vars, "1")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_flag_below_one_is_rejected(tmp_path, monkeypatch, threads, capsys):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = _write(tmp_path, "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        run_cli("validate", "--config", cfg, "--threads", threads)
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 # one instance of every IspError subclass with the exit code the CLI gives it

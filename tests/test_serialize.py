@@ -99,8 +99,44 @@ def test_kernels_csv_matches_reference_writer():
         sweeps=1,
     )
     got = "".join(kernels_to_csv(kernels))
-    assert got == reference_kernels_to_csv(kernels)
+    header, *rows = reference_kernels_to_csv(kernels).splitlines(keepends=True)
+    faces = [row for row in rows if (f := row.split(","))[0] == "0" or f[0] == f[1]]
+    assert got == header + "".join(faces)
+    assert len(faces) == 14 * (nx + nt - 1)  # 16 channels, two of them all zero
     assert "A12,1,2," not in got and "A21,2,1," not in got
+
+
+def test_kernels_csv_rebuilds_both_faces_bit_exactly(tmp_path):
+    rng = np.random.default_rng(13)
+    n, nx, nt = 2, 9, 17
+    blocks = {name: _awkward(rng, (n, n, nx, nt)) for name in ("A11", "A12", "A21", "A22")}
+    blocks["A22"][1, 1] = 0.0
+    kernels = TransformationKernels(
+        disp=Dispersion(n, (-2.0, -1.0, 1.0, 2.0)),
+        step=0.1,
+        blocks=blocks,
+        theta=0.5,
+        c_tilde=1.0,
+        envelope_eps=1.0,
+        sweeps=1,
+    )
+    path = tmp_path / "kernels.csv"
+    atomic_write_text(path, kernels_to_csv(kernels))
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    assert rows[0] == ["x", "t", "block", "k", "j", "re", "im"]
+    cells: dict = {}
+    for x, t, name, k, j, re, im in rows[1:]:
+        z = np.empty((), dtype=complex)
+        z.real, z.imag = float(re), float(im)
+        cells.setdefault((name, int(k) - 1, int(j) - 1), []).append((float(x), float(t), z[()]))
+    assert len(cells) == 4 * n * n - 1
+    for (name, k, j), pts in cells.items():
+        x, t, z = (np.array(col) for col in zip(*pts))
+        trace, diag = x == 0.0, t == x
+        assert len(x) == nx + nt - 1
+        assert np.array_equal(t[trace], kernels.tau_grid) and np.array_equal(x[diag], kernels.x_grid)
+        for got, want in ((z[trace], kernels.trace_at_zero(name)[k, j]), (z[diag], kernels.diagonal(name)[k, j])):
+            assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
 
 
 def test_linefuncs_csv_matches_reference_writer():
@@ -237,22 +273,15 @@ def test_atomic_write_text_hashes_the_chunks_it_writes(tmp_path):
     assert digest == hashlib.sha256(data).hexdigest() == atomic_write_text(tmp_path / "b.csv", "".join(chunks))
 
 
-def test_kernels_dump_streams_in_bounded_memory(tmp_path):
+def test_linefuncs_dump_streams_in_bounded_memory(tmp_path):
     rng = np.random.default_rng(5)
-    shape = (1, 1, 100, 200)
-    kernels = TransformationKernels(
-        disp=Dispersion(1, (-1.0, 1.0)),
-        step=0.01,
-        blocks={name: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for name in ("A11", "A12", "A21", "A22")},
-        theta=0.5,
-        c_tilde=1.0,
-        envelope_eps=1.0,
-        sweeps=1,
-    )
-    path = tmp_path / "kernels.csv"
+    shape = (512, 16, 16)  # 131072 rows in 256 slabs
+    grid = make_grid(100.0, shape[0])
+    named = {"S": LineMatrixFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))}
+    path = tmp_path / "scattering.csv"
     tracemalloc.start()
     try:
-        atomic_write_text(path, kernels_to_csv(kernels))
+        atomic_write_text(path, linefuncs_to_csv(named))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
