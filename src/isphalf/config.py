@@ -82,6 +82,8 @@ class RunConfig:
             raise ValidationError("split_edge_tol", f"tolerance must lie in (0, 1), got {self.split_edge_tol}")
         if not self.compare_to > 0:
             raise ValidationError("compare_to", "must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError("seed", f"must be a non-negative integer, got {self.seed}")
 
     def with_overrides(self, **kw) -> "RunConfig":
         data = {f.name: getattr(self, f.name) for f in fields(self)}

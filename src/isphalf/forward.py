@@ -186,7 +186,8 @@ class TransformationKernels:
 
     Storage is (n, n, Nx, Ntau) per block with tau = t - x, so the kernel
     diagonal t = x is the tau = 0 face and the half-line trace x = 0 is the
-    first x slice.
+    first x slice.  The blocks are the arrays solve_kernels swept in place,
+    zero off the admissible entries.
     """
 
     disp: Dispersion
@@ -219,22 +220,44 @@ class TransformationKernels:
         return self.blocks[name][:, :, :, 0]
 
 
-def _kernel_peak_bytes(n: int, chans, driven: int, nx: int, nt: int) -> int:
+def _n_feet(rho: float, nx: int, nt: int) -> int:
+    """Feet of a channel of slope rho: the tau = 0 positions whose
+    characteristics cross the nodes of an (nx, nt) grid."""
+    return nx + int(math.ceil(rho * (nt - 1))) + 1
+
+
+def _gather_span(feet: int) -> int:
+    """tau levels per gather of a channel with `feet` feet:
+    _LEVELS_PER_BLOCK, fewer where a gather over every foot would exceed
+    _LEVEL_BLOCK_POINTS points."""
+    return max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // feet))
+
+
+def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: int, nt: int) -> int:
     """Upper bound on the memory solve_kernels allocates on an (nx, nt) grid.
 
-    Counts, in channel arrays of nx * nt complex values: the four kernel
-    blocks (n * n channels each), the stored drives, the next iterate of
-    every admissible channel, and two work arrays (the coupling being
-    integrated, and a product summed into it or the diagonal integral).
-    Then the temporaries of one level-block gather, at most 160 bytes per
-    point on at most _LEVEL_BLOCK_POINTS + 2 * feet points (a block of span
-    levels spans span + 1 rows of at most feet points), the accumulator on
-    the feet and the per-x potential samples.
+    Counts the four kernel blocks (4 n^2 arrays of nx * nt complex values)
+    and, on one block of _LEVELS_PER_BLOCK levels, the next iterate of
+    every admissible channel plus eight work arrays (the coupling, a
+    product summed into it, the drive slice and its factors, the diagonal
+    integral, the change and its modulus, the envelope), all of nx complex
+    values per level.  Then the temporaries of the largest gather, at most
+    160 bytes per point on span + 1 levels of the band of feet that cross
+    the nodes, the carries (the accumulator on the feet and one coupling
+    level per off-diagonal channel), the per-x potential samples, the
+    factor vectors of the drive_terms exponential terms, and 1 MiB for the
+    grids, the level table and small objects.
     """
-    feet = max(nx + int(math.ceil(c.rho * (nt - 1))) + 1 for c in chans if c.rho is not None)
-    channel = 16 * nx * nt
-    gather = 160 * (_LEVEL_BLOCK_POINTS + 2 * feet)
-    return channel * (4 * n * n + len(chans) + driven + 2) + gather + 16 * (feet + 4 * n * n * nx)
+    storage = 4 * n * n * nx * nt + (len(chans) + 8) * nx * min(_LEVELS_PER_BLOCK, nt)
+    carries = 4 * n * n * nx + drive_terms * (nx + nt)
+    gather = 0
+    for c in chans:
+        if c.rho is not None:
+            feet = _n_feet(c.rho, nx, nt)
+            span = _gather_span(feet)
+            carries += feet + nx
+            gather = max(gather, (span + 1) * (min(feet, nx + int(math.ceil(c.rho * span)) + 3) + 3))
+    return 16 * (storage + carries) + 160 * gather + (1 << 20)
 
 
 def _coupling_terms(chan: Channel, pot: TriangularPotential):
@@ -270,59 +293,103 @@ def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
     return (1.0 - frac) * rows.ravel()[lo] + frac * rows.ravel()[lo + 1]
 
 
-def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """D(x, tau) = i rho q(x + rho tau) of an off-diagonal channel driven by q."""
+def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray):
+    """The drive D(x, tau) = i rho q(x + rho tau) of an off-diagonal channel
+    driven by q, as a function of a level range [lo, hi) that returns
+    D(x, tau[lo:hi]).  An exponential sum keeps the factor vectors
+    e^{-a x} and e^{-a rho tau} of each term, formed once on the whole
+    grid."""
     if isinstance(prof, ExpSumProfile):
-        d = np.zeros((len(x), len(tau)), dtype=complex)
-        for gamma, a in prof.terms:
-            d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
+        factors = [(gamma, np.exp(-a * x), np.exp(-a * rho * tau)) for gamma, a in prof.terms]
+
+        def levels(lo: int, hi: int) -> np.ndarray:
+            d = np.zeros((len(x), hi - lo), dtype=complex)
+            for gamma, fx, ft in factors:
+                d += gamma * np.outer(fx, ft[lo:hi])
+            return 1j * rho * d
+
     else:
-        d = prof(x[:, None] + rho * tau[None, :])
-    return 1j * rho * d
+
+        def levels(lo: int, hi: int) -> np.ndarray:
+            return 1j * rho * prof(x[:, None] + rho * tau[None, lo:hi])
+
+    return levels
 
 
-def _next_iterate(chan: Channel, terms, qgrid: dict, kern: dict, drive, step: float) -> np.ndarray:
-    """One Jacobi update of a channel: its drive (None: zero) plus i times
-    the integral of its coupling, formed from the iterate kern, along the
-    channel's characteristics."""
-    nx, nt = kern["A11"].shape[2:]
-    g = np.zeros((nx, nt), dtype=complex)
-    for qname, aname, ms in terms:
-        g += np.einsum("mx,mxt->xt", qgrid[qname][chan.k, ms], kern[aname][ms, chan.j])
-    out = np.zeros((nx, nt), dtype=complex) if drive is None else drive.copy()
-    rho = chan.rho
-    if rho is None:
-        # integral along x to the truncation boundary, every tau level, in one
-        # work array; the x_max row keeps its zero drive
-        w = np.add(g[:-1], g[1:])
-        w *= 0.5 * step
-        np.cumsum(w[::-1], axis=0, out=w[::-1])
-        w *= 1j
-        out[:-1] += w
-        return out
-    # the feet over the nodes move right with tau (rho > 0); per block, feet
-    # left of f0 are never read again and feet from f1 on have met only zero
-    # coupling, so their w is still exactly +0
-    nodes = np.arange(nx, dtype=float)
-    n_feet = nx + int(math.ceil(rho * (nt - 1))) + 1
-    w = np.zeros(n_feet, dtype=complex)
-    span = max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // n_feet))
-    for a in range(1, nt, span):
-        b = min(a + span, nt)
-        shift = rho * np.arange(a - 1, b)
-        f0, f1 = int(shift[1]), min(n_feet, int(shift[-1]) + nx + 2)
-        # coupling on levels a-1 .. b-1 at the feet, clamped left of x = 0
-        rows = np.zeros((b - a + 1, nx + 3), dtype=complex)
-        rows[:, 0] = g[0, a - 1 : b]
-        rows[:, 1 : nx + 1] = g[:, a - 1 : b].T
+def _march(rho: float, prev: np.ndarray, g: np.ndarray, w: np.ndarray, out: np.ndarray, first: int, step: float):
+    """Add i times the integral of the coupling along the characteristics of
+    slope rho to out, on the levels first .. first + L - 1 of g (nx, L),
+    with prev the coupling at level first - 1.  w is the accumulation per
+    foot (indexed by its position at tau = 0), carried from block to block.
+
+    One gather takes _gather_span levels.  The feet over the nodes move
+    right with tau (rho > 0): feet left of f0 are never read again and
+    feet from f1 on have met only zero coupling, so their w is still
+    exactly +0.
+    """
+    nx, levels = g.shape
+    span = _gather_span(len(w))
+    for lo in range(0, levels, span):
+        hi = min(lo + span, levels)
+        shift = rho * np.arange(first + lo - 1, first + hi)
+        f0, f1 = int(shift[1]), min(len(w), int(shift[-1]) + nx + 2)
+        # coupling on levels lo-1 .. hi-1 at the feet, clamped left of x = 0
+        below = prev if lo == 0 else g[:, lo - 1]
+        rows = np.zeros((hi - lo + 1, nx + 3), dtype=complex)
+        rows[0, 0], rows[0, 1 : nx + 1] = below[0], below
+        rows[1:, 0], rows[1:, 1 : nx + 1] = g[0, lo:hi], g[:, lo:hi].T
         g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
-        acc = np.zeros((b - a + 1, f1 - f0 + 3), dtype=complex)
+        acc = np.zeros((hi - lo + 1, f1 - f0 + 3), dtype=complex)
         acc[0, 1:-2] = w[f0:f1]
         acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
         acc = np.cumsum(acc, axis=0)
         w[f0:f1] = acc[-1, 1:-2]
-        out[:, a:b] += 1j * _lerp_rows(acc[1:], nodes + shift[1:, None], f0).T
-    return out
+        out[:, lo:hi] += 1j * _lerp_rows(acc[1:], np.arange(nx, dtype=float) + shift[1:, None], f0).T
+
+
+def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: float, blocks) -> float:
+    """One Jacobi sweep over the kernel blocks kern, in place, one block of
+    tau levels [a, b) at a time in ascending order; returns the sup-norm
+    change.
+
+    A block's next iterate of every channel is formed in one buffer from
+    the levels [a, b) still in kern, which hold the previous iterate, and
+    from two carries per off-diagonal channel taken before the level below
+    a was overwritten: the accumulation on the feet and the coupling at
+    level a - 1.  Only then does the buffer replace the block, so the sweep
+    reads the whole previous iterate and is the global Jacobi sweep.
+    """
+    nx, nt = kern["A11"].shape[2:]
+    feet = {c: np.zeros(_n_feet(c.rho, nx, nt), dtype=complex) for c in chans if c.rho is not None}
+    last = {}
+    buf = np.empty((len(chans), nx, blocks[0][1]), dtype=complex)
+    change = np.float64(0.0)
+    for a, b in blocks:
+        new = buf[:, :, : b - a]
+        for out, c in zip(new, chans):
+            g = np.zeros((nx, b - a), dtype=complex)
+            for qname, aname, ms in terms[c]:
+                g += np.einsum("mx,mxt->xt", qgrid[qname][c.k, ms], kern[aname][ms, c.j, :, a:b])
+            out[...] = drives[c](a, b) if c in drives else 0.0
+            if c.rho is None:
+                # integral along x to the truncation boundary, every level,
+                # in one work array; the x_max row keeps its zero drive
+                w = np.add(g[:-1], g[1:])
+                w *= 0.5 * step
+                np.cumsum(w[::-1], axis=0, out=w[::-1])
+                w *= 1j
+                out[:-1] += w
+                continue
+            if a == 0:  # level 0 keeps its drive
+                _march(c.rho, g[:, 0], g[:, 1:], feet[c], out[:, 1:], 1, step)
+            else:
+                _march(c.rho, last[c], g, feet[c], out, a, step)
+            last[c] = g[:, -1].copy()
+        for out, c in zip(new, chans):
+            old = kern[c.block][c.k, c.j, :, a:b]
+            change = np.maximum(change, np.abs(out - old).max())
+            old[...] = out
+    return float(change)
 
 
 def solve_kernels(
@@ -339,24 +406,29 @@ def solve_kernels(
     2-D (x, tau) array each.  Jacobi sweeps: each sweep forms, channel by
     channel, the coupling from the previous iterate (the products
     q_{km} A_{mj} whose factors are structurally nonzero) and integrates
-    it along the channel's characteristic onto its drive i rho q_{kj}
-    (stored only where q_{kj} is nonzero).  An off-diagonal entry is
-    accumulated on the characteristic lattice, indexed by the foot
-    position at tau = 0, so interpolation error never feeds back into the
-    accumulation.  The march runs over blocks of tau levels
-    (_LEVELS_PER_BLOCK, fewer where a gather would exceed
-    _LEVEL_BLOCK_POINTS points) and, per block, over the band of feet whose
-    characteristics cross the nodes: the coupling field is gathered at the
-    feet with 2-tap linear weights, the composite trapezoid increments are
-    summed by a cumsum along tau whose first row is the accumulation
-    carried from the previous block, and the result is gathered back onto
-    the nodes.  Every element sees the same floating-point operations in
-    the same order as a march one level at a time over full kernel blocks,
-    so the kernels are bit-identical to that march and do not depend on the
-    block size.  The diagonal entries integrate along x up to the
-    truncation boundary, where the envelope bounds the dropped tail.  The
-    result holds the four (n, n, Nx, Ntau) blocks, zero off the admissible
-    entries.
+    it along the channel's characteristic onto its drive i rho q_{kj}.  An
+    off-diagonal entry is accumulated on the characteristic lattice,
+    indexed by the foot position at tau = 0, so interpolation error never
+    feeds back into the accumulation.  The diagonal entries integrate
+    along x up to the truncation boundary, where the envelope bounds the
+    dropped tail.
+
+    The operator is of Volterra type in tau: a level depends only on the
+    levels at or below it.  So each sweep runs in place over blocks of
+    _LEVELS_PER_BLOCK tau levels in ascending order, see _sweep.  An
+    off-diagonal channel marches a block in gathers of up to
+    _LEVELS_PER_BLOCK levels (fewer where a gather would exceed
+    _LEVEL_BLOCK_POINTS points): the coupling is gathered at the band of
+    feet whose characteristics cross the nodes with 2-tap linear weights,
+    the composite trapezoid increments are summed by a cumsum along tau
+    whose first row is the accumulation carried from the previous gather,
+    and the result is gathered back onto the nodes.  Each block forms its
+    own drive slice, so no drive is stored.  Every element sees the same
+    floating-point operations in the same order as a march one level at a
+    time over full kernel blocks, so the kernels are bit-identical to that
+    march and do not depend on the block size.  The result holds the four
+    (n, n, Nx, Ntau) blocks, zero off the admissible entries; they and one
+    block of next iterates are the bulk of the memory the solve needs.
 
     x_max defaults to the length where the envelope falls below
     DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The sweeps stop once the
@@ -365,9 +437,8 @@ def solve_kernels(
     approximation contracts factorially on the nested domains, so these
     constants belong to the method and are read at call time.
 
-    A grid whose peak memory bound (from the channel and drive counts)
-    exceeds physical memory is refused with ValidationError before anything
-    is allocated.
+    A grid whose peak memory bound (_kernel_peak_bytes) exceeds physical
+    memory is refused with ValidationError before anything is allocated.
     """
     n = disp.n
     eps = pot.envelope[1]
@@ -379,8 +450,10 @@ def solve_kernels(
     nx = int(math.ceil(x_max / step)) + 1
     nt = int(math.ceil(tau_max / step)) + 1
     chans = channel_table(disp)
-    driven = [c for c in chans if c.rho is not None and not pot.block(c.q_block)[c.k][c.j].is_zero]
-    need = _kernel_peak_bytes(n, chans, len(driven), nx, nt)
+    profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
+    driven = [c for c, p in profile.items() if not p.is_zero]
+    drive_terms = sum(len(profile[c].terms) for c in driven if isinstance(profile[c], ExpSumProfile))
+    need = _kernel_peak_bytes(n, chans, drive_terms, nx, nt)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValidationError(
@@ -390,28 +463,30 @@ def solve_kernels(
         )
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
+    blocks = [(a, min(a + _LEVELS_PER_BLOCK, nt)) for a in range(0, nt, _LEVELS_PER_BLOCK)]
 
     qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
     terms = {c: _coupling_terms(c, pot) for c in chans}
-    drive = {c: _drive(pot.block(c.q_block)[c.k][c.j], c.rho, x, tau) for c in driven}
+    drives = {c: _drive(profile[c], c.rho, x, tau) for c in driven}
     kern = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in KERNEL_BLOCKS}
-    for c, d in drive.items():
-        kern[c.block][c.k, c.j] = d
+    for c, drive in drives.items():
+        for a, b in blocks:
+            kern[c.block][c.k, c.j, :, a:b] = drive(a, b)
 
     change, changes = np.inf, []
     for sweep in range(1, MAX_SWEEPS + 1):
-        new = {c: _next_iterate(c, terms[c], qgrid, kern, drive.get(c), step) for c in chans}
-        change = max(float(np.abs(new[c] - kern[c.block][c.k, c.j]).max()) for c in chans)
-        for c in chans:
-            kern[c.block][c.k, c.j] = new.pop(c)
+        change = _sweep(chans, terms, qgrid, kern, drives, step, blocks)
         changes.append(change)
         if change < DEFAULT_ITER_TOL:
             break
     else:
         raise NonConvergence("kernel system", MAX_SWEEPS, change)
 
-    envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
-    c_tilde = max(float((np.abs(kern[c.block][c.k, c.j]) * envelope).max()) for c in chans)
+    c_tilde = 0.0
+    for a, b in blocks:
+        envelope = np.exp(eps * (x[:, None] + theta * tau[None, a:b]))
+        for c in chans:
+            c_tilde = max(c_tilde, float((np.abs(kern[c.block][c.k, c.j, :, a:b]) * envelope).max()))
     return TransformationKernels(
         disp=disp,
         step=step,

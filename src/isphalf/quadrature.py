@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL = 0.35
+_OMEGA_CHUNK = 128  # omegas per (cell, omega) phase matrix of filon_simpson_transform
 
 
 def _m0(z):
@@ -137,9 +138,8 @@ def filon_simpson_transform(values, t0: float, dt: float, omegas):
     lead = values.shape[:-1]
     out = np.zeros(lead + omegas.shape, dtype=complex)
     h = dt
-    chunk = 1024  # omegas per (cell, omega) phase matrix
-    for lo in range(0, len(omegas), chunk):
-        w = omegas[lo : lo + chunk]
+    for lo in range(0, len(omegas), _OMEGA_CHUNK):
+        w = omegas[lo : lo + _OMEGA_CHUNK]
         theta = w * h
         m0 = 2.0 * h * _g0(theta)
         m1 = 2j * h * h * _g1(theta)
@@ -148,5 +148,5 @@ def filon_simpson_transform(values, t0: float, dt: float, omegas):
         sa = a @ phase
         sb = b @ phase
         sc = c @ phase
-        out[..., lo : lo + chunk] = sa * m0 + sb * m1 + sc * m2
+        out[..., lo : lo + _OMEGA_CHUNK] = sa * m0 + sb * m1 + sc * m2
     return out

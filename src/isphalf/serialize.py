@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from operator import itemgetter
@@ -32,12 +33,62 @@ from .profiles import ExpSumProfile, SampledProfile, ScalarProfile, ZERO_PROFILE
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()
+_MAX_RANDOM_TERMS = 1000  # exponential terms per generated profile
+
+
+def _show(v) -> str:
+    text = json.dumps(v, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _join(where: str, key) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def _member(obj, key: str, where: str, default=_REQUIRED):
+    """obj[key] of the JSON object at `where`; a missing key without a
+    default, or a value that is not an object, raises ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(where, f"expected an object, got {_show(obj)}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValidationError(_join(where, key), "missing")
+    return default
+
+
+def _array(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(where, f"expected an array, got {_show(v)}")
+    return v
+
+
+def _integer(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(where, f"expected an integer, got {_show(v)}")
+    return v
+
+
+def _number(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(where, f"expected a number, got {_show(v)}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(where, f"expected a finite number, got {_show(v)}")
+    return x
+
+
 def _as_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValidationError(where, f"expected number or [re, im] pair, got {v!r}")
+    """A number or an [re, im] pair."""
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_number(v[0], _join(where, 0)), _number(v[1], _join(where, 1)))
+    return complex(_number(v, where))
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -51,14 +102,17 @@ def profile_from_json(obj, where: str) -> ScalarProfile:
         raise ValidationError(where, "profile must be null or an object with a 'type'")
     kind = obj["type"]
     if kind == "expsum":
-        terms = tuple(
-            (_as_complex(t["gamma"], f"{where}.gamma"), float(t["a"])) for t in obj.get("terms", [])
-        )
-        return ExpSumProfile(terms)
+        terms = []
+        for i, t in enumerate(_array(obj.get("terms", []), _join(where, "terms"))):
+            at = _join(_join(where, "terms"), i)
+            terms.append((_as_complex(_member(t, "gamma", at), _join(at, "gamma")), _number(_member(t, "a", at), _join(at, "a"))))
+        return ExpSumProfile(tuple(terms))
     if kind == "sampled":
-        values = np.array([_as_complex(v, f"{where}.values") for v in obj["values"]])
-        return SampledProfile(float(obj["dx"]), values, float(obj.get("tail_rate", 1.0)))
-    raise ValidationError(where, f"unknown profile type {kind!r}")
+        at = _join(where, "values")
+        values = np.array([_as_complex(v, _join(at, i)) for i, v in enumerate(_array(_member(obj, "values", where), at))])
+        dx = _number(_member(obj, "dx", where), _join(where, "dx"))
+        return SampledProfile(dx, values, _number(obj.get("tail_rate", 1.0), _join(where, "tail_rate")))
+    raise ValidationError(_join(where, "type"), f"unknown profile type {_show(kind)}")
 
 
 def profile_to_json(p: ScalarProfile):
@@ -80,23 +134,41 @@ def profile_to_json(p: ScalarProfile):
 
 
 def _matrix_from_json(obj, where: str) -> np.ndarray:
-    try:
-        return np.array([[_as_complex(v, where) for v in row] for row in obj])
-    except TypeError as exc:
-        raise ValidationError(where, "expected a nested array of numbers") from exc
+    """A nonempty rectangular array of numbers or [re, im] pairs."""
+    rows = [_array(row, _join(where, i)) for i, row in enumerate(_array(obj, where))]
+    if not rows or any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
+        raise ValidationError(where, "expected a nonempty rectangular array of rows")
+    return np.array([[_as_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(rows)])
+
+
+def _dispersion(obj, where: str) -> Dispersion:
+    n = _integer(_member(obj, "n", where), _join(where, "n"))
+    xi = _array(_member(obj, "xi", where), _join(where, "xi"))
+    return Dispersion(n, tuple(_number(v, _join(_join(where, "xi"), i)) for i, v in enumerate(xi)))
+
+
+def _envelope(obj, where: str) -> tuple[float, float]:
+    env = _member(obj, "envelope", where, {"C": 1.0, "eps": 1.0})
+    at = _join(where, "envelope")
+    return _number(_member(env, "C", at), _join(at, "C")), _number(_member(env, "eps", at), _join(at, "eps"))
 
 
 def random_edge_system(spec: dict, seed) -> EdgeCoupledSystem:
     """Deterministic random fixture: exponential-sum couplings from a seed."""
     from .edge_coupled import EdgeCoupledSystem
 
+    where = "random_edge_system"
+    disp = _dispersion(spec, where)
     rng = np.random.default_rng(0 if seed is None else seed)
-    disp = Dispersion(int(spec["n"]), tuple(float(v) for v in spec["xi"]))
     n = disp.n
-    terms = int(spec.get("terms", 2))
-    amp = float(spec.get("amplitude", 0.3))
-    rate_lo = float(spec.get("rate_min", 1.0))
-    rate_hi = float(spec.get("rate_max", 2.5))
+    terms = _integer(_member(spec, "terms", where, 2), _join(where, "terms"))
+    amp = _number(_member(spec, "amplitude", where, 0.3), _join(where, "amplitude"))
+    rate_lo = _number(_member(spec, "rate_min", where, 1.0), _join(where, "rate_min"))
+    rate_hi = _number(_member(spec, "rate_max", where, 2.5), _join(where, "rate_max"))
+    if not 1 <= terms <= _MAX_RANDOM_TERMS:
+        raise ValidationError(_join(where, "terms"), f"must lie in [1, {_MAX_RANDOM_TERMS}], got {terms}")
+    if not 0.0 < rate_lo <= rate_hi:
+        raise ValidationError(_join(where, "rate_min"), f"need 0 < rate_min <= rate_max, got {rate_lo} and {rate_hi}")
     envelope = (max(2.0 * amp * terms, 1e-3), rate_lo)
 
     def draw():
@@ -116,7 +188,9 @@ def load_problem(path, seed=None) -> dict:
 
     Sections: dispersion, potential, boundary / boundary2, edge_system (or
     random_edge_system, materialized from the seed), edge_boundary /
-    edge_boundary2.
+    edge_boundary2.  A missing key, a value of the wrong JSON type or an
+    array of the wrong shape raises ValidationError naming its path, for
+    example potential.q12[0][0].terms[0].a.
     """
     path = Path(path)
     try:
@@ -125,59 +199,59 @@ def load_problem(path, seed=None) -> dict:
         raise ParseError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(path, "top level must be an object")
 
     out: dict = {}
     disp = None
     if "dispersion" in raw:
-        d = raw["dispersion"]
-        disp = Dispersion(int(d["n"]), tuple(float(v) for v in d["xi"]))
-        out["dispersion"] = disp
+        disp = out["dispersion"] = _dispersion(raw["dispersion"], "dispersion")
     if "potential" in raw:
         p = raw["potential"]
         if disp is None:
             raise ValidationError("potential", "needs a dispersion section")
         n = disp.n
-        env = p.get("envelope", {"C": 1.0, "eps": 1.0})
         blocks = {}
         for name in ("q11", "q12", "q21", "q22"):
-            rows = p.get(name)
+            at = _join("potential", name)
+            rows = _member(p, name, "potential", None)
             if rows is None:
                 blocks[name] = None
                 continue
+            rows = [_array(row, _join(at, i)) for i, row in enumerate(_array(rows, at))]
             if len(rows) != n or any(len(r) != n for r in rows):
-                raise ValidationError(name, f"must be {n} x {n}")
+                raise ValidationError(at, f"must be {n} x {n}")
             blocks[name] = [
-                [profile_from_json(cell, f"{name}[{i}][{j}]") for j, cell in enumerate(row)]
+                [profile_from_json(cell, f"{at}[{i}][{j}]") for j, cell in enumerate(row)]
                 for i, row in enumerate(rows)
             ]
-        out["potential"] = TriangularPotential(
-            n, envelope=(float(env["C"]), float(env["eps"])), **blocks
-        )
+        out["potential"] = TriangularPotential(n, envelope=_envelope(p, "potential"), **blocks)
     for key in ("boundary", "boundary2"):
         if key in raw:
-            out[key] = BoundaryMatrix(_matrix_from_json(raw[key]["H"], key))
+            at = _join(key, "H")
+            h = _matrix_from_json(_member(raw[key], "H", key), at)
+            if disp is not None and h.shape != (disp.n, disp.n):
+                raise ValidationError(at, f"must be {disp.n} x {disp.n}")
+            out[key] = BoundaryMatrix(h)
     if "edge_system" in raw:
         from .edge_coupled import EdgeCoupledSystem
 
         e = raw["edge_system"]
-        disp_e = Dispersion(int(e["n"]), tuple(float(v) for v in e["xi"]))
-        env = e.get("envelope", {"C": 1.0, "eps": 1.0})
-        c_first = tuple(
-            profile_from_json(p, f"edge_system.c_first[{i}]") for i, p in enumerate(e.get("c_first", []))
-        )
-        c_last = tuple(
-            profile_from_json(p, f"edge_system.c_last[{i}]") for i, p in enumerate(e.get("c_last", []))
-        )
-        out["edge_system"] = EdgeCoupledSystem(
-            disp_e, c_first, c_last, (float(env["C"]), float(env["eps"]))
-        )
+        disp_e = _dispersion(e, "edge_system")
+        cols = {}
+        for name in ("c_first", "c_last"):
+            at = _join("edge_system", name)
+            cols[name] = tuple(
+                profile_from_json(p, _join(at, i)) for i, p in enumerate(_array(_member(e, name, "edge_system", []), at))
+            )
+        out["edge_system"] = EdgeCoupledSystem(disp_e, envelope=_envelope(e, "edge_system"), **cols)
     elif "random_edge_system" in raw:
         out["edge_system"] = random_edge_system(raw["random_edge_system"], seed)
     for key in ("edge_boundary", "edge_boundary2"):
         if key in raw:
             from .edge_coupled import EdgeBoundary
 
-            block = _matrix_from_json(raw[key]["h_block"], key)
+            block = _matrix_from_json(_member(raw[key], "h_block", key), _join(key, "h_block"))
             n_edge = out["edge_system"].n if "edge_system" in out else block.shape[0] + 1
             out[key] = EdgeBoundary(n_edge, block)
     if not out:

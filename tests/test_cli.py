@@ -202,6 +202,39 @@ def test_validate_flags_bad_structure(tmp_path):
     assert rep["valid"] is False and "q11(1,2)" in rep["violations"][0]
 
 
+_NO_RATE = {"type": "expsum", "terms": [{"gamma": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize(
+    "problem, field",
+    [
+        ({"dispersion": {"xi": [-1, 1]}}, "dispersion.n"),
+        ({**EXP_PROBLEM, "potential": {"q12": [[_NO_RATE]]}}, "potential.q12[0][0].terms[0].a"),
+        ({**EXP_PROBLEM, "boundary": {}}, "boundary.H"),
+        ({**EXP_PROBLEM, "boundary": {"H": [[1.0, 0.0], [0.0, 1.0]]}}, "boundary.H"),
+    ],
+)
+def test_validate_malformed_problem_is_input_error(tmp_path, problem, field):
+    prob = _write(tmp_path, "p.json", problem)
+    cfg = _write(tmp_path, "c.json", {"problem": prob})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == field
+
+
+@pytest.mark.parametrize("in_config", [True, False])
+def test_negative_seed_is_input_error(tmp_path, in_config):
+    spec = {"random_edge_system": {"n": 2, "xi": [-2.0, -1.0, 1.0, 2.0]}, "edge_boundary": {"h_block": [[1.0]]}}
+    prob = _write(tmp_path, "p.json", spec)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, "seed": -1} if in_config else {"problem": prob})
+    out = tmp_path / "out"
+    argv = ["edge-forward", "--config", cfg, "--out", str(out)] + ([] if in_config else ["--seed", "-1"])
+    assert run_cli(*argv) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == "seed"
+
+
 def test_forward_command_artifacts_and_determinism(tmp_path):
     prob = _write(tmp_path, "p.json", EXP_PROBLEM)
     cfg = _write(tmp_path, "c.json", {"problem": prob, **FWD_CFG})

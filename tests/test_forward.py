@@ -475,6 +475,19 @@ def test_preflight_estimate_bounds_peak(monkeypatch, n1_pot, n1_disp, n):
     assert peak <= estimates[0]
 
 
+def test_solve_holds_the_blocks_and_one_level_block():
+    # the sweeps run in place: beyond the returned blocks the solve holds one
+    # block of tau levels of next iterates, the carries and the gathers
+    pot = random_potential(3, 7)
+    tracemalloc.start()
+    try:
+        ker = solve_kernels(pot, N3_DISP, step=0.05, x_max=12.0, tau_max=24.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35 * sum(block.nbytes for block in ker.blocks.values())
+
+
 # -- transforms and matrices -------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isphalf import quadrature
 from isphalf.quadrature import (
     _m0,
     _m1,
@@ -59,3 +60,36 @@ def test_filon_simpson_batched_and_even_padding():
     want = (1 - np.exp(-(1 - 3j) * t[-1])) / (1 - 3j)
     assert abs(got[0, 0] - want) < 1e-5
     assert abs(got[1, 0] - 2 * want) < 1e-5
+
+
+def _filon_rows(n, nt, n_omega, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, nt, 2)) @ [1, 1j]
+    return rows, rng.uniform(-300.0, 300.0, n_omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_omega", [64, 128, 256, 1024, 2048])
+def test_filon_chunk_is_bit_identical_on_power_of_two_grids(monkeypatch, n, n_omega):
+    # the CLI's lambda grids have a power-of-two length, so every chunk of
+    # omegas is full and the phase products round as in one wide product
+    rows, omegas = _filon_rows(n, 251, n_omega)
+    got = {}
+    for chunk in (1024, 128):
+        monkeypatch.setattr(quadrature, "_OMEGA_CHUNK", chunk)
+        got[chunk] = filon_simpson_transform(rows, 0.0, 0.04, omegas).tobytes()
+    assert got[128] == got[1024]
+
+
+@pytest.mark.parametrize("n_omega", [6, 7, 8, 127, 128, 129, 1023, 1024, 1025])
+def test_filon_chunk_boundaries_lose_no_omega(monkeypatch, n_omega):
+    # a partial chunk changes only the BLAS kernel that rounds its columns
+    rows, omegas = _filon_rows(2, 1001, n_omega)
+    got = {}
+    for chunk in (1024, 128, 7):
+        monkeypatch.setattr(quadrature, "_OMEGA_CHUNK", chunk)
+        got[chunk] = filon_simpson_transform(rows, 0.0, 0.04, omegas)
+    scale = np.abs(got[1024]).max()
+    for chunk in (128, 7):
+        assert got[chunk].shape == (2, n_omega)
+        assert np.abs(got[chunk] - got[1024]).max() <= 1e-14 * scale

@@ -1,6 +1,8 @@
+import copy
 import csv
 import hashlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isphalf.domain import Dispersion
-from isphalf.errors import ParseError
+from isphalf.errors import IspError, ParseError
 from isphalf.forward import TransformationKernels
 from isphalf.linefunc import LineMatrixFunction, make_grid
-from isphalf.serialize import atomic_write_text, kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv
+from isphalf.serialize import atomic_write_text, kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv, load_problem
 
 # -- reference writers: one csv.writer row per cell, format(v, ".17g") per float
 
@@ -288,3 +290,79 @@ def test_linefuncs_dump_streams_in_bounded_memory(tmp_path):
     size = path.stat().st_size
     assert size >= 4_000_000
     assert peak < size / 8
+
+
+# -- problem files: every mutation of one key loads or raises an IspError
+
+_EXPSUM = {"type": "expsum", "terms": [{"gamma": [0.3, 0.1], "a": 1.5}, {"gamma": 0.1, "a": 2.0}]}
+_SAMPLED = {"type": "sampled", "dx": 0.5, "tail_rate": 1.0, "values": [[0.2, 0.0], 0.1, [0.05, 0.01]]}
+_H_BLOCK = {"h_block": [[1.0, 0.5], [0.0, 2.0]]}
+VALID_PROBLEMS = (
+    {
+        "dispersion": {"n": 2, "xi": [-2.0, -1.0, 1.0, 2.0]},
+        "potential": {
+            "envelope": {"C": 1.0, "eps": 1.0},
+            "q11": [[None, None], [_EXPSUM, None]],
+            "q12": [[None, _SAMPLED], [_EXPSUM, _EXPSUM]],
+            "q21": [[_SAMPLED, _EXPSUM], [_EXPSUM, None]],
+        },
+        "boundary": {"H": [[1.0, 0.0], [0.0, [2.0, 1.0]]]},
+        "boundary2": {"H": [[2.0, 0.0], [0.5, 1.0]]},
+    },
+    {
+        "edge_system": {
+            "n": 3,
+            "xi": [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0],
+            "envelope": {"C": 1.0, "eps": 1.0},
+            "c_first": [_EXPSUM, None, _SAMPLED, _EXPSUM],
+            "c_last": [None, _EXPSUM],
+        },
+        "edge_boundary": _H_BLOCK,
+        "edge_boundary2": _H_BLOCK,
+    },
+    {
+        "random_edge_system": {"n": 2, "xi": [-2.0, -1.0, 1.0, 2.0], "terms": 2, "amplitude": 0.3, "rate_min": 1.0, "rate_max": 2.5},
+        "edge_boundary": {"h_block": [[1.0]]},
+    },
+)
+_DELETE = object()
+
+
+def _json_paths(obj, prefix=()):
+    """Every key of every object and every index of every array, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("problem", VALID_PROBLEMS)
+def test_valid_problems_load(tmp_path, problem):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    assert load_problem(path, seed=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    which=st.integers(0, len(VALID_PROBLEMS) - 1),
+    pick=st.integers(0, 10**6),
+    value=st.sampled_from([_DELETE, None, "x", [], {}]),
+)
+def test_load_problem_mutated_key_loads_or_raises_isp_error(tmp_path_factory, which, pick, value):
+    problem = copy.deepcopy(VALID_PROBLEMS[which])
+    paths = list(_json_paths(problem))
+    *parents, key = paths[pick % len(paths)]
+    parent = problem
+    for step in parents:
+        parent = parent[step]
+    if value is _DELETE:
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(value)
+    path = tmp_path_factory.mktemp("problem") / "p.json"
+    path.write_text(json.dumps(problem))
+    try:
+        load_problem(path, seed=3)
+    except IspError:
+        pass
