@@ -197,7 +197,7 @@ class TransformationKernels:
     c_tilde: float
     envelope_eps: float
     sweeps: int
-    sweep_changes: tuple[float, ...] = ()  # sup-norm change of each Jacobi sweep
+    sweep_changes: tuple[float, ...] = ()  # sup-norm change of each sweep
 
     @property
     def n(self) -> int:
@@ -237,18 +237,18 @@ def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: int, nt: int) -> int
     """Upper bound on the memory solve_kernels allocates on an (nx, nt) grid.
 
     Counts the four kernel blocks (4 n^2 arrays of nx * nt complex values)
-    and, on one block of _LEVELS_PER_BLOCK levels, the next iterate of
-    every admissible channel plus eight work arrays (the coupling, a
-    product summed into it, the drive slice and its factors, the diagonal
-    integral, the change and its modulus, the envelope), all of nx complex
-    values per level.  Then the temporaries of the largest gather, at most
-    160 bytes per point on span + 1 levels of the band of feet that cross
-    the nodes, the carries (the accumulator on the feet and one coupling
-    level per off-diagonal channel), the per-x potential samples, the
-    factor vectors of the drive_terms exponential terms, and 1 MiB for the
-    grids, the level table and small objects.
+    and, on one block of _LEVELS_PER_BLOCK levels, the next iterate of one
+    channel plus eight work arrays (the coupling, a product summed into it,
+    the drive slice and its factors, the diagonal integral, the change and
+    its modulus, the envelope), all of nx complex values per level.  Then
+    the temporaries of the largest gather, at most 160 bytes per point on
+    span + 1 levels of the band of feet that cross the nodes, the carries
+    (the accumulator on the feet and one coupling level per off-diagonal
+    channel), the per-x potential samples, the factor vectors of the
+    drive_terms exponential terms, and 1 MiB for the grids, the level table
+    and small objects.
     """
-    storage = 4 * n * n * nx * nt + (len(chans) + 8) * nx * min(_LEVELS_PER_BLOCK, nt)
+    storage = 4 * n * n * nx * nt + 9 * nx * min(_LEVELS_PER_BLOCK, nt)
     carries = 4 * n * n * nx + drive_terms * (nx + nt)
     gather = 0
     for c in chans:
@@ -258,6 +258,19 @@ def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: int, nt: int) -> int
             carries += feet + nx
             gather = max(gather, (span + 1) * (min(feet, nx + int(math.ceil(c.rho * span)) + 3) + 3))
     return 16 * (storage + carries) + 160 * gather + (1 << 20)
+
+
+def _available_memory() -> int:
+    """Bytes the system can still give a process: MemAvailable of
+    /proc/meminfo, or physical memory where that file is absent."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _coupling_terms(chan: Channel, pot: TriangularPotential):
@@ -348,25 +361,27 @@ def _march(rho: float, prev: np.ndarray, g: np.ndarray, w: np.ndarray, out: np.n
 
 
 def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: float, blocks) -> float:
-    """One Jacobi sweep over the kernel blocks kern, in place, one block of
-    tau levels [a, b) at a time in ascending order; returns the sup-norm
-    change.
+    """One Gauss-Seidel sweep over the kernel blocks kern, in place, one
+    block of tau levels [a, b) at a time in ascending order and, within a
+    block, channel by channel in chans order; returns the sup-norm change.
 
-    A block's next iterate of every channel is formed in one buffer from
-    the levels [a, b) still in kern, which hold the previous iterate, and
-    from two carries per off-diagonal channel taken before the level below
-    a was overwritten: the accumulation on the feet and the coupling at
-    level a - 1.  Only then does the buffer replace the block, so the sweep
-    reads the whole previous iterate and is the global Jacobi sweep.
+    A channel's next iterate on [a, b) is formed in one buffer from the
+    levels [a, b) in kern, where the channels before it already hold their
+    new values, and from two carries taken when it swept the block below:
+    the accumulation on the feet and the coupling at level a - 1.  Its
+    change is taken against its values still in storage, and the buffer
+    replaces them at once, so the channels after it read the new values.
+    A coupling at level l reads only level l, so the sweep is the same as
+    one that visits the channels level by level, whatever the block size.
     """
     nx, nt = kern["A11"].shape[2:]
     feet = {c: np.zeros(_n_feet(c.rho, nx, nt), dtype=complex) for c in chans if c.rho is not None}
     last = {}
-    buf = np.empty((len(chans), nx, blocks[0][1]), dtype=complex)
+    buf = np.empty((nx, blocks[0][1]), dtype=complex)
     change = np.float64(0.0)
     for a, b in blocks:
-        new = buf[:, :, : b - a]
-        for out, c in zip(new, chans):
+        out = buf[:, : b - a]
+        for c in chans:
             g = np.zeros((nx, b - a), dtype=complex)
             for qname, aname, ms in terms[c]:
                 g += np.einsum("mx,mxt->xt", qgrid[qname][c.k, ms], kern[aname][ms, c.j, :, a:b])
@@ -379,13 +394,12 @@ def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: floa
                 np.cumsum(w[::-1], axis=0, out=w[::-1])
                 w *= 1j
                 out[:-1] += w
-                continue
-            if a == 0:  # level 0 keeps its drive
-                _march(c.rho, g[:, 0], g[:, 1:], feet[c], out[:, 1:], 1, step)
             else:
-                _march(c.rho, last[c], g, feet[c], out, a, step)
-            last[c] = g[:, -1].copy()
-        for out, c in zip(new, chans):
+                if a == 0:  # level 0 keeps its drive
+                    _march(c.rho, g[:, 0], g[:, 1:], feet[c], out[:, 1:], 1, step)
+                else:
+                    _march(c.rho, last[c], g, feet[c], out, a, step)
+                last[c] = g[:, -1].copy()
             old = kern[c.block][c.k, c.j, :, a:b]
             change = np.maximum(change, np.abs(out - old).max())
             old[...] = out
@@ -403,15 +417,17 @@ def solve_kernels(
     """Solve the coupled Volterra systems along characteristics.
 
     The unknowns are the admissible channels of domain.channel_table, one
-    2-D (x, tau) array each.  Jacobi sweeps: each sweep forms, channel by
-    channel, the coupling from the previous iterate (the products
-    q_{km} A_{mj} whose factors are structurally nonzero) and integrates
-    it along the channel's characteristic onto its drive i rho q_{kj}.  An
-    off-diagonal entry is accumulated on the characteristic lattice,
-    indexed by the foot position at tau = 0, so interpolation error never
-    feeds back into the accumulation.  The diagonal entries integrate
-    along x up to the truncation boundary, where the envelope bounds the
-    dropped tail.
+    2-D (x, tau) array each.  Gauss-Seidel sweeps: each sweep forms,
+    channel by channel in table order, the coupling from the newest
+    iterate (the products q_{km} A_{mj} whose factors are structurally
+    nonzero) and integrates it along the channel's characteristic onto its
+    drive i rho q_{kj}.  An off-diagonal entry is accumulated on the
+    characteristic lattice, indexed by the foot position at tau = 0, so
+    interpolation error never feeds back into the accumulation.  The
+    diagonal entries integrate along x up to the truncation boundary, where
+    the envelope bounds the dropped tail.  Gauss-Seidel reaches the fixed
+    point of the Jacobi iteration in fewer sweeps (Linz, Analytical and
+    Numerical Methods for Volterra Equations, SIAM 1985).
 
     The operator is of Volterra type in tau: a level depends only on the
     levels at or below it.  So each sweep runs in place over blocks of
@@ -424,11 +440,12 @@ def solve_kernels(
     whose first row is the accumulation carried from the previous gather,
     and the result is gathered back onto the nodes.  Each block forms its
     own drive slice, so no drive is stored.  Every element sees the same
-    floating-point operations in the same order as a march one level at a
-    time over full kernel blocks, so the kernels are bit-identical to that
+    floating-point operations in the same order as a march that visits the
+    channels one level at a time, so the kernels are bit-identical to that
     march and do not depend on the block size.  The result holds the four
     (n, n, Nx, Ntau) blocks, zero off the admissible entries; they and one
-    block of next iterates are the bulk of the memory the solve needs.
+    block of one channel's next iterate are the bulk of the memory the
+    solve needs.
 
     x_max defaults to the length where the envelope falls below
     DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The sweeps stop once the
@@ -437,8 +454,9 @@ def solve_kernels(
     approximation contracts factorially on the nested domains, so these
     constants belong to the method and are read at call time.
 
-    A grid whose peak memory bound (_kernel_peak_bytes) exceeds physical
-    memory is refused with ValidationError before anything is allocated.
+    A grid whose peak memory bound (_kernel_peak_bytes) exceeds the
+    available memory (_available_memory) is refused with ValidationError
+    before anything is allocated.
     """
     n = disp.n
     eps = pot.envelope[1]
@@ -454,12 +472,12 @@ def solve_kernels(
     driven = [c for c, p in profile.items() if not p.is_zero]
     drive_terms = sum(len(profile[c].terms) for c in driven if isinstance(profile[c], ExpSumProfile))
     need = _kernel_peak_bytes(n, chans, drive_terms, nx, nt)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have = _available_memory()
     if need > have:
         raise ValidationError(
             "kernel grid",
             f"{nx} x {nt} points at n = {n} need about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory",
+            f"more than the {have / 2**30:.3g} GiB of available memory",
         )
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
@@ -546,28 +564,35 @@ def kernel_transforms(
 ) -> BlockTransforms:
     """Transforms of A(0, t) against e^{i lambda xi t}, per column speed.
 
-    The result is the exact transform of the piecewise-quadratic interpolant,
-    so each output is genuinely one-sided: minus-type for the first-column
-    blocks (negative speeds), plus-type for the second-column blocks.
+    The two blocks of a column block share its speeds, so column j of both
+    is stacked into one transform; an all-zero column is left out and stays
+    exact zero.  The result is the exact transform of the piecewise-quadratic
+    interpolant, so each output is genuinely one-sided: minus-type for the
+    first-column blocks (negative speeds), plus-type for the second-column
+    blocks.
     """
     n = disp.n
     xi = disp.xi_arr
     theta = kernels.theta
     eps = kernels.envelope_eps
     h = kernels.step
-    out = {}
-    for name, (rb, cb) in KERNEL_BLOCKS.items():
-        trace = kernels.trace_at_zero(name)  # (n, n, nt)
-        vals = np.zeros((len(grid), n, n), dtype=complex)
+    vals = {name: np.zeros((len(grid), n, n), dtype=complex) for name in KERNEL_BLOCKS}
+    for cb in (0, 1):
+        names = [name for name, (_, c) in KERNEL_BLOCKS.items() if c == cb]
         for j in range(n):
-            speed = xi[cb * n + j]
-            col = trace[:, j, :]  # (n, nt)
-            if np.abs(col).max() > 0.0:
-                tr = filon_simpson_transform(col, 0.0, h, speed * grid)
-                vals[:, :, j] = tr.T
+            cols = {name: kernels.trace_at_zero(name)[:, j, :] for name in names}  # (n, nt) each
+            live = [name for name, col in cols.items() if np.abs(col).max() > 0.0]
+            if not live:
+                continue
+            stacked = np.concatenate([cols[name] for name in live])
+            tr = filon_simpson_transform(stacked, 0.0, h, xi[cb * n + j] * grid)
+            for name, part in zip(live, np.split(tr, len(live))):
+                vals[name][:, :, j] = part.T
+    out = {}
+    for name, (_, cb) in KERNEL_BLOCKS.items():
         kind = "minus" if cb == 0 else "plus"
         delta = theta * eps / abs(xi[0]) if cb == 0 else theta * eps / xi[2 * n - 1]
-        out[name] = LineMatrixFunction(grid, vals, Analyticity(kind, delta))
+        out[name] = LineMatrixFunction(grid, vals[name], Analyticity(kind, delta))
     return BlockTransforms(out["A11"], out["A21"], out["A12"], out["A22"])
 
 

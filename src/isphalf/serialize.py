@@ -290,20 +290,28 @@ def atomic_write_text(path, text) -> str:
     return digest.hexdigest()
 
 
+def _lead_text(lead, rows: int) -> list[str]:
+    """The lead columns (a float or an array each) of `rows` rows as one
+    string per row, every float as format(v, ".17g") and a comma after it."""
+    cols = np.empty((rows, len(lead)))
+    for c, col in enumerate(lead):
+        cols[:, c] = col
+    return ((("%.17g," * len(lead)) + "\n") * rows % tuple(cols.ravel().tolist())).splitlines()
+
+
 def _csv_rows(lead, label, values) -> str:
-    """One CSV row per value: the lead columns (a float or an array each), the
-    (block, k, j) label with k, j written 1-based, then re, im.  One %-format
-    call prints every float as format(v, ".17g") and the block as csv.writer."""
+    """One CSV row per value: its lead text (one _lead_text string per row),
+    the (block, k, j) label with k, j written 1-based, then re, im.  One
+    %-format call prints re, im as format(v, ".17g") and the block as
+    csv.writer."""
     name, k, j = label
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([name, k + 1, j + 1])
-    cols = np.empty((len(values), len(lead) + 2))
-    for c, col in enumerate(lead):
-        cols[:, c] = col
-    cols[:, -2] = values.real
-    cols[:, -1] = values.imag
-    template = "%.17g," * len(lead) + buf.getvalue()[:-1].replace("%", "%%") + ",%.17g,%.17g\n"
-    return (template * len(values)) % tuple(cols.ravel().tolist())
+    tail = buf.getvalue()[:-1].replace("%", "%%") + ",%.17g,%.17g\n"
+    pairs = np.empty((len(values), 2))
+    pairs[:, 0] = values.real
+    pairs[:, 1] = values.imag
+    return (tail.join(lead) + tail) % tuple(pairs.ravel().tolist())
 
 
 def kernels_to_csv(kernels):
@@ -312,6 +320,8 @@ def kernels_to_csv(kernels):
     diagonal from the second x on.  The full triangle stays in kernels.blocks."""
     yield "x,t,block,k,j,re,im\n"
     x, tau = kernels.x_grid, kernels.tau_grid
+    trace_lead = _lead_text((x[0], x[0] + tau), len(tau))
+    diag_lead = _lead_text((x[1:], x[1:] + tau[0]), len(x) - 1)
     for name in ("A11", "A12", "A21", "A22"):
         block = kernels.blocks[name]
         trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
@@ -319,17 +329,19 @@ def kernels_to_csv(kernels):
             for j in range(kernels.n):
                 if np.abs(block[k, j]).max() == 0.0:
                     continue
-                yield _csv_rows((x[0], x[0] + tau), (name, k, j), trace[k, j])
-                yield _csv_rows((x[1:], x[1:] + tau[0]), (name, k, j), diag[k, j, 1:])
+                yield _csv_rows(trace_lead, (name, k, j), trace[k, j])
+                yield _csv_rows(diag_lead, (name, k, j), diag[k, j, 1:])
 
 
 def linefuncs_to_csv(named):
-    """lambda, block, k, j, re, im of each name -> LineMatrixFunction: a slab per entry."""
+    """lambda, block, k, j, re, im of each name -> LineMatrixFunction: a slab
+    per entry, the lambda column formatted once per function."""
     yield "lambda,block,k,j,re,im\n"
     for name, f in named.items():
+        lead = _lead_text((f.grid,), len(f.grid))
         for k in range(f.m):
             for j in range(f.m):
-                yield _csv_rows((f.grid,), (name, k, j), f.values[:, k, j])
+                yield _csv_rows(lead, (name, k, j), f.values[:, k, j])
 
 
 def linefuncs_from_csv(path) -> dict:

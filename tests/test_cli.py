@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import isphalf
-from isphalf import cli, errors
+from isphalf import cli, errors, forward
 from isphalf.cli import main
 from isphalf.config import RunConfig, load_config
 from isphalf.errors import ParseError, ValidationError
@@ -285,6 +285,18 @@ def test_forward_refuses_grid_beyond_physical_memory(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"] == "ValidationError"
     assert "GiB" in rep["detail"]
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
+def test_forward_refuses_grid_beyond_available_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(forward, "_available_memory", lambda: 1 << 20)
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, **FWD_CFG})
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError"
+    assert "available memory" in rep["detail"]
     assert {p.name for p in out.iterdir()} == {"report.json"}
 
 

@@ -37,6 +37,7 @@ from isphalf.forward import (
 )
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile, SampledProfile
+from isphalf.rh import plemelj_split, split_residual
 
 from conftest import random_potential
 
@@ -220,10 +221,12 @@ def test_representation_consistency(n2_random_pot, e1_disp, n2_random_kernels):
 
 # -- the level-blocked march against the per-level march it replaced ---------
 
-# The solver before the kernel march was vectorised, kept verbatim: one
-# sample_level call per channel, tau level and operand, over full
-# (n, n, nx, nt) blocks, with the block tables it used beside it.  The
-# blocked, channel-by-channel march must reproduce it bit for bit.
+# The Jacobi solver before the kernel march was vectorised, kept verbatim:
+# one sample_level call per channel, tau level and operand, over full
+# (n, n, nx, nt) blocks, with the block tables it used beside it.  It is
+# the fixed-point oracle of the Gauss-Seidel solve.  Its Gauss-Seidel form,
+# reference_gauss_seidel_kernels, is the per-level march the blocked,
+# channel-by-channel march must reproduce bit for bit.
 _BLOCK_SPEEDS = {
     # (row block offset, column block offset) into the 2n speed vector
     "A11": (0, 0),
@@ -394,6 +397,89 @@ def reference_solve_kernels(
     )
 
 
+def _sample_level(level_vals: np.ndarray, pos: np.ndarray, clamp_left: bool = False) -> np.ndarray:
+    """sample_level of reference_solve_kernels."""
+    m = len(level_vals)
+    i0 = np.floor(pos).astype(int)
+    frac = pos - i0
+    padded = np.concatenate([level_vals, [0.0 + 0.0j, 0.0 + 0.0j]])
+    left = level_vals[0] if clamp_left else 0.0 + 0.0j
+    lo = np.clip(i0, -1, m)
+    hi = np.clip(i0 + 1, -1, m)
+    vlo = np.where(i0 < 0, left, padded[lo])
+    vhi = np.where(i0 + 1 < 0, left, padded[hi])
+    return (1.0 - frac) * vlo + frac * vhi
+
+
+def reference_gauss_seidel_kernels(
+    pot: TriangularPotential, disp: Dispersion, *, step: float, x_max: float, tau_max: float
+) -> TransformationKernels:
+    """reference_solve_kernels as a Gauss-Seidel iteration.
+
+    In the channel loop each channel's coupling is formed from the current
+    kern, its march runs one tau level per step as in the Jacobi reference,
+    and its new values are stored at once, so the channels after it read
+    them.
+    """
+    n = disp.n
+    eps = pot.envelope[1]
+    theta = kernel_decay_exponent(disp)
+    nx = int(math.ceil(x_max / step)) + 1
+    nt = int(math.ceil(tau_max / step)) + 1
+    x = step * np.arange(nx)
+    tau = step * np.arange(nt)
+    chans = _channel_table(disp)
+    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
+
+    kern = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in _BLOCK_SPEEDS}
+    for name, k, j, rho in chans:
+        prof = pot.block(_DRIVE_BLOCK[name])[k][j]
+        if rho is None or prof.is_zero:
+            continue
+        if isinstance(prof, ExpSumProfile):
+            d = np.zeros((nx, nt), dtype=complex)
+            for gamma, a in prof.terms:
+                d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
+        else:
+            d = prof(x[:, None] + rho * tau[None, :])
+        kern[name][k, j] = 1j * rho * d
+    drive = {name: blk.copy() for name, blk in kern.items()}
+
+    for sweep in range(1, MAX_SWEEPS + 1):
+        change = 0.0
+        for name, k, j, rho in chans:
+            g = np.zeros((nx, nt), dtype=complex)
+            for qname, aname in _COUPLING[name]:
+                g += np.einsum("mx,mxt->xt", qgrid[qname][k], kern[aname][:, j])
+            out = drive[name][k, j].copy()
+            if rho is None:
+                seg = 0.5 * step * (g[:-1, :] + g[1:, :])
+                w = np.zeros((nx, nt), dtype=complex)
+                w[:-1, :] = np.cumsum(seg[::-1, :], axis=0)[::-1, :]
+                out = out + 1j * w
+            else:
+                feet = np.arange(nx + int(math.ceil(rho * (nt - 1))) + 1, dtype=float)
+                w = np.zeros(len(feet), dtype=complex)
+                g_prev = _sample_level(g[:, 0], feet, clamp_left=True)
+                for ell in range(1, nt):
+                    g_cur = _sample_level(g[:, ell], feet - rho * ell, clamp_left=True)
+                    w += 0.5 * rho * step * (g_cur + g_prev)
+                    g_prev = g_cur
+                    out[:, ell] += 1j * _sample_level(w, np.arange(nx, dtype=float) + rho * ell)
+            change = max(change, float(np.abs(out - kern[name][k, j]).max()))
+            kern[name][k, j] = out
+        if change < DEFAULT_ITER_TOL:
+            break
+    else:
+        raise NonConvergence("kernel system", MAX_SWEEPS, change)
+
+    envelope = np.exp(eps * (x[:, None] + theta * tau[None, :]))
+    c_tilde = max(float((np.abs(blk).max(axis=(0, 1)) * envelope).max()) for blk in kern.values())
+    return TransformationKernels(
+        disp=disp, step=step, blocks=kern, theta=theta, c_tilde=c_tilde, envelope_eps=eps, sweeps=sweep
+    )
+
+
 def assert_same_kernels(got, want):
     for name in ("A11", "A12", "A21", "A22"):
         assert np.array_equal(got.blocks[name], want.blocks[name])
@@ -407,7 +493,7 @@ SMALL_GRID = {"step": 0.1, "x_max": 3.0, "tau_max": 6.0}
 
 
 def test_march_matches_reference_n1(n1_pot, n1_disp, n1_kernels):
-    want = reference_solve_kernels(n1_pot, n1_disp, step=0.02, x_max=16.0, tau_max=36.0)
+    want = reference_gauss_seidel_kernels(n1_pot, n1_disp, step=0.02, x_max=16.0, tau_max=36.0)
     assert_same_kernels(n1_kernels, want)
 
 
@@ -416,7 +502,7 @@ def test_march_matches_reference_n1(n1_pot, n1_disp, n1_kernels):
 def test_march_matches_reference_random(seed, n):
     disp = E1_DISP if n == 2 else N3_DISP
     pot = random_potential(n, seed)
-    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_solve_kernels(pot, disp, **SMALL_GRID))
+    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_gauss_seidel_kernels(pot, disp, **SMALL_GRID))
 
 
 def test_march_matches_reference_sampled_drive():
@@ -424,7 +510,7 @@ def test_march_matches_reference_sampled_drive():
     prof = SampledProfile(0.05, 0.4 * np.exp(-x) * (1.0 + 0.5j * np.cos(3.0 * x)), tail_rate=1.0)
     pot = TriangularPotential(1, q12=[[prof]], q21=[[prof]], envelope=(1.0, 1.0))
     disp = Dispersion(1, (-1.0, 2.0))
-    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_solve_kernels(pot, disp, **SMALL_GRID))
+    assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_gauss_seidel_kernels(pot, disp, **SMALL_GRID))
 
 
 @pytest.mark.parametrize("points, levels", [(1, 64), (200, 64), (1 << 20, 7)])
@@ -432,10 +518,24 @@ def test_march_block_carry_matches_reference(monkeypatch, points, levels):
     # one level per block; a few levels per block set by the point budget;
     # 7 levels per block, so the band of feet moves on between blocks
     pot = random_potential(2, seed=5)
-    want = reference_solve_kernels(pot, E1_DISP, **SMALL_GRID)
+    want = reference_gauss_seidel_kernels(pot, E1_DISP, **SMALL_GRID)
     monkeypatch.setattr(forward, "_LEVEL_BLOCK_POINTS", points)
     monkeypatch.setattr(forward, "_LEVELS_PER_BLOCK", levels)
     assert_same_kernels(solve_kernels(pot, E1_DISP, **SMALL_GRID), want)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), amplitude=st.floats(0.25, 2.0))
+def test_gauss_seidel_reaches_the_jacobi_fixed_point(seed, n, amplitude):
+    # Gauss-Seidel and Jacobi share their fixed point; Gauss-Seidel gets
+    # there in no more sweeps
+    disp = {1: Dispersion(1, (-1.0, 1.0)), 2: E1_DISP, 3: N3_DISP}[n]
+    pot = random_potential(n, seed, amplitude=amplitude)
+    got = solve_kernels(pot, disp, **SMALL_GRID)
+    want = reference_solve_kernels(pot, disp, **SMALL_GRID)
+    for name in ("A11", "A12", "A21", "A22"):
+        assert np.abs(got.blocks[name] - want.blocks[name]).max() <= 1e-11
+    assert got.sweeps <= want.sweeps
 
 
 def test_sweep_changes_history(n2_random_kernels):
@@ -475,6 +575,13 @@ def test_preflight_estimate_bounds_peak(monkeypatch, n1_pot, n1_disp, n):
     assert peak <= estimates[0]
 
 
+def test_grid_beyond_available_memory_refused(monkeypatch, n1_pot, n1_disp):
+    # the preflight compares its bound with the memory still available
+    monkeypatch.setattr(forward, "_available_memory", lambda: 1 << 20)
+    with pytest.raises(ValidationError, match="available memory"):
+        solve_kernels(n1_pot, n1_disp, **SMALL_GRID)
+
+
 def test_solve_holds_the_blocks_and_one_level_block():
     # the sweeps run in place: beyond the returned blocks the solve holds one
     # block of tau levels of next iterates, the carries and the gathers
@@ -511,6 +618,24 @@ def test_transform_vanishes_at_infinity(n1_blocks):
     nrm = n1_blocks.a12_plus.norms()
     assert nrm[0] < 5.1e-3 and nrm[-1] < 5.1e-3
     assert nrm[0] < 0.01 * nrm.max()
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]))
+def test_split_parts_of_transforms_are_one_sided(seed, n):
+    # the lambda grid resolves |xi| t up to pi / 0.049 = 64, beyond which the
+    # traces have decayed; what remains on the wrong side is the split's
+    # tail model, below 1e-3 of the sup here, where a wrong side shows at O(1)
+    disp = {1: Dispersion(1, (-1.0, 1.0)), 2: E1_DISP, 3: N3_DISP}[n]
+    ker = solve_kernels(random_potential(n, seed), disp, step=0.1, x_max=12.0, tau_max=36.0)
+    for f in kernel_transforms(ker, disp, make_grid(50.0, 2048)):
+        sup = f.sup_norm()
+        if sup == 0.0:
+            continue
+        plus, minus = plemelj_split(f, edge_tol=1.0)
+        assert split_residual(f, f.analyticity.kind) <= 2e-3 * sup
+        assert split_residual(plus, "plus") <= 2e-3 * sup
+        assert split_residual(minus, "minus") <= 2e-3 * sup
 
 
 def test_boundary_parts_closed_form(n1_blocks, grid_100_4096):
