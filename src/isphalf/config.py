@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -36,8 +37,9 @@ class RunConfig:
     Grid defaults match the library defaults; truncations left as None are
     derived from the potential envelope at run time (x_max = ln(C/tail)/eps,
     t_max = x_max / theta).  The explicit-class roundtrip inverts on s in
-    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.  The
-    method's fixed tolerances are module constants, not keys:
+    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.  All
+    numbers must be finite.  The method's fixed tolerances are module
+    constants, not keys:
     forward.DEFAULT_TAIL_TOL, DEFAULT_ITER_TOL and MAX_SWEEPS,
     domain.SINGULARITY_TOL and rh.CONSISTENCY_TOL.
     """
@@ -64,6 +66,8 @@ class RunConfig:
             v = getattr(self, f.name)
             if isinstance(v, bool) or not isinstance(v, types):
                 raise ValidationError(f.name, f"must be {what}, got {json.dumps(v, default=repr)}")
+            if float in types and v is not None and not abs(v) <= sys.float_info.max:
+                raise ValidationError(f.name, f"must be finite, got {json.dumps(v)}")
         for key, path in self.inputs.items():
             if not isinstance(path, str):
                 raise ValidationError(f"inputs.{key}", f"must be a string, got {json.dumps(path, default=repr)}")

@@ -36,9 +36,8 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
-# kernel march blocks: tau levels, and points per gather (~16 MB of temporaries)
+# tau levels per block of the kernel sweeps, each marched in one gather
 _LEVELS_PER_BLOCK = 64
-_LEVEL_BLOCK_POINTS = 1 << 20
 
 
 def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
@@ -220,43 +219,29 @@ class TransformationKernels:
         return self.blocks[name][:, :, :, 0]
 
 
-def _n_feet(rho: float, nx: int, nt: int) -> int:
-    """Feet of a channel of slope rho: the tau = 0 positions whose
-    characteristics cross the nodes of an (nx, nt) grid."""
-    return nx + int(math.ceil(rho * (nt - 1))) + 1
-
-
-def _gather_span(feet: int) -> int:
-    """tau levels per gather of a channel with `feet` feet:
-    _LEVELS_PER_BLOCK, fewer where a gather over every foot would exceed
-    _LEVEL_BLOCK_POINTS points."""
-    return max(1, min(_LEVELS_PER_BLOCK, _LEVEL_BLOCK_POINTS // feet))
-
-
-def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: int, nt: int) -> int:
-    """Upper bound on the memory solve_kernels allocates on an (nx, nt) grid.
+def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: float, nt: float) -> float:
+    """Upper bound on the memory solve_kernels allocates on an (nx, nt)
+    grid, in floats, so a grid of any size gets a finite or infinite bound.
 
     Counts the four kernel blocks (4 n^2 arrays of nx * nt complex values)
-    and, on one block of _LEVELS_PER_BLOCK levels, the next iterate of one
-    channel plus eight work arrays (the coupling, a product summed into it,
-    the drive slice and its factors, the diagonal integral, the change and
-    its modulus, the envelope), all of nx complex values per level.  Then
-    the temporaries of the largest gather, at most 160 bytes per point on
-    span + 1 levels of the band of feet that cross the nodes, the carries
-    (the accumulator on the feet and one coupling level per off-diagonal
-    channel), the per-x potential samples, the factor vectors of the
-    drive_terms exponential terms, and 1 MiB for the grids, the level table
-    and small objects.
+    and, on one block of span = min(_LEVELS_PER_BLOCK, nt) levels, the next
+    iterate of one channel plus eight work arrays (the coupling, a product
+    summed into it, the drive slice and its factors, the diagonal integral,
+    the change and its modulus, the envelope), all of nx complex values per
+    level.  Then the temporaries of the gather of one block, at most 160
+    bytes per point on span + 1 levels of the band of feet that cross the
+    nodes, the carries (the accumulator on the feet and one coupling level
+    per off-diagonal channel), the per-x potential samples, the factor
+    vectors of the drive_terms exponential terms, and 1 MiB for the grids,
+    the level table and small objects.
     """
-    storage = 4 * n * n * nx * nt + 9 * nx * min(_LEVELS_PER_BLOCK, nt)
+    span = min(_LEVELS_PER_BLOCK, nt)
+    storage = 4 * n * n * nx * nt + 9 * nx * span
     carries = 4 * n * n * nx + drive_terms * (nx + nt)
-    gather = 0
-    for c in chans:
-        if c.rho is not None:
-            feet = _n_feet(c.rho, nx, nt)
-            span = _gather_span(feet)
-            carries += feet + nx
-            gather = max(gather, (span + 1) * (min(feet, nx + int(math.ceil(c.rho * span)) + 3) + 3))
+    gather = 0.0
+    for rho in (float(c.rho) for c in chans if c.rho is not None):
+        carries += 2 * nx + rho * (nt - 1) + 2
+        gather = max(gather, (span + 1) * (nx + rho * span + 7))
     return 16 * (storage + carries) + 160 * gather + (1 << 20)
 
 
@@ -335,29 +320,27 @@ def _march(rho: float, prev: np.ndarray, g: np.ndarray, w: np.ndarray, out: np.n
     with prev the coupling at level first - 1.  w is the accumulation per
     foot (indexed by its position at tau = 0), carried from block to block.
 
-    One gather takes _gather_span levels.  The feet over the nodes move
+    All L levels are marched in one gather.  The feet over the nodes move
     right with tau (rho > 0): feet left of f0 are never read again and
     feet from f1 on have met only zero coupling, so their w is still
     exactly +0.
     """
     nx, levels = g.shape
-    span = _gather_span(len(w))
-    for lo in range(0, levels, span):
-        hi = min(lo + span, levels)
-        shift = rho * np.arange(first + lo - 1, first + hi)
-        f0, f1 = int(shift[1]), min(len(w), int(shift[-1]) + nx + 2)
-        # coupling on levels lo-1 .. hi-1 at the feet, clamped left of x = 0
-        below = prev if lo == 0 else g[:, lo - 1]
-        rows = np.zeros((hi - lo + 1, nx + 3), dtype=complex)
-        rows[0, 0], rows[0, 1 : nx + 1] = below[0], below
-        rows[1:, 0], rows[1:, 1 : nx + 1] = g[0, lo:hi], g[:, lo:hi].T
-        g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
-        acc = np.zeros((hi - lo + 1, f1 - f0 + 3), dtype=complex)
-        acc[0, 1:-2] = w[f0:f1]
-        acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
-        acc = np.cumsum(acc, axis=0)
-        w[f0:f1] = acc[-1, 1:-2]
-        out[:, lo:hi] += 1j * _lerp_rows(acc[1:], np.arange(nx, dtype=float) + shift[1:, None], f0).T
+    if not levels:
+        return
+    shift = rho * np.arange(first - 1, first + levels)
+    f0, f1 = int(shift[1]), min(len(w), int(shift[-1]) + nx + 2)
+    # coupling on levels first-1 .. first+L-1 at the feet, clamped left of x = 0
+    rows = np.zeros((levels + 1, nx + 3), dtype=complex)
+    rows[0, 0], rows[0, 1 : nx + 1] = prev[0], prev
+    rows[1:, 0], rows[1:, 1 : nx + 1] = g[0], g.T
+    g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
+    acc = np.zeros((levels + 1, f1 - f0 + 3), dtype=complex)
+    acc[0, 1:-2] = w[f0:f1]
+    acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
+    acc = np.cumsum(acc, axis=0)
+    w[f0:f1] = acc[-1, 1:-2]
+    out += 1j * _lerp_rows(acc[1:], np.arange(nx, dtype=float) + shift[1:, None], f0).T
 
 
 def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: float, blocks) -> float:
@@ -375,7 +358,8 @@ def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: floa
     one that visits the channels level by level, whatever the block size.
     """
     nx, nt = kern["A11"].shape[2:]
-    feet = {c: np.zeros(_n_feet(c.rho, nx, nt), dtype=complex) for c in chans if c.rho is not None}
+    # the tau = 0 positions whose characteristics cross the nodes
+    feet = {c: np.zeros(nx + math.ceil(c.rho * (nt - 1)) + 1, dtype=complex) for c in chans if c.rho is not None}
     last = {}
     buf = np.empty((nx, blocks[0][1]), dtype=complex)
     change = np.float64(0.0)
@@ -431,21 +415,19 @@ def solve_kernels(
 
     The operator is of Volterra type in tau: a level depends only on the
     levels at or below it.  So each sweep runs in place over blocks of
-    _LEVELS_PER_BLOCK tau levels in ascending order, see _sweep.  An
-    off-diagonal channel marches a block in gathers of up to
-    _LEVELS_PER_BLOCK levels (fewer where a gather would exceed
-    _LEVEL_BLOCK_POINTS points): the coupling is gathered at the band of
-    feet whose characteristics cross the nodes with 2-tap linear weights,
-    the composite trapezoid increments are summed by a cumsum along tau
-    whose first row is the accumulation carried from the previous gather,
-    and the result is gathered back onto the nodes.  Each block forms its
-    own drive slice, so no drive is stored.  Every element sees the same
-    floating-point operations in the same order as a march that visits the
-    channels one level at a time, so the kernels are bit-identical to that
-    march and do not depend on the block size.  The result holds the four
-    (n, n, Nx, Ntau) blocks, zero off the admissible entries; they and one
-    block of one channel's next iterate are the bulk of the memory the
-    solve needs.
+    _LEVELS_PER_BLOCK tau levels in ascending order, see _sweep, and an
+    off-diagonal channel marches each block in one gather: the coupling is
+    gathered at the band of feet whose characteristics cross the nodes with
+    2-tap linear weights, the composite trapezoid increments are summed by
+    a cumsum along tau whose first row is the accumulation carried from the
+    block below, and the result is gathered back onto the nodes.  Each
+    block forms its own drive slice, so no drive is stored.  Every element
+    sees the same floating-point operations in the same order as a march
+    that visits the channels one level at a time, so the kernels are
+    bit-identical to that march and do not depend on the block size.  The
+    result holds the four (n, n, Nx, Ntau) blocks, zero off the admissible
+    entries; they and one block of one channel's next iterate are the bulk
+    of the memory the solve needs.
 
     x_max defaults to the length where the envelope falls below
     DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The sweeps stop once the
@@ -454,9 +436,11 @@ def solve_kernels(
     approximation contracts factorially on the nested domains, so these
     constants belong to the method and are read at call time.
 
-    A grid whose peak memory bound (_kernel_peak_bytes) exceeds the
-    available memory (_available_memory) is refused with ValidationError
-    before anything is allocated.
+    The point counts and the peak memory bound (_kernel_peak_bytes) are
+    computed in floats first, so a grid of any size is judged before
+    anything is allocated: an axis with fewer than 3 points, or a bound
+    above the available memory (_available_memory), is refused with
+    ValidationError.
     """
     n = disp.n
     eps = pot.envelope[1]
@@ -465,20 +449,23 @@ def solve_kernels(
         x_max = truncation_length(pot.envelope, DEFAULT_TAIL_TOL)
     if tau_max is None:
         tau_max = x_max / theta
-    nx = int(math.ceil(x_max / step)) + 1
-    nt = int(math.ceil(tau_max / step)) + 1
+    for axis, length in (("x", x_max), ("tau", tau_max)):
+        if not length / step > 1:
+            raise ValidationError("step", f"{step:.3g} leaves fewer than 3 points on the {axis} axis [0, {length:.3g}]")
+    nx, nt = float(np.ceil(x_max / step)) + 1, float(np.ceil(tau_max / step)) + 1
     chans = channel_table(disp)
     profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
     driven = [c for c, p in profile.items() if not p.is_zero]
     drive_terms = sum(len(profile[c].terms) for c in driven if isinstance(profile[c], ExpSumProfile))
     need = _kernel_peak_bytes(n, chans, drive_terms, nx, nt)
     have = _available_memory()
-    if need > have:
+    if not need <= have:
         raise ValidationError(
             "kernel grid",
-            f"{nx} x {nt} points at n = {n} need about {need / 2**30:.3g} GiB, "
+            f"{nx:.6g} x {nt:.6g} points at n = {n} need about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of available memory",
         )
+    nx, nt = int(nx), int(nt)
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
     blocks = [(a, min(a + _LEVELS_PER_BLOCK, nt)) for a in range(0, nt, _LEVELS_PER_BLOCK)]
@@ -531,7 +518,7 @@ def potential_from_kernels(kernels: TransformationKernels, disp: Dispersion) -> 
             continue
         ratio = (c.col_speed - c.row_speed) / c.col_speed
         vals = -1j * ratio * kernels.diagonal(c.block)[c.k, c.j]
-        if np.abs(vals).max() == 0.0:
+        if not vals.any():
             continue
         blocks[c.q_block][c.k][c.j] = SampledProfile(kernels.step, vals, tail_rate=eps)
         c_env = max(c_env, float((np.abs(vals) * np.exp(eps * x)).max()))
@@ -581,7 +568,7 @@ def kernel_transforms(
         names = [name for name, (_, c) in KERNEL_BLOCKS.items() if c == cb]
         for j in range(n):
             cols = {name: kernels.trace_at_zero(name)[:, j, :] for name in names}  # (n, nt) each
-            live = [name for name, col in cols.items() if np.abs(col).max() > 0.0]
+            live = [name for name, col in cols.items() if col.any()]
             if not live:
                 continue
             stacked = np.concatenate([cols[name] for name in live])
@@ -693,32 +680,3 @@ def strip_diagnostics(
         report.update(shifted)
     return report
 
-
-def reconstruct_from_kernels(
-    kernels: TransformationKernels,
-    disp: Dispersion,
-    lam: float,
-    A,
-    B,
-    x_index: int,
-):
-    """Solution values at one x-grid node rebuilt from the kernel representation."""
-    n = disp.n
-    xi = disp.xi_arr
-    h = kernels.step
-    x = float(kernels.x_grid[x_index])
-    A = np.asarray(A, dtype=complex).reshape(n)
-    B = np.asarray(B, dtype=complex).reshape(n)
-    y = np.zeros(2 * n, dtype=complex)
-    y[:n] = np.exp(1j * lam * xi[:n] * x) * A
-    y[n:] = np.exp(1j * lam * xi[n:] * x) * B
-    for name, (rb, cb) in KERNEL_BLOCKS.items():
-        block = kernels.blocks[name][:, :, x_index, :]  # (n, n, nt)
-        amps = A if cb == 0 else B
-        for j in range(n):
-            if np.abs(block[:, j, :]).max() == 0.0:
-                continue
-            speed = xi[cb * n + j]
-            tr = filon_simpson_transform(block[:, j, :], 0.0, h, np.array([lam * speed]))[:, 0]
-            y[rb * n : rb * n + n] += np.exp(1j * lam * speed * x) * tr * amps[j]
-    return y[:n], y[n:]

@@ -327,7 +327,7 @@ def kernels_to_csv(kernels):
         trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
         for k in range(kernels.n):
             for j in range(kernels.n):
-                if np.abs(block[k, j]).max() == 0.0:
+                if not block[k, j].any():
                     continue
                 yield _csv_rows(trace_lead, (name, k, j), trace[k, j])
                 yield _csv_rows(diag_lead, (name, k, j), diag[k, j, 1:])
@@ -388,20 +388,18 @@ def linefuncs_from_csv(path) -> dict:
     return out
 
 
-def sidecar_metadata(kernels=None, linefuncs=None) -> dict:
-    meta: dict = {}
-    if kernels is not None:
-        meta["kernels"] = {
+def sidecar_metadata(kernels, linefuncs) -> dict:
+    return {
+        "kernels": {
             "step": kernels.step,
-            "x_points": int(kernels.blocks["A11"].shape[2]),
-            "tau_points": int(kernels.blocks["A11"].shape[3]),
+            "x_points": len(kernels.x_grid),
+            "tau_points": len(kernels.tau_grid),
             "theta": kernels.theta,
             "c_tilde": kernels.c_tilde,
             "envelope_eps": kernels.envelope_eps,
             "sweeps": kernels.sweeps,
-        }
-    if linefuncs:
-        meta["functions"] = {
+        },
+        "functions": {
             name: {
                 "lambda_min": float(f.grid[0]),
                 "lambda_max": float(f.grid[-1]),
@@ -410,8 +408,8 @@ def sidecar_metadata(kernels=None, linefuncs=None) -> dict:
                                 if np.isfinite(f.analyticity.delta) else "inf"},
             }
             for name, f in linefuncs.items()
-        }
-    return meta
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,24 @@ def test_forward_refuses_grid_beyond_available_memory(tmp_path, monkeypatch):
     assert {p.name for p in out.iterdir()} == {"report.json"}
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("x_max", float("inf"), "x_max"), ("t_max", float("inf"), "t_max"), ("x_max", 10**400, "x_max"),
+     ("kernel_step", 1e-300, "kernel grid"), ("kernel_step", 1e300, "step")],
+)
+def test_forward_refuses_unbounded_or_degenerate_grid(tmp_path, key, value, field):
+    # a length beyond the float range, a grid too fine to count in memory,
+    # and a step that leaves an axis fewer than 3 points are input errors,
+    # not crashes
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, **FWD_CFG, key: value})
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == field
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
 def _split_config(tmp_path):
     grid = make_grid(100.0, 2048)
     f = LineMatrixFunction(grid, (1j / (grid + 1j) - 1j / (grid - 1j))[:, None, None])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isphalf import forward
@@ -12,6 +12,7 @@ from isphalf.domain import (
     BoundaryMatrix,
     Dispersion,
     KERNEL_ALLOWED,
+    KERNEL_BLOCKS,
     TriangularPotential,
     kernel_decay_exponent,
     validate_potential,
@@ -27,7 +28,6 @@ from isphalf.forward import (
     boundary_parts,
     kernel_transforms,
     potential_from_kernels,
-    reconstruct_from_kernels,
     scattering_matrix,
     solve_bounded_solution,
     solve_kernels,
@@ -37,6 +37,7 @@ from isphalf.forward import (
 )
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile, SampledProfile
+from isphalf.quadrature import filon_simpson_transform
 from isphalf.rh import plemelj_split, split_residual
 
 from conftest import random_potential
@@ -201,6 +202,29 @@ def test_potential_from_kernel_diagonal_roundtrip(data, n, seed):
                 if not truth.is_zero:
                     want = truth(x)
                     assert np.abs(got(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def reconstruct_from_kernels(kernels, disp, lam, A, B, x_index):
+    """Solution values at one x-grid node rebuilt from the kernel representation."""
+    n = disp.n
+    xi = disp.xi_arr
+    h = kernels.step
+    x = float(kernels.x_grid[x_index])
+    A = np.asarray(A, dtype=complex).reshape(n)
+    B = np.asarray(B, dtype=complex).reshape(n)
+    y = np.zeros(2 * n, dtype=complex)
+    y[:n] = np.exp(1j * lam * xi[:n] * x) * A
+    y[n:] = np.exp(1j * lam * xi[n:] * x) * B
+    for name, (rb, cb) in KERNEL_BLOCKS.items():
+        block = kernels.blocks[name][:, :, x_index, :]  # (n, n, nt)
+        amps = A if cb == 0 else B
+        for j in range(n):
+            if not block[:, j, :].any():
+                continue
+            speed = xi[cb * n + j]
+            tr = filon_simpson_transform(block[:, j, :], 0.0, h, np.array([lam * speed]))[:, 0]
+            y[rb * n : rb * n + n] += np.exp(1j * lam * speed * x) * tr * amps[j]
+    return y[:n], y[n:]
 
 
 def test_representation_consistency(n2_random_pot, e1_disp, n2_random_kernels):
@@ -513,15 +537,20 @@ def test_march_matches_reference_sampled_drive():
     assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_gauss_seidel_kernels(pot, disp, **SMALL_GRID))
 
 
-@pytest.mark.parametrize("points, levels", [(1, 64), (200, 64), (1 << 20, 7)])
-def test_march_block_carry_matches_reference(monkeypatch, points, levels):
-    # one level per block; a few levels per block set by the point budget;
-    # 7 levels per block, so the band of feet moves on between blocks
-    pot = random_potential(2, seed=5)
-    want = reference_gauss_seidel_kernels(pot, E1_DISP, **SMALL_GRID)
-    monkeypatch.setattr(forward, "_LEVEL_BLOCK_POINTS", points)
-    monkeypatch.setattr(forward, "_LEVELS_PER_BLOCK", levels)
-    assert_same_kernels(solve_kernels(pot, E1_DISP, **SMALL_GRID), want)
+@settings(max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), levels=st.integers(1, 61))
+@example(seed=5, n=2, levels=1)  # the first block marches no level
+@example(seed=5, n=2, levels=7)  # the band of feet moves on between blocks
+def test_march_block_carry_matches_reference(seed, n, levels):
+    # any number of levels per block, up to all 61 of SMALL_GRID (a prime,
+    # so every other count leaves a short last block), gives the per-level
+    # march bit for bit
+    disp = {1: Dispersion(1, (-1.0, 1.0)), 2: E1_DISP, 3: N3_DISP}[n]
+    pot = random_potential(n, seed)
+    want = reference_gauss_seidel_kernels(pot, disp, **SMALL_GRID)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "_LEVELS_PER_BLOCK", levels)
+        assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), want)
 
 
 @settings(max_examples=8, deadline=None, database=None)
@@ -558,10 +587,8 @@ def test_oversized_grid_refused_before_allocating(n1_pot, n1_disp):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_preflight_estimate_bounds_peak(monkeypatch, n1_pot, n1_disp, n):
-    # the preflight estimate is an upper bound on what the solve allocates;
-    # a small gather budget leaves the channel arrays as nearly all of it
+    # the preflight estimate is an upper bound on what the solve allocates
     pot, disp = {1: (n1_pot, n1_disp), 2: (random_potential(2, 42), E1_DISP), 3: (random_potential(3, 7), N3_DISP)}[n]
-    monkeypatch.setattr(forward, "_LEVEL_BLOCK_POINTS", 4096)
     estimates = []
     estimate = forward._kernel_peak_bytes
     monkeypatch.setattr(forward, "_kernel_peak_bytes", lambda *a: estimates.append(estimate(*a)) or estimates[-1])

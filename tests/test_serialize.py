@@ -108,6 +108,30 @@ def test_kernels_csv_matches_reference_writer():
     assert "A12,1,2," not in got and "A21,2,1," not in got
 
 
+def test_kernels_csv_allocates_no_channel_temporary():
+    # the writer reads the two faces of a channel, never a whole channel
+    n, nx, nt = 1, 1000, 1500
+    blocks = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in ("A11", "A12", "A21", "A22")}
+    blocks["A12"][0, 0, :, :] = 1.0 + 2.0j
+    kernels = TransformationKernels(
+        disp=Dispersion(n, (-1.0, 1.0)),
+        step=0.01,
+        blocks=blocks,
+        theta=0.5,
+        c_tilde=1.0,
+        envelope_eps=1.0,
+        sweeps=1,
+    )
+    tracemalloc.start()
+    try:
+        rows = sum(chunk.count("\n") for chunk in kernels_to_csv(kernels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + nx + nt - 1
+    assert peak < nx * nt  # a channel of complex values takes 16 nx nt bytes
+
+
 def test_kernels_csv_rebuilds_both_faces_bit_exactly(tmp_path):
     rng = np.random.default_rng(13)
     n, nx, nt = 2, 9, 17
