@@ -537,11 +537,21 @@ def test_march_matches_reference_sampled_drive():
     assert_same_kernels(solve_kernels(pot, disp, **SMALL_GRID), reference_gauss_seidel_kernels(pot, disp, **SMALL_GRID))
 
 
+@pytest.mark.parametrize("seed, levels", [(1, 64), (200, 64), (1 << 20, 7)])
+def test_march_block_carry_matches_reference(monkeypatch, seed, levels):
+    # 64 levels: all 61 levels of SMALL_GRID in one block; 7 levels: the
+    # band of feet moves on between blocks
+    pot = random_potential(2, seed)
+    want = reference_gauss_seidel_kernels(pot, E1_DISP, **SMALL_GRID)
+    monkeypatch.setattr(forward, "_LEVELS_PER_BLOCK", levels)
+    assert_same_kernels(solve_kernels(pot, E1_DISP, **SMALL_GRID), want)
+
+
 @settings(max_examples=6, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]), levels=st.integers(1, 61))
 @example(seed=5, n=2, levels=1)  # the first block marches no level
 @example(seed=5, n=2, levels=7)  # the band of feet moves on between blocks
-def test_march_block_carry_matches_reference(seed, n, levels):
+def test_march_block_carry_matches_reference_random(seed, n, levels):
     # any number of levels per block, up to all 61 of SMALL_GRID (a prime,
     # so every other count leaves a short last block), gives the per-level
     # march bit for bit
