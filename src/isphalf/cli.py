@@ -181,22 +181,27 @@ def _cmd_forward(cfg, out_dir: Path):
     return report, True
 
 
-def _input_linefuncs(cfg, which: str = "input"):
+def _input_linefuncs(cfg, which: str = "input", blocks=()):
+    """The blocks of the lambda-grid CSV at config key `which`; a file
+    without any block, or without one of `blocks`, is refused."""
     from .errors import ValidationError
     from .serialize import linefuncs_from_csv
 
     path = cfg.input if which == "input" else cfg.inputs.get(which)
     if not path:
         raise ValidationError(which, "configuration has no input path")
-    return linefuncs_from_csv(path)
+    funcs = linefuncs_from_csv(path)
+    missing = [name for name in blocks if name not in funcs] if funcs else ["lambda-grid"]
+    if missing:
+        raise ValidationError(which, f"{path} holds no {missing[0]} block")
+    return funcs
 
 
 def _cmd_split(cfg, out_dir: Path):
     from .rh import plemelj_split
     from .serialize import linefuncs_to_csv
 
-    funcs = _input_linefuncs(cfg)
-    name, f = next(iter(funcs.items()))
+    name, f = next(iter(_input_linefuncs(cfg).items()))
     plus, minus = plemelj_split(f, edge_tol=cfg.split_edge_tol)
     manifest: dict = {}
     _write_artifact(
@@ -242,8 +247,8 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
     problem = _load_problem(cfg)
     bnd1 = _require(problem, "boundary")
     bnd2 = _require(problem, "boundary2")
-    fac1 = _input_linefuncs(cfg, "factorization1")
-    fac2 = _input_linefuncs(cfg, "factorization2")
+    fac1 = _input_linefuncs(cfg, "factorization1", ("plus", "minus"))
+    fac2 = _input_linefuncs(cfg, "factorization2", ("plus", "minus"))
     blocks, diag = recover_blocks(fac1["plus"], fac1["minus"], fac2["plus"], fac2["minus"], bnd1, bnd2)
     a11m, a12p, a21m, a22p = blocks
     manifest: dict = {}

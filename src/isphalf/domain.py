@@ -1,7 +1,9 @@
 """Core value types: dispersion, block-triangular potentials, boundary matrices,
-and the kernel channel table that the structure fixes.
+the kernel channel table that the structure fixes, and the determinant
+guard of lambda grids of matrices.
 
-All types are immutable after construction and safe to share across threads.
+The types are frozen dataclasses, but their arrays (BoundaryMatrix.H) are
+writable: share them across threads as read-only data.
 Index conventions are 0-based internally; reports use 1-based labels.
 """
 
@@ -16,6 +18,18 @@ from .errors import SingularH, ValidationError
 from .profiles import ZERO_PROFILE, as_profile
 
 SINGULARITY_TOL = 1e-10
+
+
+def singular_grid_point(grid: np.ndarray, matrices: np.ndarray) -> tuple[float, float] | None:
+    """(lambda, |det|) at the grid point where |det| of the (N, m, m) stack
+    is least, when that is not above SINGULARITY_TOL (a NaN counts), else
+    None.  The factorization needs det != 0 along the real axis; this is the
+    one place where a lambda grid of matrices is held to that."""
+    dets = np.abs(np.linalg.det(matrices))
+    if dets.min() > SINGULARITY_TOL:
+        return None
+    idx = int(np.argmin(dets))
+    return float(grid[idx]), float(dets[idx])
 
 
 @dataclass(frozen=True)

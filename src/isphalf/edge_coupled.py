@@ -28,7 +28,7 @@ from .domain import Dispersion, SINGULARITY_TOL, TriangularPotential
 from .errors import EdgeDecayViolation, RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import as_profile
-from .projection import MODEL_W, edge_indices, pole_basis, split_samples
+from .projection import MODEL_W, edge_tail_fit, pole_basis, split_samples
 from .rh import _strip_delta
 # the benchmark's tracer (perfbench/trace_child.py) wraps edge_coupled.plemelj_split
 from .rh import plemelj_split  # noqa: F401
@@ -259,14 +259,11 @@ def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, count: int, kind: s
     n = len(grid)
     step = float(grid[1] - grid[0])
     s = _s_grid(grid, count)
-    idx = edge_indices(n)
     sgn = 1.0 if kind == "minus" else -1.0
     w = MODEL_W
-    basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
-    scale = np.abs(basis[idx]).max(axis=0)
-    coef, *_ = np.linalg.lstsq(basis[idx] / scale, values[idx], rcond=None)
-    coef = coef / scale[:, None]
-    rem = values - basis @ coef
+    pole = sgn * 1j * w  # minus-type poles sit in the upper half-plane
+    coef = edge_tail_fit(grid, values, pole)
+    rem = values - pole_basis(grid, pole) @ coef
 
     # sum_j rem_j e^{sgn i s_k lambda_j} = e^{sgn i s_k lambda_0} sum_j rem_j e^{sgn 2 pi i k j / N}
     sums = n * np.fft.ifft(rem, axis=0) if kind == "minus" else np.fft.fft(rem, axis=0)

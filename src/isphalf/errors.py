@@ -35,22 +35,28 @@ class SingularH(IspError):
     """Boundary matrix fails its determinant tolerance."""
 
 
-class SingularFactor(NumericalError):
+class SingularOnGrid(NumericalError):
+    """A matrix function is singular at a real grid point: `value` is the
+    least |det| on the grid, found at lambda = `lam` (domain.singular_grid_point)."""
+
+    determinant = "det"
+
+    def __init__(self, lam: float, value: float):
+        super().__init__(f"|{self.determinant}| = {value:.3e} at lambda = {lam:.6g}")
+        self.lam = lam
+        self.value = value
+
+
+class SingularFactor(SingularOnGrid):
     """det(I + A_plus) fell below tolerance at a real grid point."""
 
-    def __init__(self, lam: float, value: float):
-        super().__init__(f"|det(I + A_plus)| = {value:.3e} at lambda = {lam:.6g}")
-        self.lam = lam
-        self.value = value
+    determinant = "det(I + A_plus)"
 
 
-class SingularP(NumericalError):
+class SingularP(SingularOnGrid):
     """The boundary-value map P(lambda) is not invertible at a grid point."""
 
-    def __init__(self, lam: float, value: float):
-        super().__init__(f"|det P| = {value:.3e} at lambda = {lam:.6g}")
-        self.lam = lam
-        self.value = value
+    determinant = "det P"
 
 
 class EdgeDecayViolation(NumericalError):
@@ -65,13 +71,10 @@ class EdgeDecayViolation(NumericalError):
         self.tol = tol
 
 
-class SingularScattering(NumericalError):
+class SingularScattering(SingularOnGrid):
     """det S(lambda) vanishes on the grid; the jump matrix is not invertible."""
 
-    def __init__(self, lam: float, value: float):
-        super().__init__(f"|det S| = {value:.3e} at lambda = {lam:.6g}")
-        self.lam = lam
-        self.value = value
+    determinant = "det S"
 
 
 class FredholmSingular(NumericalError):

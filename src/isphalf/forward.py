@@ -22,10 +22,10 @@ from .domain import (
     BoundaryMatrix,
     Channel,
     Dispersion,
-    SINGULARITY_TOL,
     TriangularPotential,
     channel_table,
     kernel_decay_exponent,
+    singular_grid_point,
 )
 from .errors import NonConvergence, SingularFactor, SingularP, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
@@ -81,6 +81,30 @@ class BoundedSolution:
         return np.concatenate([self.y1, self.y2], axis=1)
 
 
+def _right_integral(pot: TriangularPotential, disp: Dispersion, lam: float, x: np.ndarray):
+    """The map w -> I_k(x) = sum_m integral_x^inf q_km(s) e^{i lam (xi_m - xi_k) s} w_m(s) ds
+    on the nodes x, for slow variables w of shape (2n, len(x)): exact per
+    linear segment up to x[-1], then w_m(x[-1]) times the tail transform
+    of q_km, taken once per nonzero q_km."""
+    xi = disp.xi_arr
+    step = float(x[1] - x[0])
+    terms = []
+    for k in range(2 * disp.n):
+        for m in range(2 * disp.n):
+            p = _full_profile(pot, k, m)
+            if not p.is_zero:
+                omega = lam * (xi[m] - xi[k])
+                terms.append((k, m, p(x), omega, p.halfline_transform_from(x[-1], omega)))
+
+    def integral(w: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(w)
+        for k, m, q, omega, tail in terms:
+            out[k] += cumulative_right_linear(0.0, step, q * w[m], omega) + w[m, -1] * tail
+        return out
+
+    return integral
+
+
 def solve_bounded_solution(
     pot: TriangularPotential,
     disp: Dispersion,
@@ -94,7 +118,8 @@ def solve_bounded_solution(
     """Unique bounded solution with prescribed amplitudes at infinity.
 
     Works in slow variables w_k = e^{-i lam xi_k x} y_k so the oscillation
-    sits inside the exact-per-segment quadrature; the iteration contracts
+    sits inside the exact-per-segment quadrature; each sweep sets
+    w = (A, B) + i _right_integral(w), and the iteration contracts
     factorially because the integration domains are nested.
     """
     n = disp.n
@@ -105,30 +130,13 @@ def solve_bounded_solution(
     nx = int(math.ceil(x_max / step)) + 1
     x = step * np.arange(nx)
     xi = disp.xi_arr
-    free = np.concatenate([A, B])
+    free = np.concatenate([A, B])[:, None]
+    integral = _right_integral(pot, disp, lam, x)
 
-    qvals = np.zeros((2 * n, 2 * n, nx), dtype=complex)
-    profs: list[list[ScalarProfile]] = [[ZERO_PROFILE] * (2 * n) for _ in range(2 * n)]
-    for r in range(2 * n):
-        for c in range(2 * n):
-            p = _full_profile(pot, r, c)
-            profs[r][c] = p
-            if not p.is_zero:
-                qvals[r, c] = p(x)
-
-    w = np.tile(free[:, None], (1, nx))
+    w = np.tile(free, (1, nx))
     last_change = np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
-        w_new = np.tile(free[:, None], (1, nx))
-        for k in range(2 * n):
-            for m in range(2 * n):
-                if profs[k][m].is_zero:
-                    continue
-                omega = lam * (xi[m] - xi[k])
-                g = qvals[k, m] * w[m]
-                acc = cumulative_right_linear(0.0, step, g, omega)
-                acc = acc + w[m, -1] * profs[k][m].halfline_transform_from(x[-1], omega)
-                w_new[k] += 1j * acc
+        w_new = free + 1j * integral(w)
         last_change = float(np.abs(w_new - w).max())
         w = w_new
         if last_change < DEFAULT_ITER_TOL:
@@ -138,7 +146,7 @@ def solve_bounded_solution(
 
     phase = np.exp(1j * lam * xi[:, None] * x[None, :])
     y = phase * w
-    tail_res = float(np.abs(w[:, -1] - free).max())
+    tail_res = float(np.abs(w[:, -1] - free[:, 0]).max())
     return BoundedSolution(
         lam=float(lam),
         x_grid=x,
@@ -154,24 +162,9 @@ def solve_bounded_solution(
 def asymptotic_coefficients(sol: BoundedSolution, pot: TriangularPotential, disp: Dispersion):
     """Amplitudes recovered from the solution by the x = 0 quadratures."""
     n = disp.n
-    xi = disp.xi_arr
-    lam = sol.lam
     x = sol.x_grid
-    step = float(x[1] - x[0])
-    y = sol.y.T  # (2n, nx)
-    w = np.exp(-1j * lam * xi[:, None] * x[None, :]) * y
-    out = np.zeros(2 * n, dtype=complex)
-    for k in range(2 * n):
-        acc = 0.0 + 0.0j
-        for m in range(2 * n):
-            p = _full_profile(pot, k, m)
-            if p.is_zero:
-                continue
-            omega = lam * (xi[m] - xi[k])
-            g = p(x) * w[m]
-            acc += cumulative_right_linear(0.0, step, g, omega)[0]
-            acc += w[m, -1] * p.halfline_transform_from(x[-1], omega)
-        out[k] = w[k, 0] - 1j * acc
+    w = np.exp(-1j * sol.lam * disp.xi_arr[:, None] * x[None, :]) * sol.y.T
+    out = w[:, 0] - 1j * _right_integral(pot, disp, sol.lam, x)(w)[:, 0]
     return out[:n], out[n:]
 
 
@@ -599,10 +592,8 @@ def scattering_matrix(
     """S(lambda) = [I + plus]^{-1} [I + minus], pointwise on the grid."""
     plus_part._check_same_grid(minus_part)
     lhs = plus_part.plus_identity()
-    dets = np.abs(np.linalg.det(lhs))
-    if dets.min() <= SINGULARITY_TOL:
-        idx = int(np.argmin(dets))
-        raise SingularFactor(float(plus_part.grid[idx]), float(dets[idx]))
+    if worst := singular_grid_point(plus_part.grid, lhs):
+        raise SingularFactor(*worst)
     s = np.linalg.solve(lhs, minus_part.plus_identity())
     dp = plus_part.analyticity.delta if plus_part.analyticity.kind != "none" else 0.0
     dm = minus_part.analyticity.delta if minus_part.analyticity.kind != "none" else 0.0
@@ -626,10 +617,8 @@ def transmission_matrix(blocks: BlockTransforms):
     p[:, :n, n:] = a12p.values
     p[:, n:, :n] = a21m.values
     p[:, n:, n:] = a22p.values + eye
-    dets = np.abs(np.linalg.det(p))
-    if dets.min() <= SINGULARITY_TOL:
-        idx = int(np.argmin(dets))
-        raise SingularP(float(a11m.grid[idx]), float(dets[idx]))
+    if worst := singular_grid_point(a11m.grid, p):
+        raise SingularP(*worst)
     pi = np.linalg.inv(p)
     pf = LineMatrixFunction(a11m.grid, p)
     pif = LineMatrixFunction(a11m.grid, pi)

@@ -46,14 +46,16 @@ def pole_basis(grid: np.ndarray, pole: complex) -> np.ndarray:
     return np.stack([1.0 / d, 1.0 / d ** 2, 1.0 / d ** 3], axis=1)
 
 
-def _laurent_fit(grid: np.ndarray, flat: np.ndarray):
-    """Edge least-squares fit of c1/l + c2/l^2 + c3/l^3 per column of flat."""
+def edge_tail_fit(grid: np.ndarray, values: np.ndarray, pole: complex) -> np.ndarray:
+    """Coefficients (rows c1, c2, c3) of the tail model pole_basis(., pole)
+    per column of values, by least squares at the edge samples with each
+    basis column scaled to unit sup.  Pole 0 is the Laurent tail
+    c1/l + c2/l^2 + c3/l^3."""
     idx = edge_indices(len(grid))
-    le = grid[idx]
-    basis = np.stack([1.0 / le, 1.0 / le ** 2, 1.0 / le ** 3], axis=1)
+    basis = pole_basis(grid[idx], pole)
     scale = np.abs(basis).max(axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, flat[idx], rcond=None)
-    return coef / scale[:, None]  # rows: c1, c2, c3
+    coef, *_ = np.linalg.lstsq(basis / scale, values[idx], rcond=None)
+    return coef / scale[:, None]
 
 
 @cache
@@ -73,22 +75,20 @@ def sine_integral(x):
     return np.sin(np.multiply.outer(np.asarray(x, float), u)) @ (w / u)
 
 
-def _halfline_density(grid, flat, c, t_values):
+def _halfline_density(grid, flat, c, t_values, lam_max: float, step: float, f_right):
     """phi(t) = (1/2pi) integral f e^{-i lambda t} d lambda at small t > 0.
 
     For t > 0 only the plus part contributes, so phi(0+) and phi'(0+) give
-    the exact leading Laurent coefficients of the plus part.  The window is
-    closed with the analytic tail of the fitted Laurent model.
+    the exact leading Laurent coefficients of the plus part.  The window
+    [-lam_max, lam_max) of spacing step is closed with the analytic tail of
+    the fitted Laurent model c, whose value at +lam_max is f_right.
     """
-    lam_max = float(max(abs(grid[0]), abs(grid[-1])))
-    step = float(grid[1] - grid[0])
     c1, c2, c3 = c[0], c[1], c[2]
     t = np.asarray(t_values)
     phases = np.exp(-1j * np.outer(grid, t))
     # trapezoid closure of the half-open window; the phantom +L node comes
     # from the Laurent model (the raw rectangle sum leaves an O(step f(L))
     # oscillatory error that wrecks the slope estimate)
-    f_right = c1 / lam_max + c2 / lam_max ** 2 + c3 / lam_max ** 3
     window = step * (
         phases.T @ flat
         - 0.5 * np.outer(phases[0], flat[0])
@@ -119,21 +119,21 @@ def _split_model(grid: np.ndarray, flat: np.ndarray):
     """
     lam_max = float(max(abs(grid[0]), abs(grid[-1])))
     step = float(grid[1] - grid[0])
-    c = _laurent_fit(grid, flat)
+    c = edge_tail_fit(grid, flat, 0.0)
     c1, c2, c3 = c[0], c[1], c[2]
     w = MODEL_W
 
     # trapezoid over the half-open window, closed with the model value at +L,
     # plus the analytic tail of the even model part beyond the window
-    tail_plus_l = c1 / lam_max + c2 / lam_max ** 2 + c3 / lam_max ** 3
-    window = step * (flat.sum(axis=0) - 0.5 * flat[0] + 0.5 * tail_plus_l)
+    f_right = c1 / lam_max + c2 / lam_max ** 2 + c3 / lam_max ** 3
+    window = step * (flat.sum(axis=0) - 0.5 * flat[0] + 0.5 * f_right)
     i0 = (window + 2.0 * c2 / lam_max) / (2.0 * np.pi)
 
     # short probe window: the moment values carry ~1e-8 noise while the
     # cubic-truncation bias grows like (rate * t)^4, so small t wins for any
     # density varying on O(1) scales
     t_probe = (2.0 / lam_max) * np.arange(1, 8)
-    phi = _halfline_density(grid, flat, c, t_probe)
+    phi = _halfline_density(grid, flat, c, t_probe, lam_max, step, f_right)
     vand = np.vander(t_probe, 4, increasing=True)  # [1, t, t^2, t^3]
     scale_t = np.abs(vand).max(axis=0)
     fit = np.linalg.lstsq(vand / scale_t, phi, rcond=None)[0] / scale_t[:, None]

@@ -12,49 +12,42 @@ the exact transform of the interpolant, which also preserves one-sided
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SMALL = 0.35
 _OMEGA_CHUNK = 128  # omegas per (cell, omega) phase matrix of filon_simpson_transform
 
 
-def _m0(z):
-    """integral_0^1 e^{z t} dt = (e^z - 1)/z, stable near z = 0."""
+def _moment(z, closed, divisors):
+    """closed(z), or the series sum_k z^k / divisors[k] where |z| < _SMALL;
+    z may be 0-d."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SMALL
     zs = np.where(small, 1.0, z)
-    out = (np.exp(zs) - 1.0) / zs
+    out = np.asarray(closed(zs))
     if np.any(small):
         s = z[small]
         acc = np.zeros(s.shape, dtype=complex)
         power = np.ones(s.shape, dtype=complex)
-        fact = 1.0
-        for k in range(14):  # sum z^k/(k+1)!
-            fact *= k + 1
-            acc += power / fact
+        for d in divisors:
+            acc += power / d
             power = power * s
         out[small] = acc
     return out
+
+
+def _m0(z):
+    """integral_0^1 e^{z t} dt = (e^z - 1)/z, stable near z = 0."""
+    return _moment(z, lambda z: (np.exp(z) - 1.0) / z, [math.factorial(k + 1) for k in range(14)])
 
 
 def _m1(z):
     """integral_0^1 t e^{z t} dt = (z e^z - e^z + 1)/z^2, stable near z = 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SMALL
-    zs = np.where(small, 1.0, z)
-    out = (zs * np.exp(zs) - np.exp(zs) + 1.0) / (zs * zs)
-    if np.any(small):
-        s = z[small]
-        acc = np.zeros(s.shape, dtype=complex)
-        power = np.ones(s.shape, dtype=complex)
-        kfact = 1.0
-        for k in range(14):  # sum z^k/(k! (k+2))
-            if k > 0:
-                kfact *= k
-            acc += power / (kfact * (k + 2))
-            power = power * s
-        out[small] = acc
-    return out
+    return _moment(
+        z, lambda z: (z * np.exp(z) - np.exp(z) + 1.0) / (z * z), [math.factorial(k) * (k + 2) for k in range(14)]
+    )
 
 
 def linear_segment_transform(x_left, h, v_left, v_right, z):
@@ -68,16 +61,15 @@ def linear_segment_transform(x_left, h, v_left, v_right, z):
 
 
 def cumulative_right_linear(x0: float, dx: float, g, omega: float):
-    """I[i] = integral_{x_i}^{x_end} g_lin(s) e^{i omega s} ds on a uniform grid.
+    """I[i] = integral_{x_i}^{x_end} g_lin(s) e^{i omega s} ds on a uniform grid:
+    the suffix sums of the segment transforms.
 
     Used by the right-to-left successive-approximation sweeps; |e^{i omega s}| = 1
     for real omega so the recursion is stable.
     """
     g = np.asarray(g, dtype=complex)
     n = len(g)
-    arg = 1j * omega * dx
-    seg = dx * (g[:-1] * _m0(np.full(n - 1, arg)) + np.diff(g) * _m1(np.full(n - 1, arg)))
-    seg = seg * np.exp(1j * omega * (x0 + dx * np.arange(n - 1)))
+    seg = linear_segment_transform(x0 + dx * np.arange(n - 1), dx, g[:-1], g[1:], omega)
     out = np.zeros(n, dtype=complex)
     out[:-1] = np.cumsum(seg[::-1])[::-1]
     return out

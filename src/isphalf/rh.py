@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import BoundaryMatrix, SINGULARITY_TOL
+from .domain import BoundaryMatrix, SINGULARITY_TOL, singular_grid_point
 from .errors import (
     DegenerateBoundaryPair,
     EdgeDecayViolation,
@@ -148,10 +148,8 @@ def solve_regular_rh(
     eye = np.eye(s_matrix.m)
     g = s_matrix.values - eye
 
-    dets = np.abs(np.linalg.det(s_matrix.values))
-    if dets.min() <= SINGULARITY_TOL:
-        idx = int(np.argmin(dets))
-        raise SingularScattering(float(grid[idx]), float(dets[idx]))
+    if worst := singular_grid_point(grid, s_matrix.values):
+        raise SingularScattering(*worst)
     edge = max(np.abs(g[0]).max(), np.abs(g[-1]).max())
     if edge > edge_tol:
         raise EdgeDecayViolation(float(edge), edge_tol)
@@ -310,7 +308,7 @@ def solvability_report(s_matrix: LineMatrixFunction) -> dict:
     return {
         "min_abs_det": float(np.abs(dets).min()),
         "argmin_lambda": float(s_matrix.grid[idx]),
-        "nonsingular": bool(np.abs(dets).min() > SINGULARITY_TOL),
+        "nonsingular": singular_grid_point(s_matrix.grid, vals) is None,
         "re_part": definiteness(re_eigs),
         "im_part": definiteness(im_eigs),
         "definite_condition": definiteness(re_eigs) != "indefinite"

@@ -442,6 +442,50 @@ def test_recover_blocks_command_and_degenerate_exit(tmp_path):
     assert rep["error"] == "DegenerateBoundaryPair"
 
 
+@pytest.mark.parametrize("command", ["split", "rh-solve", "report"])
+def test_header_only_input_is_refused(tmp_path, command):
+    inp = tmp_path / "s.csv"
+    inp.write_text("lambda,block,k,j,re,im\n")
+    cfg = _write(tmp_path, "c.json", {"input": str(inp), "split_edge_tol": 0.01})
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == "input"
+    assert rep["detail"] == f"input: {inp} holds no lambda-grid block"
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_rh_solve_nan_sample_is_a_singular_scattering_report(tmp_path):
+    # a NaN determinant counts as singular, so the solve stops at the grid
+    # guard instead of failing inside GMRES
+    cfg, grid = _rh_solve_config(tmp_path)
+    inp = Path(json.loads(Path(cfg).read_text())["input"])
+    s_mat = linefuncs_from_csv(inp)["S"]
+    s_mat.values[100] = np.nan
+    inp.write_text("".join(linefuncs_to_csv({"S": s_mat})))
+    out = tmp_path / "out"
+    assert run_cli("rh-solve", "--config", cfg, "--out", str(out)) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "SingularScattering" and rep["lam"] == grid[100]
+
+
+@pytest.mark.parametrize("which", ["factorization1", "factorization2"])
+@pytest.mark.parametrize("block", ["plus", "minus"])
+def test_recover_blocks_refuses_factorization_without_a_block(tmp_path, which, block):
+    cfg, _ = _recover_config(tmp_path)
+    path = json.loads(Path(cfg).read_text())["inputs"][which]
+    funcs = linefuncs_from_csv(path)
+    del funcs[block]
+    Path(path).write_text("".join(linefuncs_to_csv(funcs)))
+    out = tmp_path / "out"
+    assert run_cli("recover-blocks", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == which
+    assert rep["detail"] == f"{which}: {path} holds no {block} block"
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
 def test_edge_forward_and_roundtrip_commands(tmp_path):
     prob = _write(tmp_path, "p.json", EDGE_PROBLEM)
     cfg = _write(tmp_path, "c.json", {"problem": prob, "split_edge_tol": 0.01})
@@ -560,6 +604,7 @@ def test_threads_flag_below_one_is_rejected(tmp_path, monkeypatch, threads, caps
 ERROR_EXIT_CODES = [
     (errors.NumericalError("generic numerical failure"), 1),
     (errors.NonConvergence("kernels", 50, 0.1), 1),
+    (errors.SingularOnGrid(0.5, 1e-12), 1),
     (errors.SingularFactor(0.5, 1e-12), 1),
     (errors.SingularP(0.5, 1e-12), 1),
     (errors.EdgeDecayViolation(0.5, 1e-3), 1),

@@ -12,8 +12,11 @@ from isphalf.domain import (
     kernel_decay_exponent,
     validate_potential,
 )
-from isphalf.errors import SingularH, ValidationError
+from isphalf.errors import NumericalError, SingularFactor, SingularH, SingularP, SingularScattering, ValidationError
+from isphalf.forward import BlockTransforms, scattering_matrix, transmission_matrix
+from isphalf.linefunc import LineMatrixFunction, make_grid
 from isphalf.profiles import ExpSumProfile
+from isphalf.rh import solve_regular_rh
 
 
 def test_dispersion_validation():
@@ -156,3 +159,49 @@ def test_boundary_matrix_determinant_guard():
     BoundaryMatrix(np.eye(2))
     with pytest.raises(SingularH):
         BoundaryMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def _with_det(grid, dets, m):
+    """(N, m, m) identities whose (1, 1) entry is dets, so |det| is |dets|."""
+    vals = np.tile(np.eye(m, dtype=complex), (len(grid), 1, 1))
+    vals[:, 0, 0] = dets
+    return LineMatrixFunction(grid, vals)
+
+
+def _scattering(grid, dets):
+    zero = LineMatrixFunction(grid, np.zeros((len(grid), 2, 2)))
+    return scattering_matrix(LineMatrixFunction(grid, _with_det(grid, dets, 2).values - np.eye(2)), zero)
+
+
+def _transmission(grid, dets):
+    zero = LineMatrixFunction(grid, np.zeros((len(grid), 1, 1)))
+    return transmission_matrix(BlockTransforms(_with_det(grid, dets - 1.0, 1), zero, zero, zero))
+
+
+# each lambda-grid determinant guard, with matrices of the given determinants
+GRID_GUARDS = {
+    "scattering_matrix": (SingularFactor, "det(I + A_plus)", _scattering),
+    "transmission_matrix": (SingularP, "det P", _transmission),
+    "solve_regular_rh": (SingularScattering, "det S", lambda grid, dets: solve_regular_rh(_with_det(grid, dets, 2))),
+}
+
+
+@pytest.mark.parametrize("guard", GRID_GUARDS)
+def test_grid_determinant_guards_name_the_worst_point(guard):
+    error, determinant, call = GRID_GUARDS[guard]
+    grid = make_grid(10.0, 64)
+    dets = np.ones(len(grid), dtype=complex)
+    dets[5] = 8e-11  # below SINGULARITY_TOL, but not the least
+    dets[40] = -3e-12j
+    with pytest.raises(error) as exc:
+        call(grid, dets)
+    assert exc.value.lam == grid[40]
+    assert exc.value.value == pytest.approx(3e-12, rel=1e-12)
+    assert str(exc.value) == f"|{determinant}| = {exc.value.value:.3e} at lambda = {grid[40]:.6g}"
+    dets[5] = dets[40] = 2e-10  # above SINGULARITY_TOL everywhere
+    try:
+        call(grid, dets)
+    except error:
+        pytest.fail("the guard refused determinants above SINGULARITY_TOL")
+    except NumericalError:
+        pass  # a later step of the solve may still refuse these matrices

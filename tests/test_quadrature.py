@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isphalf import quadrature
 from isphalf.quadrature import (
@@ -38,6 +40,39 @@ def test_cumulative_right_oscillatory():
         want = (np.exp(-(1 - 1j * w) * x) - np.exp(-(1 - 1j * w) * X)) / (1 - 1j * w)
         # exact for the linear interpolant: error is pure interpolation, flat in w
         assert np.abs(got - want).max() < 1e-5
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    x_left=st.floats(-20.0, 20.0),
+    h=st.floats(1e-3, 2.0),
+    v=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=2, max_size=2),
+    z_re=st.floats(-300.0, 300.0),
+    z_im=st.floats(-1.0, 1.0),
+)
+@example(x_left=0.0, h=0.1, v=[1.0, 1.0], z_re=0.5, z_im=0.0)
+def test_segment_transform_on_scalars_is_the_one_element_array_value(x_left, h, v, z_re, z_im):
+    # both moment branches: |z h| < 0.35 takes the series; numpy's scalar
+    # and array products may round the last bit differently
+    z = complex(z_re, z_im)
+    got = linear_segment_transform(x_left, h, v[0], v[1], z)
+    want = linear_segment_transform(np.array([x_left]), np.array([h]), np.array([v[0]]), np.array([v[1]]), np.array([z]))
+    assert np.ndim(got) == 0 and want.shape == (1,)
+    scale = h * (abs(v[0]) + abs(v[1])) * abs(np.exp(1j * z * x_left)) * np.exp(abs(z.imag) * h)
+    assert abs(got - want[0]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+@pytest.mark.parametrize("omega", [0.0, 1.3, -2.0, 250.0])
+def test_cumulative_right_is_the_per_segment_suffix_sum(n, omega):
+    rng = np.random.default_rng(n)
+    x0, dx = 0.7, 0.05
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    segs = [linear_segment_transform(x0 + i * dx, dx, g[i], g[i + 1], omega) for i in range(n - 1)]
+    want = np.array([sum(segs[i:], 0j) for i in range(n)])
+    got = cumulative_right_linear(x0, dx, g, omega)
+    assert got.shape == (n,) and got[-1] == 0
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_filon_simpson_uniform_in_frequency():
