@@ -3,9 +3,12 @@
 isp <command> --config <path> [--out <dir>] [--threads K] [--seed S]
 
 Commands: validate, forward, split, rh-solve, recover-blocks, edge-forward,
-edge-roundtrip, report.  Exit codes: 0 success, 1 numerical failure (the
-failing operation's error name lands in the report), 2 input errors.  All
-artifacts are written atomically; reports are byte-deterministic.
+edge-roundtrip, report.  Each command computes and returns its report and
+its artifacts (file name -> text or text chunks); main alone writes them,
+each atomically and hashed into the report's manifest, then report.json.
+Exit codes: 0 success, 1 numerical failure (the failing operation's error
+name lands in the report), 2 input errors or a report with "valid": false.
+Reports are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -47,20 +50,23 @@ def main(argv=None) -> int:
     # imports deferred so the thread env applies before numpy loads
     from .config import load_config
     from .errors import IspError, NumericalError
+    from .serialize import atomic_write_text, render_report
 
     out_dir = _resolve_out_dir(args.out)
     try:
         cfg = load_config(args.config)
         cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed)
         out_dir = _resolve_out_dir(cfg.out_dir)
-        report, ok = _dispatch(args.command, cfg, out_dir)
-        _write_report(report, out_dir)
-        return 0 if ok else 2
+        report, artifacts = _COMMANDS[args.command](cfg)
+        if artifacts:
+            report["manifest"] = {name: atomic_write_text(out_dir / name, text) for name, text in artifacts.items()}
+        atomic_write_text(out_dir / "report.json", render_report(report))
+        return 2 if report.get("valid") is False else 0
     except IspError as exc:
         kind = type(exc).__name__
         report = {**vars(exc), "error": kind, "detail": str(exc)}
         try:
-            _write_report(report, out_dir)
+            atomic_write_text(out_dir / "report.json", render_report(report))
         except OSError:
             pass
         print(f"error: {kind}: {exc}", file=sys.stderr)
@@ -72,23 +78,6 @@ def main(argv=None) -> int:
 
 def _resolve_out_dir(out_dir: str | None) -> Path:
     return Path(out_dir or os.environ.get("ISP_OUT_DIR") or "isp-out")
-
-
-def _write_report(report: dict, out_dir: Path):
-    from .serialize import atomic_write_text, render_report
-
-    atomic_write_text(out_dir / "report.json", render_report(report))
-
-
-def _write_artifact(out_dir: Path, name: str, text, manifest: dict):
-    """Write one artifact (a str or str chunks) and record the sha256 of its bytes."""
-    from .serialize import atomic_write_text
-
-    manifest[name] = atomic_write_text(out_dir / name, text)
-
-
-def _dispatch(command: str, cfg, out_dir: Path):
-    return _COMMANDS[command](cfg, out_dir)
 
 
 def _require(problem: dict, key: str):
@@ -108,7 +97,7 @@ def _load_problem(cfg):
     return load_problem(cfg.problem, seed=cfg.seed)
 
 
-def _cmd_validate(cfg, out_dir: Path):
+def _cmd_validate(cfg):
     from .domain import validate_potential
 
     problem = _load_problem(cfg)
@@ -121,10 +110,10 @@ def _cmd_validate(cfg, out_dir: Path):
         "n": pot.n,
         "envelope": {"C": pot.envelope[0], "eps": pot.envelope[1]},
     }
-    return report, not violations
+    return report, {}
 
 
-def _cmd_forward(cfg, out_dir: Path):
+def _cmd_forward(cfg):
     from . import forward as fwd
     from .domain import SINGULARITY_TOL, validate_potential
     from .errors import ValidationError
@@ -147,21 +136,20 @@ def _cmd_forward(cfg, out_dir: Path):
     p_mat, pi_mat = fwd.transmission_matrix(blocks)
     strips = fwd.strip_diagnostics(plus, minus)
 
-    manifest: dict = {}
-    _write_artifact(out_dir, "kernels.csv", kernels_to_csv(kernels), manifest)
     named_blocks = {
         "A11_minus": blocks.a11_minus,
         "A21_minus": blocks.a21_minus,
         "A12_plus": blocks.a12_plus,
         "A22_plus": blocks.a22_plus,
     }
-    _write_artifact(out_dir, "transforms.csv", linefuncs_to_csv(named_blocks), manifest)
     named_scatter = {"S": s_mat, "plus": plus, "minus": minus}
-    _write_artifact(out_dir, "scattering.csv", linefuncs_to_csv(named_scatter), manifest)
-    _write_artifact(out_dir, "transmission.csv", linefuncs_to_csv({"P": p_mat, "Pi": pi_mat}), manifest)
-    sidecar = sidecar_metadata(kernels=kernels, linefuncs={**named_blocks, **named_scatter})
-    _write_artifact(out_dir, "sidecar.json", render_report(sidecar), manifest)
-
+    artifacts = {
+        "kernels.csv": kernels_to_csv(kernels),
+        "transforms.csv": linefuncs_to_csv(named_blocks),
+        "scattering.csv": linefuncs_to_csv(named_scatter),
+        "transmission.csv": linefuncs_to_csv({"P": p_mat, "Pi": pi_mat}),
+        "sidecar.json": render_report(sidecar_metadata(kernels=kernels, linefuncs={**named_blocks, **named_scatter})),
+    }
     report = {
         "command": "forward",
         "sweeps": kernels.sweeps,
@@ -176,9 +164,8 @@ def _cmd_forward(cfg, out_dir: Path):
             "singularity_tol": SINGULARITY_TOL,
         },
         "grid": {"lambda_max": cfg.lambda_max, "n_lambda": cfg.n_lambda},
-        "manifest": manifest,
     }
-    return report, True
+    return report, artifacts
 
 
 def _input_linefuncs(cfg, which: str = "input", blocks=()):
@@ -197,27 +184,22 @@ def _input_linefuncs(cfg, which: str = "input", blocks=()):
     return funcs
 
 
-def _cmd_split(cfg, out_dir: Path):
+def _cmd_split(cfg):
     from .rh import plemelj_split
     from .serialize import linefuncs_to_csv
 
     name, f = next(iter(_input_linefuncs(cfg).items()))
     plus, minus = plemelj_split(f, edge_tol=cfg.split_edge_tol)
-    manifest: dict = {}
-    _write_artifact(
-        out_dir, "split.csv", linefuncs_to_csv({f"{name}_plus": plus, f"{name}_minus": minus}), manifest
-    )
     report = {
         "command": "split",
         "input_block": name,
         "edge_norm": f.edge_norm(),
         "split_edge_tol": cfg.split_edge_tol,
-        "manifest": manifest,
     }
-    return report, True
+    return report, {"split.csv": linefuncs_to_csv({f"{name}_plus": plus, f"{name}_minus": minus})}
 
 
-def _cmd_rh_solve(cfg, out_dir: Path):
+def _cmd_rh_solve(cfg):
     import numpy as np
 
     from .rh import solve_regular_rh
@@ -226,21 +208,12 @@ def _cmd_rh_solve(cfg, out_dir: Path):
     funcs = _input_linefuncs(cfg)
     s_mat = funcs.get("S") or next(iter(funcs.values()))
     plus, minus, diag = solve_regular_rh(s_mat, edge_tol=cfg.split_edge_tol)
-    residual = float(
-        np.abs((plus.plus_identity() @ s_mat.values) - minus.plus_identity()).max()
-    )
-    manifest: dict = {}
-    _write_artifact(out_dir, "factors.csv", linefuncs_to_csv({"plus": plus, "minus": minus}), manifest)
-    report = {
-        "command": "rh-solve",
-        "factorization_residual": residual,
-        **diag,
-        "manifest": manifest,
-    }
-    return report, True
+    residual = float(np.abs((plus.plus_identity() @ s_mat.values) - minus.plus_identity()).max())
+    report = {"command": "rh-solve", "factorization_residual": residual, **diag}
+    return report, {"factors.csv": linefuncs_to_csv({"plus": plus, "minus": minus})}
 
 
-def _cmd_recover_blocks(cfg, out_dir: Path):
+def _cmd_recover_blocks(cfg):
     from .rh import CONSISTENCY_TOL, recover_blocks
     from .serialize import linefuncs_to_csv
 
@@ -251,25 +224,12 @@ def _cmd_recover_blocks(cfg, out_dir: Path):
     fac2 = _input_linefuncs(cfg, "factorization2", ("plus", "minus"))
     blocks, diag = recover_blocks(fac1["plus"], fac1["minus"], fac2["plus"], fac2["minus"], bnd1, bnd2)
     a11m, a12p, a21m, a22p = blocks
-    manifest: dict = {}
-    _write_artifact(
-        out_dir,
-        "blocks.csv",
-        linefuncs_to_csv(
-            {"A11_minus": a11m, "A12_plus": a12p, "A21_minus": a21m, "A22_plus": a22p}
-        ),
-        manifest,
-    )
-    report = {
-        "command": "recover-blocks",
-        "consistency": diag,
-        "consistency_tol": CONSISTENCY_TOL,
-        "manifest": manifest,
-    }
-    return report, True
+    report = {"command": "recover-blocks", "consistency": diag, "consistency_tol": CONSISTENCY_TOL}
+    named = {"A11_minus": a11m, "A12_plus": a12p, "A21_minus": a21m, "A22_plus": a22p}
+    return report, {"blocks.csv": linefuncs_to_csv(named)}
 
 
-def _cmd_edge_forward(cfg, out_dir: Path):
+def _cmd_edge_forward(cfg):
     from .edge_coupled import edge_scattering
     from .linefunc import make_grid
     from .serialize import linefuncs_to_csv
@@ -279,18 +239,15 @@ def _cmd_edge_forward(cfg, out_dir: Path):
     bnd = _require(problem, "edge_boundary")
     grid = make_grid(cfg.lambda_max, cfg.n_lambda)
     s_mat = edge_scattering(sys_, bnd, grid)
-    manifest: dict = {}
-    _write_artifact(out_dir, "edge_scattering.csv", linefuncs_to_csv({"S": s_mat}), manifest)
     report = {
         "command": "edge-forward",
         "n": sys_.n,
         "column_sup": float(abs(s_mat.values[:, : sys_.n - 1, sys_.n - 1]).max()),
-        "manifest": manifest,
     }
-    return report, True
+    return report, {"edge_scattering.csv": linefuncs_to_csv({"S": s_mat})}
 
 
-def _cmd_edge_roundtrip(cfg, out_dir: Path):
+def _cmd_edge_roundtrip(cfg):
     from .edge_coupled import edge_roundtrip
     from .linefunc import make_grid
 
@@ -307,11 +264,10 @@ def _cmd_edge_roundtrip(cfg, out_dir: Path):
         compare_to=cfg.compare_to,
         split_edge_tol=cfg.split_edge_tol,
     )
-    report = {"command": "edge-roundtrip", **result}
-    return report, True
+    return {"command": "edge-roundtrip", **result}, {}
 
 
-def _cmd_report(cfg, out_dir: Path):
+def _cmd_report(cfg):
     from .rh import solvability_report
     from .forward import strip_diagnostics
 
@@ -322,7 +278,7 @@ def _cmd_report(cfg, out_dir: Path):
         report["solvability"] = solvability_report(s_mat)
     if "plus" in funcs and "minus" in funcs:
         report["strips"] = strip_diagnostics(funcs["plus"], funcs["minus"])
-    return report, True
+    return report, {}
 
 
 _COMMANDS = {

@@ -513,6 +513,53 @@ def test_report_command(tmp_path):
     assert rep["solvability"]["nonsingular"] is True
 
 
+# the artifacts each command hands to cli.main, besides report.json
+ARTIFACTS = {
+    "validate": set(),
+    "forward": {"kernels.csv", "transforms.csv", "scattering.csv", "transmission.csv", "sidecar.json"},
+    "split": {"split.csv"},
+    "rh-solve": {"factors.csv"},
+    "recover-blocks": {"blocks.csv"},
+    "edge-forward": {"edge_scattering.csv"},
+    "edge-roundtrip": set(),
+    "report": set(),
+}
+
+
+def _command_config(tmp_path, command):
+    if command in ("validate", "forward"):
+        prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+        return _write(
+            tmp_path, "c.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
+        )
+    if command.startswith("edge"):
+        prob = _write(tmp_path, "e.json", EDGE_PROBLEM)
+        return _write(tmp_path, "edge.json", {"problem": prob, "n_lambda": 1024, "split_edge_tol": 0.01})
+    if command == "split":
+        return _split_config(tmp_path)[0]
+    if command == "recover-blocks":
+        return _recover_config(tmp_path)[0]
+    return _rh_solve_config(tmp_path)[0]
+
+
+def test_artifact_table_covers_every_command():
+    assert set(ARTIFACTS) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_main_writes_the_manifest_and_the_report(tmp_path, command):
+    # cli.main is the one writer: the files its manifest lists, hashed as
+    # written, and report.json; a command without artifacts has no manifest
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", _command_config(tmp_path, command), "--out", str(out)) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert {p.name for p in out.iterdir()} == ARTIFACTS[command] | {"report.json"}
+    assert set(rep.get("manifest", {})) == ARTIFACTS[command]
+    assert ("manifest" in rep) == bool(ARTIFACTS[command])
+    for name, digest in rep.get("manifest", {}).items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
 def test_missing_config_is_input_error(tmp_path):
     out = tmp_path / "out"
     assert run_cli("forward", "--config", str(tmp_path / "nope.json"), "--out", str(out)) == 2
@@ -631,10 +678,10 @@ def test_exit_code_table_covers_every_error_class():
 
 @pytest.mark.parametrize("exc, code", ERROR_EXIT_CODES, ids=[type(e).__name__ for e, _ in ERROR_EXIT_CODES])
 def test_exit_code_per_error_class(tmp_path, monkeypatch, exc, code):
-    def fail(command, cfg, out_dir):
+    def fail(cfg):
         raise exc
 
-    monkeypatch.setattr(cli, "_dispatch", fail)
+    monkeypatch.setitem(cli._COMMANDS, "report", fail)
     cfg = _write(tmp_path, "c.json", {})
     out = tmp_path / "out"
     assert run_cli("report", "--config", cfg, "--out", str(out)) == code
