@@ -381,8 +381,14 @@ def linefuncs_from_csv(path) -> dict:
         if len(entries) != m * m:
             raise ParseError(path, f"block {name} has {len(entries)} of the {m * m} entries of a {m} x {m} matrix")
         columns = [[p[1] for p in entries[k, j]] for k in range(1, m + 1) for j in range(1, m + 1)]
+        grid, values = np.array(lams), np.stack(columns, axis=-1).reshape(-1, m, m)
+        bad = np.argwhere(~(np.isfinite(values) & np.isfinite(grid)[:, None, None]))
+        if len(bad):
+            i, k, j = bad[0]
+            where = f"entry ({k + 1},{j + 1}) in block {name}"
+            raise ParseError(path, f"{where} has a non-finite sample at lambda = {float(grid[i])!r}")
         try:
-            out[name] = LineMatrixFunction(np.array(lams), np.stack(columns, axis=-1).reshape(-1, m, m))
+            out[name] = LineMatrixFunction(grid, values)
         except ValidationError as exc:
             raise ParseError(path, f"block {name}: {exc}") from exc
     return out

@@ -205,3 +205,15 @@ def test_grid_determinant_guards_name_the_worst_point(guard):
         pytest.fail("the guard refused determinants above SINGULARITY_TOL")
     except NumericalError:
         pass  # a later step of the solve may still refuse these matrices
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("guard", GRID_GUARDS)
+def test_grid_determinant_guards_count_a_nan_as_singular(guard):
+    error, _, call = GRID_GUARDS[guard]
+    grid = make_grid(10.0, 64)
+    dets = np.ones(len(grid), dtype=complex)
+    dets[40] = np.nan
+    with pytest.raises(error) as exc:
+        call(grid, dets)
+    assert exc.value.lam == grid[40] and np.isnan(exc.value.value)
