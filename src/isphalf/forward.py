@@ -29,7 +29,7 @@ from .domain import (
 )
 from .errors import NonConvergence, SingularFactor, SingularP, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
-from .profiles import ExpSumProfile, SampledProfile, ScalarProfile, ZERO_PROFILE
+from .profiles import SampledProfile, ScalarProfile, ZERO_PROFILE
 from .quadrature import cumulative_right_linear, filon_simpson_transform
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -212,25 +212,24 @@ class TransformationKernels:
         return self.blocks[name][:, :, :, 0]
 
 
-def _kernel_peak_bytes(n: int, chans, drive_terms: int, nx: float, nt: float) -> float:
+def _kernel_peak_bytes(n: int, chans, nx: float, nt: float) -> float:
     """Upper bound on the memory solve_kernels allocates on an (nx, nt)
     grid, in floats, so a grid of any size gets a finite or infinite bound.
 
     Counts the four kernel blocks (4 n^2 arrays of nx * nt complex values)
     and, on one block of span = min(_LEVELS_PER_BLOCK, nt) levels, the next
     iterate of one channel plus eight work arrays (the coupling, a product
-    summed into it, the drive slice and its factors, the diagonal integral,
+    summed into it, the drive slice and its arguments, the diagonal integral,
     the change and its modulus, the envelope), all of nx complex values per
     level.  Then the temporaries of the gather of one block, at most 160
     bytes per point on span + 1 levels of the band of feet that cross the
     nodes, the carries (the accumulator on the feet and one coupling level
-    per off-diagonal channel), the per-x potential samples, the factor
-    vectors of the drive_terms exponential terms, and 1 MiB for the grids,
-    the level table and small objects.
+    per off-diagonal channel), the per-x potential samples, and 1 MiB for
+    the grids, the level table and small objects.
     """
     span = min(_LEVELS_PER_BLOCK, nt)
     storage = 4 * n * n * nx * nt + 9 * nx * span
-    carries = 4 * n * n * nx + drive_terms * (nx + nt)
+    carries = 4 * n * n * nx
     gather = 0.0
     for rho in (float(c.rho) for c in chans if c.rho is not None):
         carries += 2 * nx + rho * (nt - 1) + 2
@@ -287,22 +286,10 @@ def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
 def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray):
     """The drive D(x, tau) = i rho q(x + rho tau) of an off-diagonal channel
     driven by q, as a function of a level range [lo, hi) that returns
-    D(x, tau[lo:hi]).  An exponential sum keeps the factor vectors
-    e^{-a x} and e^{-a rho tau} of each term, formed once on the whole
-    grid."""
-    if isinstance(prof, ExpSumProfile):
-        factors = [(gamma, np.exp(-a * x), np.exp(-a * rho * tau)) for gamma, a in prof.terms]
+    D(x, tau[lo:hi])."""
 
-        def levels(lo: int, hi: int) -> np.ndarray:
-            d = np.zeros((len(x), hi - lo), dtype=complex)
-            for gamma, fx, ft in factors:
-                d += gamma * np.outer(fx, ft[lo:hi])
-            return 1j * rho * d
-
-    else:
-
-        def levels(lo: int, hi: int) -> np.ndarray:
-            return 1j * rho * prof(x[:, None] + rho * tau[None, lo:hi])
+    def levels(lo: int, hi: int) -> np.ndarray:
+        return 1j * rho * prof(x[:, None] + rho * tau[None, lo:hi])
 
     return levels
 
@@ -449,8 +436,7 @@ def solve_kernels(
     chans = channel_table(disp)
     profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
     driven = [c for c, p in profile.items() if not p.is_zero]
-    drive_terms = sum(len(profile[c].terms) for c in driven if isinstance(profile[c], ExpSumProfile))
-    need = _kernel_peak_bytes(n, chans, drive_terms, nx, nt)
+    need = _kernel_peak_bytes(n, chans, nx, nt)
     have = _available_memory()
     if not need <= have:
         raise ValidationError(

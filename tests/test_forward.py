@@ -460,13 +460,7 @@ def reference_gauss_seidel_kernels(
         prof = pot.block(_DRIVE_BLOCK[name])[k][j]
         if rho is None or prof.is_zero:
             continue
-        if isinstance(prof, ExpSumProfile):
-            d = np.zeros((nx, nt), dtype=complex)
-            for gamma, a in prof.terms:
-                d += gamma * np.outer(np.exp(-a * x), np.exp(-a * rho * tau))
-        else:
-            d = prof(x[:, None] + rho * tau[None, :])
-        kern[name][k, j] = 1j * rho * d
+        kern[name][k, j] = 1j * rho * prof(x[:, None] + rho * tau[None, :])
     drive = {name: blk.copy() for name, blk in kern.items()}
 
     for sweep in range(1, MAX_SWEEPS + 1):
