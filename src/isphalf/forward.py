@@ -36,7 +36,7 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
-# tau levels per block of the kernel sweeps, each marched in one gather
+# tau levels per block of the kernel solve, each converged in turn and marched in one gather
 _LEVELS_PER_BLOCK = 64
 
 
@@ -174,22 +174,28 @@ def asymptotic_coefficients(sol: BoundedSolution, pot: TriangularPotential, disp
 
 @dataclass(frozen=True)
 class TransformationKernels:
-    """The four matrix kernels on the slanted triangle, sampled uniformly.
+    """The two faces of the four matrix kernels that the method reads.
 
-    Storage is (n, n, Nx, Ntau) per block with tau = t - x, so the kernel
-    diagonal t = x is the tau = 0 face and the half-line trace x = 0 is the
-    first x slice.  The blocks are the arrays solve_kernels swept in place,
-    zero off the admissible entries.
+    The kernels live on the slanted triangle t >= x >= 0, sampled uniformly
+    in x and tau = t - x.  traces holds the half-line trace x = 0 of each
+    block, (n, n, Ntau), and diagonals the kernel diagonal t = x, the
+    tau = 0 face, (n, n, Nx); both are zero off the admissible entries.
+    nonzero holds the (block, k, j) of each channel that is nonzero anywhere
+    on the triangle.  sweeps is the largest number of sweeps a tau-block of
+    the solve took, and sweep_changes the sup-norm change of each sweep, one
+    tuple per tau-block.
     """
 
     disp: Dispersion
     step: float
-    blocks: dict = field(repr=False)
+    traces: dict = field(repr=False)
+    diagonals: dict = field(repr=False)
+    nonzero: frozenset
     theta: float
     c_tilde: float
     envelope_eps: float
     sweeps: int
-    sweep_changes: tuple[float, ...] = ()  # sup-norm change of each sweep
+    sweep_changes: tuple[tuple[float, ...], ...] = ()
 
     @property
     def n(self) -> int:
@@ -197,44 +203,45 @@ class TransformationKernels:
 
     @property
     def x_grid(self) -> np.ndarray:
-        return self.step * np.arange(self.blocks["A11"].shape[2])
+        return self.step * np.arange(self.diagonals["A11"].shape[2])
 
     @property
     def tau_grid(self) -> np.ndarray:
-        return self.step * np.arange(self.blocks["A11"].shape[3])
+        return self.step * np.arange(self.traces["A11"].shape[2])
 
     def trace_at_zero(self, name: str) -> np.ndarray:
         """Kernel block on the x = 0 edge, shape (n, n, Ntau)."""
-        return self.blocks[name][:, :, 0, :]
+        return self.traces[name]
 
     def diagonal(self, name: str) -> np.ndarray:
         """Kernel block on the t = x face, shape (n, n, Nx)."""
-        return self.blocks[name][:, :, :, 0]
+        return self.diagonals[name]
 
 
 def _kernel_peak_bytes(n: int, chans, nx: float, nt: float) -> float:
     """Upper bound on the memory solve_kernels allocates on an (nx, nt)
     grid, in floats, so a grid of any size gets a finite or infinite bound.
 
-    Counts the four kernel blocks (4 n^2 arrays of nx * nt complex values)
-    and, on one block of span = min(_LEVELS_PER_BLOCK, nt) levels, the next
-    iterate of one channel plus eight work arrays (the coupling, a product
-    summed into it, the drive slice and its arguments, the diagonal integral,
-    the change and its modulus, the envelope), all of nx complex values per
-    level.  Then the temporaries of the gather of one block, at most 160
-    bytes per point on span + 1 levels of the band of feet that cross the
-    nodes, the carries (the accumulator on the feet and one coupling level
-    per off-diagonal channel), the per-x potential samples, and 1 MiB for
-    the grids, the level table and small objects.
+    Counts the two faces of the four blocks (4 n^2 (nx + nt) complex values),
+    the potential samples on the x nodes (4 n^2 nx) and, on one tau-block of
+    span = min(_LEVELS_PER_BLOCK, nt) levels of nx complex values each, the
+    rolling buffer of the admissible channels plus nine work arrays (the
+    coupling, a product summed into it, the next iterate and the arguments of
+    its drive, the diagonal integral, the change and its modulus, the
+    envelope and its product).  Then, per off-diagonal channel, its carries
+    three times over (committed, from the sweep's earlier channels, in the
+    making): one coupling level and the accumulation on at most
+    nx + rho span + 3 feet.  Then the temporaries of the gather of one block,
+    at most 160 bytes per point on span + 1 levels of that band of feet, and
+    1 MiB for the grids, the tables and small objects.
     """
     span = min(_LEVELS_PER_BLOCK, nt)
-    storage = 4 * n * n * nx * nt + 9 * nx * span
-    carries = 4 * n * n * nx
+    values = 4 * n * n * (2 * nx + nt) + (len(chans) + 9) * nx * span
     gather = 0.0
     for rho in (float(c.rho) for c in chans if c.rho is not None):
-        carries += 2 * nx + rho * (nt - 1) + 2
+        values += 3 * (2 * nx + rho * span + 3)
         gather = max(gather, (span + 1) * (nx + rho * span + 7))
-    return 16 * (storage + carries) + 160 * gather + (1 << 20)
+    return 16 * values + 160 * gather + (1 << 20)
 
 
 def _available_memory() -> int:
@@ -250,12 +257,51 @@ def _available_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _coupling_terms(chan: Channel, pot: TriangularPotential):
-    """(q block, kernel block, m slice) of each product q_{km} A_{mj} in the
-    coupling of a channel: the full 2n x 2n product Q A restricted to the
-    channel's block, over the m from the first to the last where q_{km} is
-    nonzero and A_{mj} admissible.  The products left out are exact zeros,
-    so the sum is bit-identical to one over every m.
+def kernel_grid(
+    pot: TriangularPotential,
+    disp: Dispersion,
+    *,
+    step: float = DEFAULT_STEP,
+    x_max: float | None = None,
+    tau_max: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The x and tau nodes of the kernel solve, judged before anything is
+    allocated.
+
+    x_max defaults to the length where the envelope falls below
+    DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The point counts and the
+    peak memory bound (_kernel_peak_bytes) are computed in floats first, so
+    a grid of any size is judged: an axis with fewer than 3 points, or a
+    bound above the available memory (_available_memory), is refused with
+    ValidationError.
+    """
+    if x_max is None:
+        x_max = truncation_length(pot.envelope, DEFAULT_TAIL_TOL)
+    if tau_max is None:
+        tau_max = x_max / kernel_decay_exponent(disp)
+    for axis, length in (("x", x_max), ("tau", tau_max)):
+        if not length / step > 1:
+            raise ValidationError("step", f"{step:.3g} leaves fewer than 3 points on the {axis} axis [0, {length:.3g}]")
+    nx, nt = float(np.ceil(x_max / step)) + 1, float(np.ceil(tau_max / step)) + 1
+    need = _kernel_peak_bytes(disp.n, channel_table(disp), nx, nt)
+    have = _available_memory()
+    if not need <= have:
+        raise ValidationError(
+            "kernel grid",
+            f"{nx:.6g} x {nt:.6g} points at n = {disp.n} need about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of available memory",
+        )
+    return step * np.arange(int(nx)), step * np.arange(int(nt))
+
+
+def _coupling_terms(chan: Channel, pot: TriangularPotential, qgrid: dict, row: dict):
+    """(q samples, buffer rows) of each product q_{km} A_{mj} in the coupling
+    of a channel: the full 2n x 2n product Q A restricted to the channel's
+    block, over the m from the first to the last where q_{km} is nonzero and
+    A_{mj} admissible.  The admissible m of a kernel column form one range,
+    so these A_{mj} are adjacent rows of a buffer ordered by block, column
+    and row (row maps (block, k, j) to its row).  The products left out are
+    exact zeros, so the sum is bit-identical to one over every m.
     """
     n = pot.n
     rb, cb = KERNEL_BLOCKS[chan.block]
@@ -268,7 +314,8 @@ def _coupling_terms(chan: Channel, pot: TriangularPotential):
             if not pot.block(qname)[chan.k][m].is_zero and KERNEL_ALLOWED[aname](m, chan.j, n)
         ]
         if ms:
-            terms.append((qname, aname, slice(ms[0], ms[-1] + 1)))
+            first = row[aname, ms[0], chan.j]
+            terms.append((qgrid[qname][chan.k, ms[0] : ms[-1] + 1], slice(first, first + ms[-1] + 1 - ms[0])))
     return terms
 
 
@@ -294,80 +341,128 @@ def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray):
     return levels
 
 
-def _march(rho: float, prev: np.ndarray, g: np.ndarray, w: np.ndarray, out: np.ndarray, first: int, step: float):
+def _march(rho: float, prev: np.ndarray, g: np.ndarray, feet, out: np.ndarray, first: int, step: float):
     """Add i times the integral of the coupling along the characteristics of
     slope rho to out, on the levels first .. first + L - 1 of g (nx, L),
-    with prev the coupling at level first - 1.  w is the accumulation per
-    foot (indexed by its position at tau = 0), carried from block to block.
+    with prev the coupling at level first - 1.  feet = (f, w) is the
+    accumulation w on the feet f, f + 1, ... (indexed by their position at
+    tau = 0) carried from the block below; returns it for the block above.
 
     All L levels are marched in one gather.  The feet over the nodes move
     right with tau (rho > 0): feet left of f0 are never read again and
-    feet from f1 on have met only zero coupling, so their w is still
-    exactly +0.
+    feet past the carried ones have met only zero coupling, so their w is
+    still exactly +0.
     """
     nx, levels = g.shape
     if not levels:
-        return
+        return feet
     shift = rho * np.arange(first - 1, first + levels)
-    f0, f1 = int(shift[1]), min(len(w), int(shift[-1]) + nx + 2)
+    f0, f1 = int(shift[1]), int(shift[-1]) + nx + 2
+    start, w = feet
     # coupling on levels first-1 .. first+L-1 at the feet, clamped left of x = 0
     rows = np.zeros((levels + 1, nx + 3), dtype=complex)
     rows[0, 0], rows[0, 1 : nx + 1] = prev[0], prev
     rows[1:, 0], rows[1:, 1 : nx + 1] = g[0], g.T
     g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
     acc = np.zeros((levels + 1, f1 - f0 + 3), dtype=complex)
-    acc[0, 1:-2] = w[f0:f1]
+    held = w[f0 - start :]
+    acc[0, 1 : 1 + len(held)] = held
     acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
     acc = np.cumsum(acc, axis=0)
-    w[f0:f1] = acc[-1, 1:-2]
     out += 1j * _lerp_rows(acc[1:], np.arange(nx, dtype=float) + shift[1:, None], f0).T
+    return f0, acc[-1, 1:-2].copy()
 
 
-def _sweep(chans, terms: dict, qgrid: dict, kern: dict, drives: dict, step: float, blocks) -> float:
-    """One Gauss-Seidel sweep over the kernel blocks kern, in place, one
-    block of tau levels [a, b) at a time in ascending order and, within a
-    block, channel by channel in chans order; returns the sup-norm change.
+def _sweep(chans, terms: dict, row: dict, drives: dict, block: np.ndarray, a: int, carries: dict, step: float):
+    """One Gauss-Seidel sweep over the tau levels [a, a + L) held in block,
+    in place, channel by channel in chans order; returns the sup-norm change
+    and the carries each off-diagonal channel leaves for the block above.
 
-    A channel's next iterate on [a, b) is formed in one buffer from the
-    levels [a, b) in kern, where the channels before it already hold their
-    new values, and from two carries taken when it swept the block below:
-    the accumulation on the feet and the coupling at level a - 1.  Its
-    change is taken against its values still in storage, and the buffer
-    replaces them at once, so the channels after it read the new values.
-    A coupling at level l reads only level l, so the sweep is the same as
-    one that visits the channels level by level, whatever the block size.
+    block holds one (nx, L) row per admissible channel.  A channel's next
+    iterate is formed in one buffer from block, where the channels before it
+    already hold their new values, and from its carries at the block's foot:
+    the coupling at level a - 1 and the accumulation on the feet.  Its
+    change is taken against its values still in block, and the buffer
+    replaces them at once, so the channels after it read the new values.  A
+    coupling at level l reads only level l, so the sweep is the same as one
+    that visits the channels level by level, whatever L.
     """
-    nx, nt = kern["A11"].shape[2:]
-    # the tau = 0 positions whose characteristics cross the nodes
-    feet = {c: np.zeros(nx + math.ceil(c.rho * (nt - 1)) + 1, dtype=complex) for c in chans if c.rho is not None}
-    last = {}
-    buf = np.empty((nx, blocks[0][1]), dtype=complex)
+    nx, span = block.shape[1:]
     change = np.float64(0.0)
-    for a, b in blocks:
-        out = buf[:, : b - a]
-        for c in chans:
-            g = np.zeros((nx, b - a), dtype=complex)
-            for qname, aname, ms in terms[c]:
-                g += np.einsum("mx,mxt->xt", qgrid[qname][c.k, ms], kern[aname][ms, c.j, :, a:b])
-            out[...] = drives[c](a, b) if c in drives else 0.0
-            if c.rho is None:
-                # integral along x to the truncation boundary, every level,
-                # in one work array; the x_max row keeps its zero drive
-                w = np.add(g[:-1], g[1:])
-                w *= 0.5 * step
-                np.cumsum(w[::-1], axis=0, out=w[::-1])
-                w *= 1j
-                out[:-1] += w
+    above = {}
+    for c in chans:
+        g = np.zeros((nx, span), dtype=complex)
+        for q, rows in terms[c]:
+            g += np.einsum("mx,mxt->xt", q, block[rows])
+        out = drives[c](a, a + span) if c in drives else np.zeros((nx, span), dtype=complex)
+        if c.rho is None:
+            # integral along x to the truncation boundary, every level,
+            # in one work array; the x_max row keeps its zero drive
+            w = np.add(g[:-1], g[1:])
+            w *= 0.5 * step
+            np.cumsum(w[::-1], axis=0, out=w[::-1])
+            w *= 1j
+            out[:-1] += w
+        else:
+            prev, feet = carries[c]
+            if a == 0:  # level 0 keeps its drive
+                feet = _march(c.rho, g[:, 0], g[:, 1:], feet, out[:, 1:], 1, step)
             else:
-                if a == 0:  # level 0 keeps its drive
-                    _march(c.rho, g[:, 0], g[:, 1:], feet[c], out[:, 1:], 1, step)
-                else:
-                    _march(c.rho, last[c], g, feet[c], out, a, step)
-                last[c] = g[:, -1].copy()
-            old = kern[c.block][c.k, c.j, :, a:b]
-            change = np.maximum(change, np.abs(out - old).max())
-            old[...] = out
-    return float(change)
+                feet = _march(c.rho, prev, g, feet, out, a, step)
+            above[c] = (g[:, -1].copy(), feet)
+        old = block[row[c.block, c.k, c.j]]
+        change = np.maximum(change, np.abs(out - old).max())
+        old[...] = out
+    return float(change), above
+
+
+def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarray, tau: np.ndarray):
+    """Solve the kernel system on the nodes x, tau (of kernel_grid) one block
+    of _LEVELS_PER_BLOCK tau levels at a time, in ascending order.
+
+    Yields (levels, values, changes) per block, levels the slice [a, b) of
+    its tau levels: values maps each admissible Channel to its converged
+    (nx, b - a) array, a view into one rolling buffer that the next block
+    overwrites, and changes lists the sup-norm change of each sweep of the
+    block.
+
+    The operator is of Volterra type in tau: a level depends only on the
+    levels at or below it.  A block sees the blocks below it only through
+    two carries per off-diagonal channel, the accumulation on its feet and
+    its coupling at level a - 1, so its fixed point is settled once they have
+    converged.  Linz (Analytical and Numerical Methods for Volterra
+    Equations, SIAM 1985) marches Volterra systems step by step in the same
+    way.  Each block starts from its drive and is swept (_sweep) until its
+    change falls below DEFAULT_ITER_TOL; every sweep restarts from the
+    carries taken at the block's foot, and those of the last sweep are
+    committed for the block above.  A block still moving after MAX_SWEEPS
+    sweeps raises NonConvergence.
+    """
+    span = _LEVELS_PER_BLOCK
+    step = float(x[1])  # x = step * arange(nx)
+    chans = channel_table(disp)
+    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
+    # buffer rows by block, column and row, so each coupling product reads a slice
+    row = {(c.block, c.k, c.j): i for i, c in enumerate(sorted(chans, key=lambda c: (c.block, c.j, c.k)))}
+    terms = {c: _coupling_terms(c, pot, qgrid, row) for c in chans}
+    profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
+    drives = {c: _drive(p, c.rho, x, tau) for c, p in profile.items() if not p.is_zero}
+    carries = {c: (None, (0, np.zeros(0, dtype=complex))) for c in profile}
+    buf = np.empty((len(chans), len(x), min(span, len(tau))), dtype=complex)
+    for a in range(0, len(tau), span):
+        block = buf[:, :, : min(span, len(tau) - a)]
+        for c in chans:
+            block[row[c.block, c.k, c.j]] = drives[c](a, a + block.shape[2]) if c in drives else 0.0
+        changes = []
+        for _ in range(MAX_SWEEPS):
+            change, above = _sweep(chans, terms, row, drives, block, a, carries, step)
+            changes.append(change)
+            if change < DEFAULT_ITER_TOL:
+                break
+        else:
+            raise NonConvergence("kernel system", MAX_SWEEPS, change)
+        carries.update(above)
+        yield slice(a, a + block.shape[2]), {c: block[row[c.block, c.k, c.j]] for c in chans}, changes
 
 
 def solve_kernels(
@@ -378,108 +473,70 @@ def solve_kernels(
     x_max: float | None = None,
     tau_max: float | None = None,
 ) -> TransformationKernels:
-    """Solve the coupled Volterra systems along characteristics.
+    """Solve the coupled Volterra systems along characteristics and keep the
+    two kernel faces the method reads.
 
     The unknowns are the admissible channels of domain.channel_table, one
-    2-D (x, tau) array each.  Gauss-Seidel sweeps: each sweep forms,
-    channel by channel in table order, the coupling from the newest
-    iterate (the products q_{km} A_{mj} whose factors are structurally
-    nonzero) and integrates it along the channel's characteristic onto its
-    drive i rho q_{kj}.  An off-diagonal entry is accumulated on the
-    characteristic lattice, indexed by the foot position at tau = 0, so
-    interpolation error never feeds back into the accumulation.  The
-    diagonal entries integrate along x up to the truncation boundary, where
-    the envelope bounds the dropped tail.  Gauss-Seidel reaches the fixed
-    point of the Jacobi iteration in fewer sweeps (Linz, Analytical and
-    Numerical Methods for Volterra Equations, SIAM 1985).
+    2-D (x, tau) array each, solved by converged_tau_blocks one tau-block at
+    a time with Gauss-Seidel sweeps: each sweep forms, channel by channel in
+    table order, the coupling from the newest iterate (the products
+    q_{km} A_{mj} whose factors are structurally nonzero) and integrates it
+    along the channel's characteristic onto its drive i rho q_{kj}.  An
+    off-diagonal entry is accumulated on the characteristic lattice, indexed
+    by the foot position at tau = 0, so interpolation error never feeds back
+    into the accumulation.  It marches a block in one gather: the coupling
+    is gathered at the band of feet whose characteristics cross the nodes
+    with 2-tap linear weights, the composite trapezoid increments are summed
+    by a cumsum along tau whose first row is the accumulation carried from
+    the block below, and the result is gathered back onto the nodes.  Each
+    block forms its own drive slice, so no drive is stored.  The diagonal
+    entries integrate along x up to the truncation boundary, where the
+    envelope bounds the dropped tail.  Gauss-Seidel reaches the fixed point
+    of the Jacobi iteration in fewer sweeps.  Every element sees the same
+    floating-point operations in the same order as a march that visits the
+    channels one level at a time.
 
-    The operator is of Volterra type in tau: a level depends only on the
-    levels at or below it.  So each sweep runs in place over blocks of
-    _LEVELS_PER_BLOCK tau levels in ascending order, see _sweep, and an
-    off-diagonal channel marches each block in one gather: the coupling is
-    gathered at the band of feet whose characteristics cross the nodes with
-    2-tap linear weights, the composite trapezoid increments are summed by
-    a cumsum along tau whose first row is the accumulation carried from the
-    block below, and the result is gathered back onto the nodes.  Each
-    block forms its own drive slice, so no drive is stored.  Every element
-    sees the same floating-point operations in the same order as a march
-    that visits the channels one level at a time, so the kernels are
-    bit-identical to that march and do not depend on the block size.  The
-    result holds the four (n, n, Nx, Ntau) blocks, zero off the admissible
-    entries; they and one block of one channel's next iterate are the bulk
-    of the memory the solve needs.
+    Of each converged block only these are kept: its x = 0 row, the tau = 0
+    column of the first block, c_tilde (a running max of
+    |A| e^{eps (x + theta tau)}), whether each channel is nonzero, and the
+    block's sweep history.  So the solve holds the faces, one tau-block of
+    the admissible channels and their carries, however many tau levels the
+    grid has.
 
-    x_max defaults to the length where the envelope falls below
-    DEFAULT_TAIL_TOL, tau_max to x_max / theta.  The sweeps stop once the
-    sup-norm change falls below DEFAULT_ITER_TOL; a solve that has not got
-    there after MAX_SWEEPS sweeps raises NonConvergence.  Successive
-    approximation contracts factorially on the nested domains, so these
-    constants belong to the method and are read at call time.
-
-    The point counts and the peak memory bound (_kernel_peak_bytes) are
-    computed in floats first, so a grid of any size is judged before
-    anything is allocated: an axis with fewer than 3 points, or a bound
-    above the available memory (_available_memory), is refused with
-    ValidationError.
+    The grid is judged before anything is allocated, see kernel_grid.  A
+    block stops once its sup-norm change falls below DEFAULT_ITER_TOL; one
+    that has not got there after MAX_SWEEPS sweeps raises NonConvergence.
+    Successive approximation contracts factorially on the nested domains, so
+    these constants belong to the method and are read at call time.
     """
+    x, tau = kernel_grid(pot, disp, step=step, x_max=x_max, tau_max=tau_max)
     n = disp.n
     eps = pot.envelope[1]
     theta = kernel_decay_exponent(disp)
-    if x_max is None:
-        x_max = truncation_length(pot.envelope, DEFAULT_TAIL_TOL)
-    if tau_max is None:
-        tau_max = x_max / theta
-    for axis, length in (("x", x_max), ("tau", tau_max)):
-        if not length / step > 1:
-            raise ValidationError("step", f"{step:.3g} leaves fewer than 3 points on the {axis} axis [0, {length:.3g}]")
-    nx, nt = float(np.ceil(x_max / step)) + 1, float(np.ceil(tau_max / step)) + 1
-    chans = channel_table(disp)
-    profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
-    driven = [c for c, p in profile.items() if not p.is_zero]
-    need = _kernel_peak_bytes(n, chans, nx, nt)
-    have = _available_memory()
-    if not need <= have:
-        raise ValidationError(
-            "kernel grid",
-            f"{nx:.6g} x {nt:.6g} points at n = {n} need about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of available memory",
-        )
-    nx, nt = int(nx), int(nt)
-    x = step * np.arange(nx)
-    tau = step * np.arange(nt)
-    blocks = [(a, min(a + _LEVELS_PER_BLOCK, nt)) for a in range(0, nt, _LEVELS_PER_BLOCK)]
-
-    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
-    terms = {c: _coupling_terms(c, pot) for c in chans}
-    drives = {c: _drive(profile[c], c.rho, x, tau) for c in driven}
-    kern = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in KERNEL_BLOCKS}
-    for c, drive in drives.items():
-        for a, b in blocks:
-            kern[c.block][c.k, c.j, :, a:b] = drive(a, b)
-
-    change, changes = np.inf, []
-    for sweep in range(1, MAX_SWEEPS + 1):
-        change = _sweep(chans, terms, qgrid, kern, drives, step, blocks)
-        changes.append(change)
-        if change < DEFAULT_ITER_TOL:
-            break
-    else:
-        raise NonConvergence("kernel system", MAX_SWEEPS, change)
-
-    c_tilde = 0.0
-    for a, b in blocks:
-        envelope = np.exp(eps * (x[:, None] + theta * tau[None, a:b]))
-        for c in chans:
-            c_tilde = max(c_tilde, float((np.abs(kern[c.block][c.k, c.j, :, a:b]) * envelope).max()))
+    traces = {name: np.zeros((n, n, len(tau)), dtype=complex) for name in KERNEL_BLOCKS}
+    diagonals = {name: np.zeros((n, n, len(x)), dtype=complex) for name in KERNEL_BLOCKS}
+    nonzero, history, c_tilde = set(), [], 0.0
+    for levels, values, changes in converged_tau_blocks(pot, disp, x, tau):
+        envelope = np.exp(eps * (x[:, None] + theta * tau[None, levels]))
+        for c, v in values.items():
+            traces[c.block][c.k, c.j, levels] = v[0]
+            if levels.start == 0:
+                diagonals[c.block][c.k, c.j] = v[:, 0]
+            if v.any():
+                nonzero.add((c.block, c.k, c.j))
+            c_tilde = max(c_tilde, float((np.abs(v) * envelope).max()))
+        history.append(tuple(changes))
     return TransformationKernels(
         disp=disp,
         step=step,
-        blocks=kern,
+        traces=traces,
+        diagonals=diagonals,
+        nonzero=frozenset(nonzero),
         theta=theta,
         c_tilde=c_tilde,
         envelope_eps=eps,
-        sweeps=sweep,
-        sweep_changes=tuple(changes),
+        sweeps=max(map(len, history)),
+        sweep_changes=tuple(history),
     )
 
 

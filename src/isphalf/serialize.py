@@ -316,18 +316,18 @@ def _csv_rows(lead, label, values) -> str:
 
 def kernels_to_csv(kernels):
     """The two kernel faces the method reads, as x, t, block, k, j, re, im rows
-    of each nonzero channel: the x = 0 trace (every tau), then the t = x
-    diagonal from the second x on.  The full triangle stays in kernels.blocks."""
+    of each channel that is nonzero anywhere on the triangle
+    (kernels.nonzero): the x = 0 trace (every tau), then the t = x diagonal
+    from the second x on.  These faces are all the solve keeps."""
     yield "x,t,block,k,j,re,im\n"
     x, tau = kernels.x_grid, kernels.tau_grid
     trace_lead = _lead_text((x[0], x[0] + tau), len(tau))
     diag_lead = _lead_text((x[1:], x[1:] + tau[0]), len(x) - 1)
     for name in ("A11", "A12", "A21", "A22"):
-        block = kernels.blocks[name]
         trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
         for k in range(kernels.n):
             for j in range(kernels.n):
-                if not block[k, j].any():
+                if (name, k, j) not in kernels.nonzero:
                     continue
                 yield _csv_rows(trace_lead, (name, k, j), trace[k, j])
                 yield _csv_rows(diag_lead, (name, k, j), diag[k, j, 1:])
@@ -359,8 +359,11 @@ def linefuncs_from_csv(path) -> dict:
     try:
         for row in reader:
             lam, name, k, j, re, im = row
+            lam, k, j = float(lam), int(k), int(j)
+            if not math.isfinite(lam):
+                raise ParseError(path, f"line {reader.line_num}: entry ({k},{j}) in block {name} has a non-finite lambda {lam!r}")
             entry = data.setdefault(name, {})
-            entry.setdefault((int(k), int(j)), []).append((float(lam), complex(float(re), float(im))))
+            entry.setdefault((k, j), []).append((lam, complex(float(re), float(im))))
     except (ValueError, csv.Error) as exc:
         raise ParseError(path, f"line {reader.line_num}: {exc}") from exc
     out = {}
@@ -382,7 +385,7 @@ def linefuncs_from_csv(path) -> dict:
             raise ParseError(path, f"block {name} has {len(entries)} of the {m * m} entries of a {m} x {m} matrix")
         columns = [[p[1] for p in entries[k, j]] for k in range(1, m + 1) for j in range(1, m + 1)]
         grid, values = np.array(lams), np.stack(columns, axis=-1).reshape(-1, m, m)
-        bad = np.argwhere(~(np.isfinite(values) & np.isfinite(grid)[:, None, None]))
+        bad = np.argwhere(~np.isfinite(values))
         if len(bad):
             i, k, j = bad[0]
             where = f"entry ({k + 1},{j + 1}) in block {name}"

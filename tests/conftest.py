@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from isphalf.domain import Dispersion, TriangularPotential, block_mask
+from isphalf.domain import KERNEL_BLOCKS, Dispersion, TriangularPotential, block_mask
 from isphalf.edge_coupled import EdgeBoundary, EdgeCoupledSystem
-from isphalf.forward import solve_kernels
+from isphalf.forward import converged_tau_blocks, kernel_grid, solve_kernels
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
+N1_GRID = {"step": 0.02, "x_max": 16.0, "tau_max": 36.0}
+N2_GRID = {"step": 0.04, "x_max": 14.0, "tau_max": 30.0}
 
 
 def pytest_configure(config):
@@ -36,9 +38,27 @@ def n1_pot():
     return TriangularPotential(1, q12=[[e]], envelope=(1.0, 1.0))
 
 
+def kernel_triangle(pot, disp, **grid) -> dict:
+    """The four (n, n, Nx, Ntau) kernel blocks on the grid of
+    solve_kernels(pot, disp, **grid), assembled from the tau-blocks that
+    solve_kernels streams; zero off the admissible entries."""
+    x, tau = kernel_grid(pot, disp, **grid)
+    n = disp.n
+    blocks = {name: np.zeros((n, n, len(x), len(tau)), dtype=complex) for name in KERNEL_BLOCKS}
+    for levels, values, _ in converged_tau_blocks(pot, disp, x, tau):
+        for c, v in values.items():
+            blocks[c.block][c.k, c.j, :, levels] = v
+    return blocks
+
+
 @pytest.fixture(scope="session")
 def n1_kernels(n1_pot, n1_disp):
-    return solve_kernels(n1_pot, n1_disp, step=0.02, x_max=16.0, tau_max=36.0)
+    return solve_kernels(n1_pot, n1_disp, **N1_GRID)
+
+
+@pytest.fixture(scope="session")
+def n1_triangle(n1_pot, n1_disp):
+    return kernel_triangle(n1_pot, n1_disp, **N1_GRID)
 
 
 @pytest.fixture(scope="session")
@@ -89,4 +109,9 @@ def n2_random_pot():
 
 @pytest.fixture(scope="session")
 def n2_random_kernels(n2_random_pot, e1_disp):
-    return solve_kernels(n2_random_pot, e1_disp, step=0.04, x_max=14.0, tau_max=30.0)
+    return solve_kernels(n2_random_pot, e1_disp, **N2_GRID)
+
+
+@pytest.fixture(scope="session")
+def n2_random_triangle(n2_random_pot, e1_disp):
+    return kernel_triangle(n2_random_pot, e1_disp, **N2_GRID)

@@ -23,15 +23,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def reference_kernels_to_csv(kernels) -> str:
+def reference_kernels_to_csv(blocks, x, tau) -> str:
+    """Every cell of the full (n, n, Nx, Ntau) blocks, as the kernel dump
+    wrote it before it kept only the faces."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "t", "block", "k", "j", "re", "im"])
-    x = kernels.x_grid
-    tau = kernels.tau_grid
-    n = kernels.n
+    n = blocks["A11"].shape[0]
     for name in ("A11", "A12", "A21", "A22"):
-        block = kernels.blocks[name]
+        block = blocks[name]
         for k in range(n):
             for j in range(n):
                 vals = block[k, j]
@@ -85,23 +85,35 @@ def _awkward(rng, shape) -> np.ndarray:
     return z
 
 
+def _kernels_of(disp, step, blocks) -> TransformationKernels:
+    """The kernels whose faces and nonzero flags are those of the full
+    (n, n, Nx, Ntau) blocks."""
+    return TransformationKernels(
+        disp=disp,
+        step=step,
+        traces={name: block[:, :, 0, :] for name, block in blocks.items()},
+        diagonals={name: block[:, :, :, 0] for name, block in blocks.items()},
+        nonzero=frozenset(
+            (name, k, j) for name, block in blocks.items() for k, j in np.ndindex(block.shape[:2]) if block[k, j].any()
+        ),
+        theta=0.5,
+        c_tilde=1.0,
+        envelope_eps=1.0,
+        sweeps=1,
+    )
+
+
 def test_kernels_csv_matches_reference_writer():
     rng = np.random.default_rng(11)
     n, nx, nt = 2, 7, 13
     blocks = {name: _awkward(rng, (n, n, nx, nt)) for name in ("A11", "A12", "A21", "A22")}
     blocks["A12"][0, 1] = 0.0  # an all-zero channel is skipped
     blocks["A21"][1, 0] = -0.0
-    kernels = TransformationKernels(
-        disp=Dispersion(n, (-2.0, -1.0, 1.0, 2.0)),
-        step=0.1,  # x + tau sums that are inexact in binary
-        blocks=blocks,
-        theta=0.5,
-        c_tilde=1.0,
-        envelope_eps=1.0,
-        sweeps=1,
-    )
+    blocks["A11"][1, 0, 0, :] = blocks["A11"][1, 0, :, 0] = 0.0  # nonzero inside only: written
+    # step 0.1: x + tau sums that are inexact in binary
+    kernels = _kernels_of(Dispersion(n, (-2.0, -1.0, 1.0, 2.0)), 0.1, blocks)
     got = "".join(kernels_to_csv(kernels))
-    header, *rows = reference_kernels_to_csv(kernels).splitlines(keepends=True)
+    header, *rows = reference_kernels_to_csv(blocks, kernels.x_grid, kernels.tau_grid).splitlines(keepends=True)
     faces = [row for row in rows if (f := row.split(","))[0] == "0" or f[0] == f[1]]
     assert got == header + "".join(faces)
     assert len(faces) == 14 * (nx + nt - 1)  # 16 channels, two of them all zero
@@ -113,15 +125,7 @@ def test_kernels_csv_allocates_no_channel_temporary():
     n, nx, nt = 1, 1000, 1500
     blocks = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in ("A11", "A12", "A21", "A22")}
     blocks["A12"][0, 0, :, :] = 1.0 + 2.0j
-    kernels = TransformationKernels(
-        disp=Dispersion(n, (-1.0, 1.0)),
-        step=0.01,
-        blocks=blocks,
-        theta=0.5,
-        c_tilde=1.0,
-        envelope_eps=1.0,
-        sweeps=1,
-    )
+    kernels = _kernels_of(Dispersion(n, (-1.0, 1.0)), 0.01, blocks)
     tracemalloc.start()
     try:
         rows = sum(chunk.count("\n") for chunk in kernels_to_csv(kernels))
@@ -137,15 +141,7 @@ def test_kernels_csv_rebuilds_both_faces_bit_exactly(tmp_path):
     n, nx, nt = 2, 9, 17
     blocks = {name: _awkward(rng, (n, n, nx, nt)) for name in ("A11", "A12", "A21", "A22")}
     blocks["A22"][1, 1] = 0.0
-    kernels = TransformationKernels(
-        disp=Dispersion(n, (-2.0, -1.0, 1.0, 2.0)),
-        step=0.1,
-        blocks=blocks,
-        theta=0.5,
-        c_tilde=1.0,
-        envelope_eps=1.0,
-        sweeps=1,
-    )
+    kernels = _kernels_of(Dispersion(n, (-2.0, -1.0, 1.0, 2.0)), 0.1, blocks)
     path = tmp_path / "kernels.csv"
     atomic_write_text(path, kernels_to_csv(kernels))
     rows = list(csv.reader(io.StringIO(path.read_text())))
@@ -222,6 +218,16 @@ def _write_rows(tmp_path, rows):
     path = tmp_path / "s.csv"
     path.write_text("\n".join(["lambda,block,k,j,re,im", *rows]) + "\n")
     return path
+
+
+def test_linefuncs_from_csv_names_the_entry_with_a_non_finite_lambda(tmp_path):
+    # a 2x2 S whose (1,1) entry has lambda = nan: the entry and the lambda are
+    # named, not the next entry that the lambda grid is compared with
+    rows = [f"{lam},S,{k},{j},1,0" for k in (1, 2) for j in (1, 2) for lam in range(4)]
+    rows[2] = "nan,S,1,1,1,0"
+    path = _write_rows(tmp_path, rows)
+    with pytest.raises(ParseError, match=r"entry \(1,1\) in block S has a non-finite lambda nan"):
+        linefuncs_from_csv(path)
 
 
 def test_linefuncs_from_csv_rejects_index_below_one(tmp_path):
