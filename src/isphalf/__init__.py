@@ -24,6 +24,7 @@ _EXPORTS = {
     "LineMatrixFunction": "linefunc",
     "Analyticity": "linefunc",
     "make_grid": "linefunc",
+    "BlockTransforms": "linefunc",
     # forward
     "BoundedSolution": "forward",
     "solve_bounded_solution": "forward",

@@ -136,12 +136,7 @@ def _cmd_forward(cfg):
     p_mat, pi_mat = fwd.transmission_matrix(blocks)
     strips = fwd.strip_diagnostics(plus, minus)
 
-    named_blocks = {
-        "A11_minus": blocks.a11_minus,
-        "A21_minus": blocks.a21_minus,
-        "A12_plus": blocks.a12_plus,
-        "A22_plus": blocks.a22_plus,
-    }
+    named_blocks = blocks.named()
     named_scatter = {"S": s_mat, "plus": plus, "minus": minus}
     artifacts = {
         "kernels.csv": kernels_to_csv(kernels),
@@ -219,10 +214,8 @@ def _cmd_recover_blocks(cfg):
     fac1 = _input_linefuncs(cfg, "factorization1", ("plus", "minus"))
     fac2 = _input_linefuncs(cfg, "factorization2", ("plus", "minus"))
     blocks, diag = recover_blocks(fac1["plus"], fac1["minus"], fac2["plus"], fac2["minus"], bnd1, bnd2)
-    a11m, a12p, a21m, a22p = blocks
     report = {"command": "recover-blocks", "consistency": diag, "consistency_tol": CONSISTENCY_TOL}
-    named = {"A11_minus": a11m, "A12_plus": a12p, "A21_minus": a21m, "A22_plus": a22p}
-    return report, {"blocks.csv": linefuncs_to_csv(named)}
+    return report, {"blocks.csv": linefuncs_to_csv(blocks.named())}
 
 
 def _cmd_edge_forward(cfg):

@@ -95,12 +95,13 @@ class DegenerateBoundaryPair(NumericalError):
 
 
 class InconsistentInputs(NumericalError):
-    """Two factorizations do not come from one potential."""
+    """A block recovered from two factorizations is not one-sided.
+
+    `mismatch` is its wrong-side content, `tol` the bound it exceeds.
+    """
 
     def __init__(self, which: str, mismatch: float, tol: float):
-        super().__init__(
-            f"alternative expressions for {which} disagree by {mismatch:.3e} (tol {tol:.3e})"
-        )
+        super().__init__(f"recovered {which} carries wrong-side content {mismatch:.3e} (tol {tol:.3e})")
         self.which = which
         self.mismatch = mismatch
         self.tol = tol

@@ -28,7 +28,7 @@ from .domain import (
     singular_grid_point,
 )
 from .errors import NonConvergence, SingularFactor, SingularP, ValidationError
-from .linefunc import Analyticity, LineMatrixFunction
+from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction
 from .profiles import SampledProfile, ScalarProfile, ZERO_PROFILE
 from .quadrature import cumulative_right_linear, filon_simpson_transform
 
@@ -569,19 +569,6 @@ def potential_from_kernels(kernels: TransformationKernels, disp: Dispersion) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockTransforms:
-    """Half-line transforms of the x = 0 kernel traces."""
-
-    a11_minus: LineMatrixFunction
-    a21_minus: LineMatrixFunction
-    a12_plus: LineMatrixFunction
-    a22_plus: LineMatrixFunction
-
-    def __iter__(self):
-        return iter((self.a11_minus, self.a21_minus, self.a12_plus, self.a22_plus))
-
-
 def kernel_transforms(
     kernels: TransformationKernels, disp: Dispersion, grid: np.ndarray
 ) -> BlockTransforms:
@@ -611,12 +598,11 @@ def kernel_transforms(
             tr = filon_simpson_transform(stacked, 0.0, h, xi[cb * n + j] * grid)
             for name, part in zip(live, np.split(tr, len(live))):
                 vals[name][:, :, j] = part.T
-    out = {}
-    for name, (_, cb) in KERNEL_BLOCKS.items():
-        kind = "minus" if cb == 0 else "plus"
-        delta = theta * eps / abs(xi[0]) if cb == 0 else theta * eps / xi[2 * n - 1]
-        out[name] = LineMatrixFunction(grid, vals[name], Analyticity(kind, delta))
-    return BlockTransforms(out["A11"], out["A21"], out["A12"], out["A22"])
+    # indexed by block column: minus-type first, plus-type second
+    tags = (Analyticity("minus", theta * eps / abs(xi[0])), Analyticity("plus", theta * eps / xi[-1]))
+    return BlockTransforms(
+        *(LineMatrixFunction(grid, vals[name], tags[cb]) for name, (_, cb) in KERNEL_BLOCKS.items())
+    )
 
 
 def boundary_parts(blocks: BlockTransforms, bnd: BoundaryMatrix):
@@ -651,7 +637,7 @@ def transmission_matrix(blocks: BlockTransforms):
     inverse coincides with the whole-axis scattering matrix of the potential
     extended by zero.
     """
-    a11m, a21m, a12p, a22p = blocks
+    a11m, a12p, a21m, a22p = blocks
     ngrid = len(a11m.grid)
     n = a11m.m
     p = np.zeros((ngrid, 2 * n, 2 * n), dtype=complex)

@@ -8,6 +8,7 @@ power of two in every configuration so frequency projections stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +127,21 @@ class LineMatrixFunction:
     def _check_same_grid(self, other):
         if len(self.grid) != len(other.grid) or not np.allclose(self.grid, other.grid):
             raise ValidationError("grid", "operands live on different grids")
+
+
+class BlockTransforms(NamedTuple):
+    """The four half-line block transforms, in the block order of
+    domain.KERNEL_BLOCKS: minus-type in the first block column, plus-type in
+    the second."""
+
+    a11_minus: LineMatrixFunction
+    a12_plus: LineMatrixFunction
+    a21_minus: LineMatrixFunction
+    a22_plus: LineMatrixFunction
+
+    def named(self) -> dict:
+        """Artifact name (A11_minus ... A22_plus) -> transform."""
+        return {name.capitalize(): f for name, f in zip(self._fields, self)}
 
 
 def _merge_tags(a: LineMatrixFunction, b: LineMatrixFunction) -> Analyticity:

@@ -19,7 +19,7 @@ from .errors import (
     NonConvergence,
     SingularScattering,
 )
-from .linefunc import Analyticity, LineMatrixFunction
+from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction
 from .projection import split_samples
 # the benchmark's tracer (perfbench/trace_child.py) wraps rh.plus_projector_matrix
 from .projection import plus_projector_matrix  # noqa: F401
@@ -223,13 +223,14 @@ def recover_blocks(
 ):
     """Block transforms from two boundary factorizations.
 
-    Requires |det(H1 - H2)| > domain.SINGULARITY_TOL.  The redundant
-    second-row expressions are reported (they agree identically once the
-    first-row formulas are substituted, so their mismatch only measures
-    floating-point noise); the operative check that both factorizations come
-    from one potential is one-sidedness of the recovered blocks, to
-    CONSISTENCY_TOL relative to their size.  Returns (a11_minus, a12_plus,
-    a21_minus, a22_plus) and a diagnostics dict.
+    Requires |det(H1 - H2)| > domain.SINGULARITY_TOL.  A12+ and A11- come
+    from the difference of the two factorizations, A22+ and A21- from the
+    first one.  A combination of one-sided factors is one-sided, so the
+    check is one-sidedness of the recovered blocks, to CONSISTENCY_TOL
+    relative to their size: it catches input factors that are not
+    themselves one-sided, not factorizations of two unrelated potentials.
+    Returns the BlockTransforms, which transmission_matrix turns into the
+    whole-axis P and Pi, and a diagnostics dict.
     """
     h1, h2 = bnd1.H, bnd2.H
     dh = h1 - h2
@@ -240,45 +241,16 @@ def recover_blocks(
 
     a12p = (plus2 - plus1).left_mul(dinv).with_tag(plus1.analyticity)
     a11m = (minus1.right_mul(h1) - minus2.right_mul(h2)).left_mul(dinv).with_tag(minus1.analyticity)
+    a21m = a11m.left_mul(h1) - minus1.right_mul(h1)
+    a22p = plus1 + a12p.left_mul(h1)
+    blocks = BlockTransforms(a11m, a12p, a21m, a22p)
 
-    a22p_1 = plus1 + a12p.left_mul(h1)
-    a22p_2 = plus2 + a12p.left_mul(h2)
-    mismatch_22 = float(np.abs(a22p_1.values - a22p_2.values).max())
-    a21m_1 = a11m.left_mul(h1) - minus1.right_mul(h1)
-    a21m_2 = a11m.left_mul(h2) - minus2.right_mul(h2)
-    mismatch_21 = float(np.abs(a21m_1.values - a21m_2.values).max())
-    if mismatch_22 > CONSISTENCY_TOL:
-        raise InconsistentInputs("a22_plus", mismatch_22, CONSISTENCY_TOL)
-    if mismatch_21 > CONSISTENCY_TOL:
-        raise InconsistentInputs("a21_minus", mismatch_21, CONSISTENCY_TOL)
-
-    # the expression mismatches vanish identically by the A12/A11 formulas, so
-    # the operative compatibility check is one-sidedness of the recovered blocks:
-    # data from two unrelated potentials produces content on the wrong side
-    wrong = {
-        "a12_plus": split_residual(a12p, "plus"),
-        "a22_plus": split_residual(a22p_1, "plus"),
-        "a11_minus": split_residual(a11m, "minus"),
-        "a21_minus": split_residual(a21m_1, "minus"),
-    }
-    scale = max(
-        1.0, a12p.sup_norm(), a22p_1.sup_norm(), a11m.sup_norm(), a21m_1.sup_norm()
-    )
+    wrong = {name: split_residual(f, name.split("_")[1]) for name, f in zip(blocks._fields, blocks)}
+    tol = CONSISTENCY_TOL * max(1.0, *(f.sup_norm() for f in blocks))
     worst = max(wrong, key=wrong.get)
-    if wrong[worst] > max(CONSISTENCY_TOL * scale, 1e3 * np.finfo(float).eps):
-        raise InconsistentInputs(worst, wrong[worst], CONSISTENCY_TOL * scale)
-
-    diagnostics = {
-        "mismatch_a22_plus": mismatch_22,
-        "mismatch_a21_minus": mismatch_21,
-        "wrong_side_content": wrong,
-    }
-    return (
-        a11m,
-        a12p.with_tag(plus1.analyticity),
-        a21m_1.with_tag(minus1.analyticity),
-        a22p_1.with_tag(plus1.analyticity),
-    ), diagnostics
+    if wrong[worst] > tol:
+        raise InconsistentInputs(worst, wrong[worst], tol)
+    return blocks, {"wrong_side_content": wrong}
 
 
 def solvability_report(s_matrix: LineMatrixFunction) -> dict:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import BoundaryMatrix, Dispersion, TriangularPotential
+from .domain import KERNEL_BLOCKS, BoundaryMatrix, Dispersion, TriangularPotential
 from .errors import ParseError, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import ExpSumProfile, SampledProfile, ScalarProfile, ZERO_PROFILE
@@ -323,7 +323,7 @@ def kernels_to_csv(kernels):
     x, tau = kernels.x_grid, kernels.tau_grid
     trace_lead = _lead_text((x[0], x[0] + tau), len(tau))
     diag_lead = _lead_text((x[1:], x[1:] + tau[0]), len(x) - 1)
-    for name in ("A11", "A12", "A21", "A22"):
+    for name in KERNEL_BLOCKS:
         trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
         for k in range(kernels.n):
             for j in range(kernels.n):

@@ -701,11 +701,11 @@ print(json.dumps(loaded))
 """
 
 
-def _scipy_modules_loaded(tmp_path, runs):
-    """Run the commands in one fresh interpreter; scipy modules loaded after each."""
+def _fresh_interpreter(script, *args):
+    """The JSON that script prints when run in a fresh interpreter."""
     src = str(Path(isphalf.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out")],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -713,6 +713,25 @@ def _scipy_modules_loaded(tmp_path, runs):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _scipy_modules_loaded(tmp_path, runs):
+    """Run the commands in one fresh interpreter; scipy modules loaded after each."""
+    return _fresh_interpreter(SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out"))
+
+
+LAZY_PACKAGE_SCRIPT = """
+import json, sys
+import isphalf, isphalf.cli
+numpy_loaded = "numpy" in sys.modules
+print(json.dumps([numpy_loaded, [name for name in isphalf.__all__ if not hasattr(isphalf, name)]]))
+"""
+
+
+def test_package_and_cli_import_without_numpy_and_every_export_resolves():
+    # cli defers its imports so --threads can set the BLAS variables before
+    # numpy loads; the package resolves each exported name on first use
+    assert _fresh_interpreter(LAZY_PACKAGE_SCRIPT) == [False, []]
 
 
 def test_forward_commands_load_no_scipy(tmp_path):
