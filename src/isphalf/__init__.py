@@ -40,13 +40,8 @@ _EXPORTS = {
     # rh
     "plemelj_split": "rh",
     "solve_regular_rh": "rh",
-    "solve_regular_rh_rational": "rh",
     "recover_blocks": "rh",
     "solvability_report": "rh",
-    # rational
-    "RationalFunction": "rational",
-    "RationalMatrix": "rational",
-    "simple_pole": "rational",
     # edge-coupled class
     "EdgeCoupledSystem": "edge_coupled",
     "EdgeBoundary": "edge_coupled",

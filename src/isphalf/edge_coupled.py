@@ -142,6 +142,15 @@ def _edge_rates(disp: Dispersion) -> tuple[np.ndarray, np.ndarray]:
     return xi[1:-1] - xi[0], xi[-1] - xi[1:-1]
 
 
+def _decay_rate(disp: Dispersion, eps: float) -> float:
+    """eps / (xi_2n - xi_1): couplings that decay like e^{-eps x} reach the
+    scattering data at s = beta x with beta <= xi_2n - xi_1, so the split
+    data decay at least at this rate in s, and the column is analytic in the
+    strip of this half-width."""
+    xi = disp.xi_arr
+    return eps / (xi[-1] - xi[0])
+
+
 def _boundary_rows(h_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row n+k minus sum_j h_{kj} row j for k = 1..n-1 (result index k - 1).
 
@@ -172,12 +181,9 @@ def edge_scattering(sys: EdgeCoupledSystem, bnd: EdgeBoundary, grid: np.ndarray)
     last-component ones.
     """
     n = sys.n
-    xi = sys.disp.xi_arr
     vals = np.tile(np.eye(n, dtype=complex), (len(grid), 1, 1))
     vals[:, : n - 1, n - 1] += _column_entries(sys, bnd, np.asarray(grid, dtype=float)).T
-    _, eps = sys.envelope
-    delta = eps / (xi[2 * n - 1] - xi[0])
-    return LineMatrixFunction(grid, vals, Analyticity("strip", delta))
+    return LineMatrixFunction(grid, vals, Analyticity("strip", _decay_rate(sys.disp, sys.envelope[1])))
 
 
 def edge_explicit_solution(
@@ -287,7 +293,6 @@ def edge_invert_transforms(
     The s-grid runs from 0 to s_max in steps of 2 pi / (N d lambda), the step
     conjugate to the lambda grid (pi / lambda_max on a `make_grid` grid).
     """
-    xi = disp.xi_arr
     grid = splits[0][0].grid
     count = math.ceil(s_max / _s_step(grid) + 0.5)
     plus = np.stack([part_plus.values[:, 0, 0] for part_plus, _ in splits], axis=1)
@@ -296,7 +301,7 @@ def edge_invert_transforms(
         _s_grid(grid, count),
         _one_sided_inverse(grid, minus, count, "minus"),
         _one_sided_inverse(grid, plus, count, "plus"),
-        envelope_eps / (xi[-1] - xi[0]),
+        _decay_rate(disp, envelope_eps),
     )
 
 
@@ -304,7 +309,6 @@ def exact_edge_profiles(
     sys: EdgeCoupledSystem, bnd: EdgeBoundary, s_grid: np.ndarray
 ) -> EdgeProfiles:
     """Closed-form c_{k+-}(s) for oracle comparisons."""
-    xi = sys.disp.xi_arr
     s = np.asarray(s_grid, dtype=float)
     beta_first, beta_last = _edge_rates(sys.disp)
 
@@ -312,8 +316,9 @@ def exact_edge_profiles(
         density = np.array([p(s / beta) / beta for p, beta in zip(profiles, rates)])
         return 1j * _boundary_rows(bnd.h_block, density)
 
-    rate = sys.envelope[1] / (xi[-1] - xi[0])
-    return EdgeProfiles(s, part(sys.c_first, beta_first), part(sys.c_last, beta_last), rate)
+    return EdgeProfiles(
+        s, part(sys.c_first, beta_first), part(sys.c_last, beta_last), _decay_rate(sys.disp, sys.envelope[1])
+    )
 
 
 def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:

@@ -227,19 +227,20 @@ def _kernel_peak_bytes(n: int, chans, nx: float, nt: float) -> float:
     span = min(_LEVELS_PER_BLOCK, nt) levels of nx complex values each, the
     rolling buffer of the admissible channels plus nine work arrays (the
     coupling, a product summed into it, the next iterate and the arguments of
-    its drive, the diagonal integral, the change and its modulus, the
-    envelope and its product).  Then, per off-diagonal channel, its carries
-    three times over (committed, from the sweep's earlier channels, in the
-    making): one coupling level and the accumulation on at most
-    nx + rho span + 3 feet.  Then the temporaries of the gather of one block,
-    at most 160 bytes per point on span + 1 levels of that band of feet, and
-    1 MiB for the grids, the tables and small objects.
+    a drive, the diagonal integral, the change and its modulus, the envelope
+    and its product).  Then, per off-diagonal channel, its drive on the block
+    (nx span values) and its carries three times over (committed, from the
+    sweep's earlier channels, in the making): one coupling level and the
+    accumulation on at most nx + rho span + 3 feet.  Then the temporaries of
+    the gather of one block, at most 160 bytes per point on span + 1 levels
+    of that band of feet, and 1 MiB for the grids, the tables and small
+    objects.
     """
     span = min(_LEVELS_PER_BLOCK, nt)
     values = 4 * n * n * (2 * nx + nt) + (len(chans) + 9) * nx * span
     gather = 0.0
     for rho in (float(c.rho) for c in chans if c.rho is not None):
-        values += 3 * (2 * nx + rho * span + 3)
+        values += nx * span + 3 * (2 * nx + rho * span + 3)
         gather = max(gather, (span + 1) * (nx + rho * span + 7))
     return 16 * values + 160 * gather + (1 << 20)
 
@@ -330,17 +331,6 @@ def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
     return (1.0 - frac) * rows.ravel()[lo] + frac * rows.ravel()[lo + 1]
 
 
-def _drive(prof: ScalarProfile, rho: float, x: np.ndarray, tau: np.ndarray):
-    """The drive D(x, tau) = i rho q(x + rho tau) of an off-diagonal channel
-    driven by q, as a function of a level range [lo, hi) that returns
-    D(x, tau[lo:hi])."""
-
-    def levels(lo: int, hi: int) -> np.ndarray:
-        return 1j * rho * prof(x[:, None] + rho * tau[None, lo:hi])
-
-    return levels
-
-
 def _march(rho: float, prev: np.ndarray, g: np.ndarray, feet, out: np.ndarray, first: int, step: float):
     """Add i times the integral of the coupling along the characteristics of
     slope rho to out, on the levels first .. first + L - 1 of g (nx, L),
@@ -378,8 +368,9 @@ def _sweep(chans, terms: dict, row: dict, drives: dict, block: np.ndarray, a: in
     in place, channel by channel in chans order; returns the sup-norm change
     and the carries each off-diagonal channel leaves for the block above.
 
-    block holds one (nx, L) row per admissible channel.  A channel's next
-    iterate is formed in one buffer from block, where the channels before it
+    block holds one (nx, L) row per admissible channel and drives the (nx, L)
+    drive of each driven one.  A channel's next iterate is formed in one
+    buffer, a copy of its drive, from block, where the channels before it
     already hold their new values, and from its carries at the block's foot:
     the coupling at level a - 1 and the accumulation on the feet.  Its
     change is taken against its values still in block, and the buffer
@@ -394,7 +385,7 @@ def _sweep(chans, terms: dict, row: dict, drives: dict, block: np.ndarray, a: in
         g = np.zeros((nx, span), dtype=complex)
         for q, rows in terms[c]:
             g += np.einsum("mx,mxt->xt", q, block[rows])
-        out = drives[c](a, a + span) if c in drives else np.zeros((nx, span), dtype=complex)
+        out = drives[c].copy() if c in drives else np.zeros((nx, span), dtype=complex)
         if c.rho is None:
             # integral along x to the truncation boundary, every level,
             # in one work array; the x_max row keeps its zero drive
@@ -432,11 +423,11 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
     its coupling at level a - 1, so its fixed point is settled once they have
     converged.  Linz (Analytical and Numerical Methods for Volterra
     Equations, SIAM 1985) marches Volterra systems step by step in the same
-    way.  Each block starts from its drive and is swept (_sweep) until its
-    change falls below DEFAULT_ITER_TOL; every sweep restarts from the
-    carries taken at the block's foot, and those of the last sweep are
-    committed for the block above.  A block still moving after MAX_SWEEPS
-    sweeps raises NonConvergence.
+    way.  Each block forms its drives once, starts from them and is swept
+    (_sweep) until its change falls below DEFAULT_ITER_TOL; every sweep
+    restarts from the carries taken at the block's foot, and those of the
+    last sweep are committed for the block above.  A block still moving
+    after MAX_SWEEPS sweeps raises NonConvergence.
     """
     span = _LEVELS_PER_BLOCK
     step = float(x[1])  # x = step * arange(nx)
@@ -446,13 +437,15 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
     row = {(c.block, c.k, c.j): i for i, c in enumerate(sorted(chans, key=lambda c: (c.block, c.j, c.k)))}
     terms = {c: _coupling_terms(c, pot, qgrid, row) for c in chans}
     profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
-    drives = {c: _drive(p, c.rho, x, tau) for c, p in profile.items() if not p.is_zero}
     carries = {c: (None, (0, np.zeros(0, dtype=complex))) for c in profile}
     buf = np.empty((len(chans), len(x), min(span, len(tau))), dtype=complex)
     for a in range(0, len(tau), span):
         block = buf[:, :, : min(span, len(tau) - a)]
+        block_tau = tau[None, a : a + block.shape[2]]
+        # the drive i rho q(x + rho tau) of each channel driven by a nonzero q
+        drives = {c: 1j * c.rho * p(x[:, None] + c.rho * block_tau) for c, p in profile.items() if not p.is_zero}
         for c in chans:
-            block[row[c.block, c.k, c.j]] = drives[c](a, a + block.shape[2]) if c in drives else 0.0
+            block[row[c.block, c.k, c.j]] = drives.get(c, 0.0)
         changes = []
         for _ in range(MAX_SWEEPS):
             change, above = _sweep(chans, terms, row, drives, block, a, carries, step)
@@ -489,10 +482,10 @@ def solve_kernels(
     with 2-tap linear weights, the composite trapezoid increments are summed
     by a cumsum along tau whose first row is the accumulation carried from
     the block below, and the result is gathered back onto the nodes.  Each
-    block forms its own drive slice, so no drive is stored.  The diagonal
-    entries integrate along x up to the truncation boundary, where the
-    envelope bounds the dropped tail.  Gauss-Seidel reaches the fixed point
-    of the Jacobi iteration in fewer sweeps.  Every element sees the same
+    block forms the drives of its levels once and keeps them for its sweeps.
+    The diagonal entries integrate along x up to the truncation boundary,
+    where the envelope bounds the dropped tail.  Gauss-Seidel reaches the
+    fixed point of the Jacobi iteration in fewer sweeps.  Every element sees the same
     floating-point operations in the same order as a march that visits the
     channels one level at a time.
 
@@ -500,8 +493,8 @@ def solve_kernels(
     column of the first block, c_tilde (a running max of
     |A| e^{eps (x + theta tau)}), whether each channel is nonzero, and the
     block's sweep history.  So the solve holds the faces, one tau-block of
-    the admissible channels and their carries, however many tau levels the
-    grid has.
+    the admissible channels, their drives and their carries, however many
+    tau levels the grid has.
 
     The grid is judged before anything is allocated, see kernel_grid.  A
     block stops once its sup-norm change falls below DEFAULT_ITER_TOL; one

@@ -16,14 +16,12 @@ from .errors import (
     EdgeDecayViolation,
     FredholmSingular,
     InconsistentInputs,
-    NonConvergence,
     SingularScattering,
 )
 from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction
 from .projection import split_samples
 # the benchmark's tracer (perfbench/trace_child.py) wraps rh.plus_projector_matrix
 from .projection import plus_projector_matrix  # noqa: F401
-from .rational import RationalMatrix
 
 DEFAULT_EDGE_TOL = 1e-3
 CONSISTENCY_TOL = 1e-6
@@ -35,10 +33,6 @@ GMRES_TOL = 1e-13
 GMRES_FAIL = 1e-10
 GMRES_RESTART = 50
 GMRES_CYCLES = 4
-# Neumann iteration of the rational path: stop when an iterate moves the
-# partial-fraction coefficients by less than RATIONAL_TOL
-RATIONAL_TOL = 1e-12
-RATIONAL_MAX_ITER = 200
 
 
 def _strip_delta(f: LineMatrixFunction) -> float:
@@ -176,41 +170,6 @@ def solve_regular_rh(
     if wrong > VERIFY_TOL * scale:
         raise FredholmSingular(residual, f"factors carry wrong-side content {wrong:.3e}")
     return out_plus, out_minus, diagnostics
-
-
-def solve_regular_rh_rational(
-    s_matrix: RationalMatrix,
-    grid: np.ndarray,
-):
-    """Exact-structure factorization path for rational S.
-
-    Iterates r <- I - C_plus[r g] in partial-fraction arithmetic; the Cauchy
-    projection just selects lower half-plane poles, so every iterate stays
-    rational.  Converges when the Neumann series does (small ||g||); the
-    matrix-free grid path covers the rest.
-    """
-    m = s_matrix.m
-    ident = RationalMatrix.identity(m)
-    g = s_matrix - ident
-    r = ident
-    change = np.inf
-    best = np.inf
-    for it in range(RATIONAL_MAX_ITER):
-        r_new = ident - (r @ g).plus_part().prune()
-        change = (r_new - r).coeff_norm()
-        r = r_new
-        if change < RATIONAL_TOL:
-            break
-        best = min(best, change)
-        if change > 1e3 * best or not np.isfinite(change):
-            raise NonConvergence("rational factorization", it + 1, float(change))
-    else:
-        raise NonConvergence("rational factorization", RATIONAL_MAX_ITER, float(change))
-    a_plus_rat = (r - ident).prune()
-    a_minus_rat = ((r @ s_matrix) - ident).prune()
-    a_plus = LineMatrixFunction(grid, a_plus_rat.evaluate(grid), Analyticity("plus", 0.0))
-    a_minus = LineMatrixFunction(grid, a_minus_rat.evaluate(grid), Analyticity("minus", 0.0))
-    return a_plus, a_minus, a_plus_rat, a_minus_rat
 
 
 def recover_blocks(

@@ -1,5 +1,6 @@
 import shutil
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -36,6 +37,32 @@ def n1_disp():
 def n1_pot():
     e = ExpSumProfile(((1.0, 1.0),))
     return TriangularPotential(1, q12=[[e]], envelope=(1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class PoleSum:
+    """sum of coeff / (lambda - pole) over simple poles off the real axis.  It
+    vanishes at infinity, so its Plemelj parts are exact: the poles below the
+    axis make the plus part, those above it the minus part."""
+
+    terms: tuple[tuple[complex, complex], ...] = ()  # (pole, coeff)
+
+    def __add__(self, other):
+        return PoleSum(self.terms + other.terms)
+
+    def __call__(self, lam):
+        lam = np.asarray(lam, dtype=complex)
+        return sum((c / (lam - p) for p, c in self.terms), np.zeros(lam.shape, dtype=complex))
+
+    def plus_part(self):
+        return PoleSum(tuple(t for t in self.terms if t[0].imag < 0))
+
+    def minus_part(self):
+        return PoleSum(tuple(t for t in self.terms if t[0].imag > 0))
+
+
+def simple_pole(pole: complex, coeff: complex) -> PoleSum:
+    return PoleSum(((complex(pole), complex(coeff)),))
 
 
 def kernel_triangle(pot, disp, **grid) -> dict:

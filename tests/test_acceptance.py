@@ -28,10 +28,9 @@ from isphalf.forward import (
 )
 from isphalf.linefunc import LineMatrixFunction, make_grid
 from isphalf.profiles import ExpSumProfile
-from isphalf.rational import simple_pole
 from isphalf.rh import plemelj_split, solve_regular_rh, recover_blocks
 
-from conftest import random_potential
+from conftest import random_potential, simple_pole
 
 
 class Gate:

@@ -14,6 +14,7 @@ from isphalf.domain import (
     KERNEL_ALLOWED,
     KERNEL_BLOCKS,
     TriangularPotential,
+    channel_table,
     kernel_decay_exponent,
     validate_potential,
 )
@@ -611,6 +612,20 @@ def test_sweep_changes_history(n2_random_kernels):
     for changes in history:
         assert changes[-1] < DEFAULT_ITER_TOL
         assert all(later < earlier for earlier, later in zip(changes, changes[1:]))
+
+
+def test_each_drive_is_formed_once_per_tau_block(monkeypatch):
+    # a drive is the one 2-D evaluation of a profile: formed once per block
+    # and driven channel, however many sweeps the block takes
+    pot, disp = random_potential(2, 42), Dispersion(2, (-2.0, -1.0, 1.0, 2.0))
+    dims = []
+    call = ExpSumProfile.__call__
+    monkeypatch.setattr(ExpSumProfile, "__call__", lambda self, x: dims.append(np.ndim(x)) or call(self, x))
+    kernels = solve_kernels(pot, disp, step=0.05, x_max=6.0, tau_max=12.0)
+    driven = [c for c in channel_table(disp) if c.rho is not None and not pot.block(c.q_block)[c.k][c.j].is_zero]
+    blocks = math.ceil(len(kernels.tau_grid) / forward._LEVELS_PER_BLOCK)
+    assert kernels.sweeps > 1
+    assert dims.count(2) == len(driven) * blocks
 
 
 def test_oversized_grid_refused_before_allocating(monkeypatch, n1_pot, n1_disp):

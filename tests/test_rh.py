@@ -16,7 +16,6 @@ from isphalf import rh
 from isphalf.forward import boundary_parts, kernel_transforms, scattering_matrix, solve_kernels, transmission_matrix
 from isphalf.linefunc import Analyticity, BlockTransforms, LineMatrixFunction, make_grid
 from isphalf.profiles import ExpSumProfile
-from isphalf.rational import RationalFunction, RationalMatrix, simple_pole
 from isphalf.projection import sine_integral, split_samples
 from isphalf.rh import (
     plemelj_split,
@@ -24,9 +23,10 @@ from isphalf.rh import (
     recover_blocks,
     solvability_report,
     solve_regular_rh,
-    solve_regular_rh_rational,
     split_residual,
 )
+
+from conftest import simple_pole
 
 
 @pytest.fixture(scope="module")
@@ -222,21 +222,6 @@ def test_rh_m4_large_grid():
     assert np.abs(got_p.values - ap).max() < 1e-5
     assert np.abs(got_m.values - am).max() < 1e-5
     assert diag["plus_wrong_side_content"] < 1e-5 and diag["minus_wrong_side_content"] < 1e-5
-
-
-def test_rh_rational_neumann_path(grid4096):
-    a_plus = RationalMatrix([[simple_pole(-1.5j, 0.15)]])
-    a_minus = RationalMatrix([[simple_pole(1.2j, 0.1 + 0.1j)]])
-    inv_plus = RationalFunction(1.0, (((-0.15 - 1.5j), 1, -0.15),))  # (1 + a_plus)^{-1}
-    s_rat = RationalMatrix(
-        [[(a_minus.entries[0][0] - a_plus.entries[0][0]) * inv_plus + 1.0]]
-    )
-    got_p, got_m, rat_p, rat_m = solve_regular_rh_rational(s_rat, grid4096)
-    np.testing.assert_allclose(got_p.values, a_plus.evaluate(grid4096), atol=1e-12)
-    np.testing.assert_allclose(got_m.values, a_minus.evaluate(grid4096), atol=1e-12)
-    s_vals = s_rat.evaluate(grid4096)
-    resid = np.abs(got_p.plus_identity() @ s_vals - got_m.plus_identity()).max()
-    assert resid < 1e-8
 
 
 def test_rh_singular_scattering_guard(grid4096):
