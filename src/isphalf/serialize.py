@@ -6,6 +6,14 @@ digit float formatting so identical runs produce byte-identical artifacts.
 All writes are atomic (write to a temp file, then rename) and return the
 sha256 of the bytes written, so hash manifests need no second read.  CSV
 artifacts are written and hashed slab by slab, never held whole in memory.
+
+A lambda-grid CSV is read back as columns: one np.loadtxt parse puts its
+rows, in any order, into one structured array, and array operations group,
+sort and check them.  Fields are quoted as csv quotes them.  Every row is one
+line; an empty line, a NUL character, a field that does not convert (numbers
+as float() and int() read them, without underscores or non-ASCII digits) and
+a block name over 64 characters are refused with the line they are on.
+The writer refuses such a name too.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ import json
 import math
 import os
 import tempfile
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -333,68 +340,154 @@ def kernels_to_csv(kernels):
                 yield _csv_rows(diag_lead, (name, k, j), diag[k, j, 1:])
 
 
+_CSV_HEADER = ["lambda", "block", "k", "j", "re", "im"]
+# Block names are read into fixed-width fields: _NAME_WIDTHS[0] characters
+# wide, and once more at the last width when a name fills the first.  A name
+# that fills the last width is refused.
+_NAME_WIDTHS = (16, 65)
+_MAX_NAME = _NAME_WIDTHS[-1] - 1
+
+
 def linefuncs_to_csv(named):
     """lambda, block, k, j, re, im of each name -> LineMatrixFunction: a slab
-    per entry, the lambda column formatted once per function."""
-    yield "lambda,block,k,j,re,im\n"
+    per entry, the lambda column formatted once per function.  A block name
+    longer than _MAX_NAME characters, which linefuncs_from_csv refuses, is
+    refused here too."""
+    yield ",".join(_CSV_HEADER) + "\n"
     for name, f in named.items():
+        if len(name) > _MAX_NAME:
+            raise ValidationError("block name", f"{name!r} is longer than {_MAX_NAME} characters")
         lead = _lead_text((f.grid,), len(f.grid))
         for k in range(f.m):
             for j in range(f.m):
                 yield _csv_rows(lead, (name, k, j), f.values[:, k, j])
 
 
+def _load_rows(lines, width: int) -> np.ndarray:
+    """The rows of `lines` (an open file or a list of lines) as one structured
+    array (lam, name, k, j, re, im), parsed by np.loadtxt in C.  Fields split
+    and unquote as csv.reader splits them; empty lines are skipped."""
+    dtype = [("lam", "f8"), ("name", f"U{width}"), ("k", "i4"), ("j", "i4"), ("re", "f8"), ("im", "f8")]
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+def _scan(fh) -> tuple[int, bool]:
+    """(lines, clean) for the rest of fh: its number of lines, and whether it
+    has no empty line and no NUL character."""
+    lines, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if "\n\n" in last + chunk or "\x00" in chunk:
+            return lines, False
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    return lines + (last != "\n"), True
+
+
+def _first_bad_line(path, fh) -> ParseError:
+    """The ParseError of the first line of fh that is not one valid row: an
+    empty line, a NUL character, a line that does not read as a row on its own
+    (a field count other than 6, a field that does not convert, a quoted field
+    that runs on past the line end), a block name longer than _MAX_NAME
+    characters, or a non-finite lambda."""
+    for number, line in enumerate(fh, start=2):
+        try:
+            if line == "\n" or "\x00" in line:
+                raise ValueError("an empty line" if line == "\n" else "a NUL character")
+            lam, name, k, j, _, _ = _load_rows([line], _NAME_WIDTHS[-1])[0].item()
+        except ValueError as exc:
+            return ParseError(path, f"line {number}: {str(exc).split(' at row ')[0]}")
+        if len(name) > _MAX_NAME:
+            return ParseError(path, f"line {number}: block name longer than {_MAX_NAME} characters")
+        if not math.isfinite(lam):
+            return ParseError(path, f"line {number}: entry ({k},{j}) in block {name} has a non-finite lambda {lam!r}")
+    return ParseError(path, "a quoted field runs on past the end of its line")
+
+
+def _read_rows(path, fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, runs): the data rows of fh, from its current position, as one
+    structured array with one row per line, and the first row of each run of
+    rows of one block; None when there are no rows.  Anything but a file of
+    valid rows raises the ParseError of its first bad line."""
+    start = fh.tell()
+    lines, clean = _scan(fh)
+    if clean and not lines:
+        return None
+    if clean:
+        for width in _NAME_WIDTHS:
+            fh.seek(start)
+            try:
+                rows = _load_rows(fh, width)
+            except ValueError:
+                break
+            if len(rows) != lines or not np.isfinite(rows["lam"]).all():
+                break
+            names = rows["name"]
+            runs = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+            if max(map(len, names[runs].tolist())) < width:
+                return rows, runs
+    fh.seek(start)
+    raise _first_bad_line(path, fh)
+
+
+def _block(path, name: str, rows: np.ndarray, idx: np.ndarray) -> LineMatrixFunction:
+    """Block `name` from rows[idx], its rows sorted by (k, j, lambda).  Its
+    entries are checked in the order in which they first appear in the file,
+    and the grid is that of the first."""
+    lam, k, j = rows["lam"][idx], rows["k"][idx], rows["j"][idx]
+    starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]) | (j[1:] != j[:-1])]).tolist()
+    entries = sorted(zip(starts, starts[1:] + [len(idx)]), key=lambda st: idx[st[0] : st[1]].min())
+    grid = None
+    for s, t in entries:
+        where = f"entry ({k[s]},{j[s]}) in block {name}"
+        if min(k[s], j[s]) < 1:
+            raise ParseError(path, f"{where} has an index below 1")
+        if (lam[s + 1 : t] == lam[s : t - 1]).any():
+            raise ParseError(path, f"{where} repeats a lambda value")
+        if grid is None:
+            grid = lam[s:t].copy()
+        elif not np.array_equal(lam[s:t], grid):
+            raise ParseError(path, f"{where} is not sampled on the block's lambda grid")
+    m = int(max(k.max(), j.max()))
+    if len(starts) != m * m:
+        raise ParseError(path, f"block {name} has {len(starts)} of the {m * m} entries of a {m} x {m} matrix")
+    values = np.empty((len(grid), m, m), dtype=complex)
+    values.real = rows["re"][idx].reshape(m, m, -1).transpose(2, 0, 1)
+    values.imag = rows["im"][idx].reshape(m, m, -1).transpose(2, 0, 1)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, k, j = bad[0]
+        where = f"entry ({k + 1},{j + 1}) in block {name}"
+        raise ParseError(path, f"{where} has a non-finite sample at lambda = {float(grid[i])!r}")
+    try:
+        return LineMatrixFunction(grid, values)
+    except ValidationError as exc:
+        raise ParseError(path, f"block {name}: {exc}") from exc
+
+
 def linefuncs_from_csv(path) -> dict:
-    """Inverse of linefuncs_to_csv; analyticity tags are not persisted here."""
+    """Inverse of linefuncs_to_csv: {block name: LineMatrixFunction}, the
+    blocks in the order in which they first appear.  The rows may come in any
+    order; one np.loadtxt parse reads them into arrays, which are grouped and
+    sorted by (block, k, j, lambda).  Analyticity tags are not persisted here."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        with open(path) as fh:
+            line = fh.readline()
+            header = next(csv.reader([line]), None) if line else None
+            if header != _CSV_HEADER:
+                raise ParseError(path, f"unexpected header {header}")
+            read = _read_rows(path, fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(path, f"cannot read: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["lambda", "block", "k", "j", "re", "im"]:
-        raise ParseError(path, f"unexpected header {header}")
-    data: dict = {}
-    try:
-        for row in reader:
-            lam, name, k, j, re, im = row
-            lam, k, j = float(lam), int(k), int(j)
-            if not math.isfinite(lam):
-                raise ParseError(path, f"line {reader.line_num}: entry ({k},{j}) in block {name} has a non-finite lambda {lam!r}")
-            entry = data.setdefault(name, {})
-            entry.setdefault((k, j), []).append((lam, complex(float(re), float(im))))
-    except (ValueError, csv.Error) as exc:
-        raise ParseError(path, f"line {reader.line_num}: {exc}") from exc
-    out = {}
-    for name, entries in data.items():
-        lams = None
-        for (k, j), pts in entries.items():
-            if min(k, j) < 1:
-                raise ParseError(path, f"entry ({k},{j}) in block {name} has an index below 1")
-            pts.sort(key=itemgetter(0))
-            entry_lams = [p[0] for p in pts]
-            if len(set(entry_lams)) < len(entry_lams):
-                raise ParseError(path, f"entry ({k},{j}) in block {name} repeats a lambda value")
-            if lams is None:
-                lams = entry_lams
-            elif entry_lams != lams:
-                raise ParseError(path, f"entry ({k},{j}) in block {name} is not sampled on the block's lambda grid")
-        m = max(max(k, j) for k, j in entries)
-        if len(entries) != m * m:
-            raise ParseError(path, f"block {name} has {len(entries)} of the {m * m} entries of a {m} x {m} matrix")
-        columns = [[p[1] for p in entries[k, j]] for k in range(1, m + 1) for j in range(1, m + 1)]
-        grid, values = np.array(lams), np.stack(columns, axis=-1).reshape(-1, m, m)
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):
-            i, k, j = bad[0]
-            where = f"entry ({k + 1},{j + 1}) in block {name}"
-            raise ParseError(path, f"{where} has a non-finite sample at lambda = {float(grid[i])!r}")
-        try:
-            out[name] = LineMatrixFunction(grid, values)
-        except ValidationError as exc:
-            raise ParseError(path, f"block {name}: {exc}") from exc
-    return out
+    if read is None:
+        return {}
+    rows, runs = read
+    blocks: dict = {}  # block name -> number, in order of first appearance
+    run_block = [blocks.setdefault(name, len(blocks)) for name in rows["name"][runs].tolist()]
+    block = np.repeat(run_block, np.diff(np.r_[runs, len(rows)]))
+    order = np.lexsort((rows["lam"], rows["j"], rows["k"], block))
+    bounds = np.r_[0, np.cumsum(np.bincount(block))]
+    return {name: _block(path, name, rows, order[bounds[b] : bounds[b + 1]]) for name, b in blocks.items()}
 
 
 def sidecar_metadata(kernels, linefuncs) -> dict:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isphalf.domain import Dispersion
-from isphalf.errors import IspError, ParseError
+from isphalf.errors import IspError, ParseError, ValidationError
 from isphalf.forward import TransformationKernels
 from isphalf.linefunc import LineMatrixFunction, make_grid
 from isphalf.serialize import atomic_write_text, kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv, load_problem
@@ -62,6 +62,37 @@ def reference_linefuncs_to_csv(named) -> str:
                         [_fmt(grid[idx]), name, k + 1, j + 1, _fmt(col[idx].real), _fmt(col[idx].imag)]
                     )
     return buf.getvalue()
+
+
+def reference_linefuncs_from_csv(text: str) -> dict:
+    """The row-by-row reader that the columnar one replaced: csv.reader rows,
+    float() and int() per field, each entry sorted by lambda.  Raises
+    ValueError (or ValidationError) for every file it refuses."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != ["lambda", "block", "k", "j", "re", "im"]:
+        raise ValueError("header")
+    data: dict = {}
+    for lam, name, k, j, re, im in reader:
+        if not np.isfinite(float(lam)):
+            raise ValueError("non-finite lambda")
+        data.setdefault(name, {}).setdefault((int(k), int(j)), []).append((float(lam), complex(float(re), float(im))))
+    out = {}
+    for name, entries in data.items():
+        lams = None
+        for (k, j), pts in entries.items():
+            pts.sort(key=lambda p: p[0])
+            entry_lams = [p[0] for p in pts]
+            if min(k, j) < 1 or len(set(entry_lams)) < len(entry_lams) or entry_lams != (lams or entry_lams):
+                raise ValueError(f"entry ({k},{j})")
+            lams = lams or entry_lams
+        m = max(max(k, j) for k, j in entries)
+        if len(entries) != m * m:
+            raise ValueError("missing entries")
+        values = np.array([[[p[1] for p in entries[k, j]] for j in range(1, m + 1)] for k in range(1, m + 1)])
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite sample")
+        out[name] = LineMatrixFunction(np.array(lams), np.ascontiguousarray(values.transpose(2, 0, 1)))
+    return out
 
 
 # floats whose text form is easy to get wrong
@@ -241,6 +272,111 @@ def test_linefuncs_from_csv_rejects_incomplete_block(tmp_path):
     path = _write_rows(tmp_path, ["0,S,1,1,1,0", "1,S,1,1,2,0", "0,S,2,2,3,0", "1,S,2,2,4,0"])
     with pytest.raises(ParseError, match="block S has 2 of the 4 entries"):
         linefuncs_from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "at, bad_line, line",
+    [(2, "", 4), (4, "", 6), (2, "#0.5,S,1,1,1,0", 4), (0, "# a comment", 2)],
+)
+def test_linefuncs_from_csv_refuses_empty_and_comment_lines_by_file_line(tmp_path, at, bad_line, line):
+    # neither kind of line is skipped; (4, "", 6) is an empty last line
+    rows = [f"{lam},S,1,1,1,0" for lam in range(4)]
+    rows.insert(at, bad_line)
+    path = _write_rows(tmp_path, rows)
+    with pytest.raises(ParseError) as exc:
+        linefuncs_from_csv(path)
+    assert str(exc.value).startswith(f"{path}: line {line}: ")
+
+
+def test_linefuncs_csv_block_names_up_to_64_characters(tmp_path):
+    # a 64-character name round-trips; the writer and the reader refuse 65
+    f = LineMatrixFunction(make_grid(1.0, 4), np.ones((4, 1, 1)))
+    path = tmp_path / "f.csv"
+    atomic_write_text(path, linefuncs_to_csv({"n" * 64: f}))
+    assert list(linefuncs_from_csv(path)) == ["n" * 64]
+    with pytest.raises(ValidationError, match="longer than 64 characters"):
+        atomic_write_text(tmp_path / "g.csv", linefuncs_to_csv({"n" * 65: f}))
+    assert not (tmp_path / "g.csv").exists()
+    path.write_text(path.read_text().replace("n" * 64, "n" * 65))
+    with pytest.raises(ParseError, match=": line 2: block name longer than 64 characters"):
+        linefuncs_from_csv(path)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.integers(1, 3), log_n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_linefuncs_from_csv_row_order_does_not_matter(tmp_path_factory, m, log_n, seed, data):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(2.0, 2**log_n)
+    named = {name: LineMatrixFunction(grid, np.nan_to_num(_awkward(rng, (len(grid), m, m)))) for name in ("S", 'quote"d')}
+    header, *rows = "".join(linefuncs_to_csv(named)).splitlines()
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path_factory.mktemp("permuted") / "f.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    back = linefuncs_from_csv(path)
+    # the blocks come in the order of their first rows
+    assert list(back) == list(dict.fromkeys(next(csv.reader([row]))[1] for row in rows))
+    for name, f in named.items():
+        assert np.array_equal(back[name].grid.view(np.uint64), f.grid.view(np.uint64))
+        assert np.array_equal(back[name].values.view(np.uint64), f.values.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    m=st.integers(1, 3),
+    log_n=st.integers(2, 3),
+    names=st.lists(st.sampled_from(["S", "plus", "comma,name", 'quote"d', "", "x" * 20]), min_size=1, max_size=2, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_linefuncs_from_csv_agrees_with_the_row_by_row_reader(tmp_path_factory, m, log_n, names, seed, data):
+    # permuted rows, then one field replaced, one row repeated or one dropped:
+    # both readers load the same arrays, or both refuse the file
+    rng = np.random.default_rng(seed)
+    grid = make_grid(2.0, 2**log_n)
+    named = {name: LineMatrixFunction(grid, rng.standard_normal((len(grid), m, m, 2)) @ [1, 1j]) for name in names}
+    header, *rows = "".join(linefuncs_to_csv(named)).splitlines()
+    rows = data.draw(st.permutations(rows))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    edit = data.draw(st.sampled_from(["none", "field", "repeat", "drop"]))
+    if edit == "field":
+        fields = rows[r].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(TOKENS + ['"1"', "2", " 3 ", "#"]))
+        rows[r] = ",".join(fields)
+    elif edit == "repeat":
+        rows.insert(data.draw(st.integers(0, len(rows))), rows[r])
+    elif edit == "drop":
+        del rows[r]
+    text = "\n".join([header, *rows]) + "\n"
+    path = tmp_path_factory.mktemp("edited") / "f.csv"
+    path.write_text(text)
+    try:
+        want = reference_linefuncs_from_csv(text)
+    except (ValueError, ValidationError):
+        with pytest.raises(ParseError):
+            linefuncs_from_csv(path)
+        return
+    back = linefuncs_from_csv(path)
+    assert list(back) == list(want)
+    for name, f in want.items():
+        assert np.array_equal(back[name].grid.view(np.uint64), f.grid.view(np.uint64))
+        assert np.array_equal(back[name].values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_linefuncs_from_csv_peaks_below_four_times_the_file(tmp_path):
+    # the factors.csv layout: blocks plus and minus, 2 x 2 on 1024 points
+    rng = np.random.default_rng(4)
+    grid = make_grid(100.0, 1024)
+    named = {name: LineMatrixFunction(grid, rng.standard_normal((1024, 2, 2, 2)) @ [1, 1j]) for name in ("plus", "minus")}
+    path = tmp_path / "factors.csv"
+    atomic_write_text(path, linefuncs_to_csv(named))
+    tracemalloc.start()
+    try:
+        back = linefuncs_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(back) == ["plus", "minus"]
+    assert peak < 4 * path.stat().st_size
 
 
 # tokens that break a field, or spell a value, an index or a lambda
