@@ -179,6 +179,21 @@ def _input_linefuncs(cfg, which: str = "input", blocks=()):
     return funcs
 
 
+def _jump_matrix(funcs: dict):
+    """Block S of a lambda-grid input, else its first block."""
+    return funcs.get("S") or next(iter(funcs.values()))
+
+
+def _edge_problem(cfg):
+    """The problem's edge_system and edge_boundary, the whole problem, and the lambda grid."""
+    from .linefunc import make_grid
+
+    problem = _load_problem(cfg)
+    sys_ = _require(problem, "edge_system")
+    bnd = _require(problem, "edge_boundary")
+    return sys_, bnd, problem, make_grid(cfg.lambda_max, cfg.n_lambda)
+
+
 def _cmd_split(cfg):
     from .rh import plemelj_split
     from .serialize import linefuncs_to_csv
@@ -198,8 +213,7 @@ def _cmd_rh_solve(cfg):
     from .rh import solve_regular_rh
     from .serialize import linefuncs_to_csv
 
-    funcs = _input_linefuncs(cfg)
-    s_mat = funcs.get("S") or next(iter(funcs.values()))
+    s_mat = _jump_matrix(_input_linefuncs(cfg))
     plus, minus, diag = solve_regular_rh(s_mat, edge_tol=cfg.split_edge_tol)
     return {"command": "rh-solve", **diag}, {"factors.csv": linefuncs_to_csv({"plus": plus, "minus": minus})}
 
@@ -220,13 +234,9 @@ def _cmd_recover_blocks(cfg):
 
 def _cmd_edge_forward(cfg):
     from .edge_coupled import edge_scattering
-    from .linefunc import make_grid
     from .serialize import linefuncs_to_csv
 
-    problem = _load_problem(cfg)
-    sys_ = _require(problem, "edge_system")
-    bnd = _require(problem, "edge_boundary")
-    grid = make_grid(cfg.lambda_max, cfg.n_lambda)
+    sys_, bnd, _, grid = _edge_problem(cfg)
     s_mat = edge_scattering(sys_, bnd, grid)
     report = {
         "command": "edge-forward",
@@ -238,13 +248,9 @@ def _cmd_edge_forward(cfg):
 
 def _cmd_edge_roundtrip(cfg):
     from .edge_coupled import edge_roundtrip
-    from .linefunc import make_grid
 
-    problem = _load_problem(cfg)
-    sys_ = _require(problem, "edge_system")
-    bnd = _require(problem, "edge_boundary")
+    sys_, bnd, problem, grid = _edge_problem(cfg)
     bnd2 = _require(problem, "edge_boundary2")
-    grid = make_grid(cfg.lambda_max, cfg.n_lambda)
     result = edge_roundtrip(
         sys_,
         bnd,
@@ -263,8 +269,7 @@ def _cmd_report(cfg):
     funcs = _input_linefuncs(cfg)
     report: dict = {"command": "report"}
     if "S" in funcs or len(funcs) == 1:
-        s_mat = funcs.get("S") or next(iter(funcs.values()))
-        report["solvability"] = solvability_report(s_mat)
+        report["solvability"] = solvability_report(_jump_matrix(funcs))
     if "plus" in funcs and "minus" in funcs:
         report["strips"] = strip_diagnostics(funcs["plus"], funcs["minus"])
     return report, {}

@@ -95,19 +95,25 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def load_json_object(path) -> dict:
+    """The JSON object in the file at path.  A file that cannot be read, is
+    not valid text, is not valid JSON or does not hold an object is a
+    ParseError."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        raw = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, f"cannot read: {exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError(path, "top level must be an object")
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a JSON run configuration."""
+    raw = load_json_object(path)
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:

@@ -52,14 +52,6 @@ class Dispersion:
             raise ValidationError("Dispersion.xi", "first n speeds must be negative, last n positive")
 
     @property
-    def sigma1(self) -> np.ndarray:
-        return np.array(self.xi[: self.n])
-
-    @property
-    def sigma2(self) -> np.ndarray:
-        return np.array(self.xi[self.n :])
-
-    @property
     def xi_arr(self) -> np.ndarray:
         return np.array(self.xi)
 
@@ -196,20 +188,6 @@ class TriangularPotential:
                 if not p.is_zero:
                     out[i, j] = p(x)
         return out
-
-    @property
-    def is_zero(self) -> bool:
-        return all(
-            p.is_zero for name in BLOCK_ALLOWED for row in self.block(name) for p in row
-        )
-
-    def nonzero_entries(self):
-        for name in BLOCK_ALLOWED:
-            for i in range(self.n):
-                for j in range(self.n):
-                    p = self.block(name)[i][j]
-                    if not p.is_zero:
-                        yield name, i, j, p
 
 
 def validate_potential(pot: TriangularPotential):

@@ -29,7 +29,6 @@ from .errors import EdgeDecayViolation, RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import as_profile
 from .projection import MODEL_W, edge_tail_fit, pole_basis, split_samples
-from .rh import _strip_delta
 # the benchmark's tracer (perfbench/trace_child.py) wraps edge_coupled.plemelj_split
 from .rh import plemelj_split  # noqa: F401
 
@@ -79,14 +78,6 @@ class EdgeCoupledSystem:
                 q22[r - n - 1][n - 1] = last
         return TriangularPotential(n, q11=q11, q12=q12, q21=q21, q22=q22, envelope=self.envelope)
 
-    def negated(self) -> "EdgeCoupledSystem":
-        return EdgeCoupledSystem(
-            self.disp,
-            tuple(p.scaled(-1.0) for p in self.c_first),
-            tuple(p.scaled(-1.0) for p in self.c_last),
-            self.envelope,
-        )
-
 
 @dataclass(frozen=True)
 class EdgeBoundary:
@@ -123,12 +114,6 @@ class EdgeProfiles:
     def __post_init__(self):
         if self.c_minus.shape != self.c_plus.shape or self.c_minus.shape[1] != len(self.s_grid):
             raise ValidationError("EdgeProfiles", "shape mismatch between parts and s grid")
-
-    @property
-    def amplitude(self) -> float:
-        """The smallest M with |c_{k+-}(s)| <= M e^{-decay_rate s} on the s-grid."""
-        mags = np.abs(np.concatenate([self.c_minus, self.c_plus])) * np.exp(self.decay_rate * self.s_grid)
-        return float(mags.max()) if mags.size else 0.0
 
 
 def _edge_rates(disp: Dispersion) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +213,7 @@ def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
         if edge > edge_tol:
             raise EdgeDecayViolation(float(edge), edge_tol)
     plus, minus = split_samples(grid, column)
-    delta = _strip_delta(s_matrix)
+    delta = s_matrix.analyticity.finite_delta
     return [
         (
             LineMatrixFunction(grid, plus[:, k], Analyticity("plus", delta)),

@@ -209,14 +209,6 @@ class TransformationKernels:
     def tau_grid(self) -> np.ndarray:
         return self.step * np.arange(self.traces["A11"].shape[2])
 
-    def trace_at_zero(self, name: str) -> np.ndarray:
-        """Kernel block on the x = 0 edge, shape (n, n, Ntau)."""
-        return self.traces[name]
-
-    def diagonal(self, name: str) -> np.ndarray:
-        """Kernel block on the t = x face, shape (n, n, Nx)."""
-        return self.diagonals[name]
-
 
 def _kernel_peak_bytes(n: int, chans, nx: float, nt: float) -> float:
     """Upper bound on the memory solve_kernels allocates on an (nx, nt)
@@ -546,7 +538,7 @@ def potential_from_kernels(kernels: TransformationKernels, disp: Dispersion) -> 
         if c.rho is None:
             continue
         ratio = (c.col_speed - c.row_speed) / c.col_speed
-        vals = -1j * ratio * kernels.diagonal(c.block)[c.k, c.j]
+        vals = -1j * ratio * kernels.diagonals[c.block][c.k, c.j]
         if not vals.any():
             continue
         blocks[c.q_block][c.k][c.j] = SampledProfile(kernels.step, vals, tail_rate=eps)
@@ -583,7 +575,7 @@ def kernel_transforms(
     for cb in (0, 1):
         names = [name for name, (_, c) in KERNEL_BLOCKS.items() if c == cb]
         for j in range(n):
-            cols = {name: kernels.trace_at_zero(name)[:, j, :] for name in names}  # (n, nt) each
+            cols = {name: kernels.traces[name][:, j, :] for name in names}  # (n, nt) each
             live = [name for name, col in cols.items() if col.any()]
             if not live:
                 continue

@@ -28,6 +28,11 @@ class Analyticity:
         if self.kind != "none" and not self.delta >= 0:
             raise ValidationError("Analyticity.delta", "strip half-width must be >= 0")
 
+    @property
+    def finite_delta(self) -> float:
+        """The declared half-width, or 0 for an untagged or infinite strip."""
+        return self.delta if self.kind != "none" and np.isfinite(self.delta) else 0.0
+
 
 NONE_TAG = Analyticity()
 
@@ -90,10 +95,6 @@ class LineMatrixFunction:
         self._check_same_grid(other)
         return LineMatrixFunction(self.grid, self.values - other.values, _merge_tags(self, other))
 
-    def __matmul__(self, other):
-        self._check_same_grid(other)
-        return LineMatrixFunction(self.grid, self.values @ other.values, _merge_tags(self, other))
-
     def left_mul(self, mat: np.ndarray):
         return LineMatrixFunction(self.grid, np.einsum("ab,nbc->nac", mat, self.values), self.analyticity)
 
@@ -151,8 +152,3 @@ def _merge_tags(a: LineMatrixFunction, b: LineMatrixFunction) -> Analyticity:
             return NONE_TAG
         return Analyticity(ta.kind, min(ta.delta, tb.delta))
     return NONE_TAG
-
-
-def zero_like(f: LineMatrixFunction, m: int | None = None) -> LineMatrixFunction:
-    m = m or f.m
-    return LineMatrixFunction(f.grid, np.zeros((len(f.grid), m, m), complex), Analyticity("strip", np.inf))

@@ -33,10 +33,6 @@ class ScalarProfile:
     def is_zero(self) -> bool:
         return False
 
-    def scaled(self, factor: complex) -> "ScalarProfile":
-        """Profile multiplied by a constant."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExpSumProfile(ScalarProfile):
@@ -78,9 +74,6 @@ class ExpSumProfile(ScalarProfile):
     @property
     def is_zero(self) -> bool:
         return all(gamma == 0 for gamma, _ in self.terms)
-
-    def scaled(self, factor):
-        return ExpSumProfile(tuple((factor * g, a) for g, a in self.terms))
 
 
 ZERO_PROFILE = ExpSumProfile(())
@@ -163,9 +156,6 @@ class SampledProfile(ScalarProfile):
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0))
-
-    def scaled(self, factor):
-        return SampledProfile(self.dx, factor * self.values, self.tail_rate)
 
 
 def as_profile(obj) -> ScalarProfile:

@@ -35,11 +35,6 @@ GMRES_RESTART = 50
 GMRES_CYCLES = 4
 
 
-def _strip_delta(f: LineMatrixFunction) -> float:
-    tag = f.analyticity
-    return tag.delta if tag.kind != "none" and np.isfinite(tag.delta) else 0.0
-
-
 def plemelj_split(
     f: LineMatrixFunction,
     *,
@@ -54,7 +49,7 @@ def plemelj_split(
     if edge > edge_tol:
         raise EdgeDecayViolation(edge, edge_tol)
     plus, minus = split_samples(f.grid, f.values)
-    delta = _strip_delta(f)
+    delta = f.analyticity.finite_delta
     return (
         LineMatrixFunction(f.grid, plus, Analyticity("plus", delta)),
         LineMatrixFunction(f.grid, minus, Analyticity("minus", delta)),
@@ -157,7 +152,7 @@ def solve_regular_rh(
         raise FredholmSingular(residual, f"GMRES relative residual {residual:.3e} > {GMRES_FAIL:.0e}")
     a_minus = (a_plus + eye) @ s_matrix.values - eye
 
-    delta = _strip_delta(s_matrix)
+    delta = s_matrix.analyticity.finite_delta
     out_plus = LineMatrixFunction(grid, a_plus, Analyticity("plus", delta))
     out_minus = LineMatrixFunction(grid, a_minus, Analyticity("minus", delta))
     diagnostics = {

@@ -29,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import load_json_object
 from .domain import KERNEL_BLOCKS, BoundaryMatrix, Dispersion, TriangularPotential
 from .errors import ParseError, ValidationError
-from .linefunc import Analyticity, LineMatrixFunction
+from .linefunc import LineMatrixFunction
 from .profiles import ExpSumProfile, SampledProfile, ScalarProfile, ZERO_PROFILE
 
 
@@ -98,10 +99,6 @@ def _as_complex(v, where: str) -> complex:
     return complex(_number(v, where))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def profile_from_json(obj, where: str) -> ScalarProfile:
     if obj is None:
         return ZERO_PROFILE
@@ -120,24 +117,6 @@ def profile_from_json(obj, where: str) -> ScalarProfile:
         dx = _number(_member(obj, "dx", where), _join(where, "dx"))
         return SampledProfile(dx, values, _number(obj.get("tail_rate", 1.0), _join(where, "tail_rate")))
     raise ValidationError(_join(where, "type"), f"unknown profile type {_show(kind)}")
-
-
-def profile_to_json(p: ScalarProfile):
-    if p.is_zero:
-        return None
-    if isinstance(p, ExpSumProfile):
-        return {
-            "type": "expsum",
-            "terms": [{"gamma": _complex_pair(g), "a": float(a)} for g, a in p.terms],
-        }
-    if isinstance(p, SampledProfile):
-        return {
-            "type": "sampled",
-            "dx": float(p.dx),
-            "tail_rate": float(p.tail_rate),
-            "values": [_complex_pair(v) for v in p.values],
-        }
-    raise ValidationError("profile", f"cannot serialize {type(p).__name__}")
 
 
 def _matrix_from_json(obj, where: str) -> np.ndarray:
@@ -199,16 +178,7 @@ def load_problem(path, seed=None) -> dict:
     array of the wrong shape raises ValidationError naming its path, for
     example potential.q12[0][0].terms[0].a.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(path, f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(path, "top level must be an object")
-
+    raw = load_json_object(path)
     out: dict = {}
     disp = None
     if "dispersion" in raw:
@@ -331,7 +301,7 @@ def kernels_to_csv(kernels):
     trace_lead = _lead_text((x[0], x[0] + tau), len(tau))
     diag_lead = _lead_text((x[1:], x[1:] + tau[0]), len(x) - 1)
     for name in KERNEL_BLOCKS:
-        trace, diag = kernels.trace_at_zero(name), kernels.diagonal(name)
+        trace, diag = kernels.traces[name], kernels.diagonals[name]
         for k in range(kernels.n):
             for j in range(kernels.n):
                 if (name, k, j) not in kernels.nonzero:

@@ -132,7 +132,7 @@ def test_criterion_04_kernel_decay_slope(exp_fixture_kernels):
     _, _, kernels = exp_fixture_kernels
     with Gate(4, 10.0):
         tau = kernels.tau_grid
-        mags = np.abs(kernels.trace_at_zero("A12")[0, 0])
+        mags = np.abs(kernels.traces["A12"][0, 0])
         window = (mags > 1e-10) & (tau > 0.25)
         slope = np.polyfit(tau[window], np.log(mags[window]), 1)[0]
         assert -0.55 <= slope <= -0.45

@@ -17,12 +17,9 @@ from isphalf.serialize import (
     linefuncs_from_csv,
     linefuncs_to_csv,
     load_problem,
-    profile_from_json,
-    profile_to_json,
     render_report,
 )
 from isphalf.linefunc import LineMatrixFunction, make_grid
-from isphalf.profiles import ExpSumProfile
 
 
 EXP_PROBLEM = {
@@ -122,13 +119,6 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, key, value):
 
 
 # -- problem files and round trips -------------------------------------------
-
-
-def test_profile_json_roundtrip():
-    p = ExpSumProfile(((1.0 + 2.0j, 1.5),))
-    q = profile_from_json(profile_to_json(p), "t")
-    assert q.terms == p.terms
-    assert profile_to_json(profile_from_json(None, "t")) is None
 
 
 def test_problem_loading(tmp_path):
@@ -565,6 +555,25 @@ def test_missing_config_is_input_error(tmp_path):
     assert json.loads((out / "report.json").read_text())["error"] == "ParseError"
 
 
+def test_config_that_is_not_utf8_is_input_error(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"n_lambda": 512\xff}')
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", str(cfg), "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError" and rep["path"] == str(cfg)
+
+
+def test_problem_that_is_not_utf8_is_input_error(tmp_path):
+    prob = tmp_path / "p.json"
+    prob.write_bytes(b'{"dispersion": 1\xff}')
+    cfg = _write(tmp_path, "c.json", {"problem": str(prob)})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ParseError" and rep["path"] == str(prob)
+
+
 def test_failed_run_report_names_error(tmp_path):
     # non-decaying input: the split must refuse and the report must say why
     grid = make_grid(100.0, 512)
@@ -772,3 +781,22 @@ def test_benchmark_plugin_not_loaded(pytestconfig):
     # pytest-benchmark would create .benchmarks/ in the working directory
     assert pytestconfig.pluginmanager.is_blocked("benchmark")
     assert not pytestconfig.pluginmanager.has_plugin("benchmark")
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/trace_child.py wraps these attributes and reads block_mask;
+    # a rename in src/ would otherwise show only in the benchmark's own tests
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr, _, _ in trace_child.SPANS
+        if not callable(getattr(importlib.import_module(f"isphalf.{mod}"), attr, None))
+    ]
+    assert missing == []
+    assert callable(importlib.import_module("isphalf.domain").block_mask)

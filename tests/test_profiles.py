@@ -50,11 +50,6 @@ def test_sampled_tail_extension():
     assert val == pytest.approx(np.exp(-2.0) * np.exp(-2.0 * 2.0))
 
 
-def test_scaled():
-    p = ExpSumProfile(((1.0, 1.0),)).scaled(-2.0)
-    assert p(np.array([0.0]))[0] == pytest.approx(-2.0)
-
-
 def reference_halfline_transform_from(profile, x0, z):
     """The scalar-start transform as a direct sum over the segments past x0, kept verbatim."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))

@@ -188,7 +188,7 @@ def test_kernels_csv_rebuilds_both_faces_bit_exactly(tmp_path):
         trace, diag = x == 0.0, t == x
         assert len(x) == nx + nt - 1
         assert np.array_equal(t[trace], kernels.tau_grid) and np.array_equal(x[diag], kernels.x_grid)
-        for got, want in ((z[trace], kernels.trace_at_zero(name)[k, j]), (z[diag], kernels.diagonal(name)[k, j])):
+        for got, want in ((z[trace], kernels.traces[name][k, j]), (z[diag], kernels.diagonals[name][k, j])):
             assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
 
 
