@@ -28,7 +28,7 @@ from .domain import Dispersion, SINGULARITY_TOL, TriangularPotential
 from .errors import EdgeDecayViolation, RankDeficient, ValidationError
 from .linefunc import Analyticity, LineMatrixFunction
 from .profiles import as_profile
-from .projection import MODEL_W, edge_tail_fit, pole_basis, split_samples
+from .projection import split_densities, split_samples
 # the benchmark's tracer (perfbench/trace_child.py) wraps edge_coupled.plemelj_split
 from .rh import plemelj_split  # noqa: F401
 
@@ -109,7 +109,6 @@ class EdgeProfiles:
     s_grid: np.ndarray = field(repr=False)
     c_minus: np.ndarray = field(repr=False)
     c_plus: np.ndarray = field(repr=False)
-    decay_rate: float
 
     def __post_init__(self):
         if self.c_minus.shape != self.c_plus.shape or self.c_minus.shape[1] != len(self.s_grid):
@@ -198,21 +197,29 @@ def edge_explicit_solution(
     return z
 
 
-def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
-    """Additive split of the nonzero column, rows 1..n-1, as one split of all n-1 entries.
-
-    Each entry must decay at the grid ends (checked in row order, as
-    `plemelj_split` checks a scalar entry).  Returns a list of (plus, minus)
-    scalar LineMatrixFunctions; by the entire-function argument the parts
-    coincide with the forward transforms of the underlying half-line data.
-    """
+def _decaying_column(s_matrix: LineMatrixFunction, edge_tol: float) -> np.ndarray:
+    """Rows 1..n-1 of the nonzero column, shape (N, n-1), once each entry is
+    checked to decay at the grid ends (in row order, as `plemelj_split`
+    checks a scalar entry)."""
     n = s_matrix.m
-    grid = s_matrix.grid
     column = s_matrix.values[:, : n - 1, n - 1]
     for edge in np.maximum(np.abs(column[0]), np.abs(column[-1])):
         if edge > edge_tol:
             raise EdgeDecayViolation(float(edge), edge_tol)
-    plus, minus = split_samples(grid, column)
+    return column
+
+
+def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
+    """Additive split of the nonzero column, rows 1..n-1, as one split of all n-1 entries.
+
+    The entries must decay at the grid ends (`_decaying_column`).  Returns a
+    list of (plus, minus) scalar LineMatrixFunctions; by the entire-function
+    argument the parts coincide with the forward transforms of the
+    underlying half-line data.
+    """
+    n = s_matrix.m
+    grid = s_matrix.grid
+    plus, minus = split_samples(grid, _decaying_column(s_matrix, edge_tol))
     delta = s_matrix.analyticity.finite_delta
     return [
         (
@@ -223,71 +230,21 @@ def edge_split(s_matrix: LineMatrixFunction, *, edge_tol: float = 1e-2):
     ]
 
 
-def _s_step(grid: np.ndarray) -> float:
-    """2 pi / (N d lambda), the s-step conjugate to the N-point grid."""
-    return 2.0 * math.pi / (len(grid) * float(grid[1] - grid[0]))
-
-
-def _s_grid(grid: np.ndarray, count: int) -> np.ndarray:
-    """The first count points s_k = k 2 pi / (N d lambda) of the s-lattice conjugate to grid.
-
-    On it s_k d lambda = 2 pi k / N, so e^{+-i s_k lambda_j} is e^{+-i s_k lambda_0}
-    times the length-N DFT kernel, periodic in k with period N.
-    """
-    return _s_step(grid) * np.arange(count)
-
-
-def _one_sided_inverse(grid: np.ndarray, values: np.ndarray, count: int, kind: str):
-    """Invert one-sided transforms (the columns of values) to half-line densities.
-
-    kind 'minus': C(l) = int c(s) e^{-i l s} ds, density (1/2pi) int C e^{+i l s} dl.
-    kind 'plus':  C(l) = int c(s) e^{+i l s} ds, density (1/2pi) int C e^{-i l s} dl.
-    A one-sided rational tail model, fitted at the split's edge samples,
-    makes the window truncation analytic; the remainder's phase sum on the
-    first count points of `_s_grid` is one length-N DFT per column.  Returns
-    one density per column, shape (values.shape[1], count).
-    """
-    n = len(grid)
-    step = float(grid[1] - grid[0])
-    s = _s_grid(grid, count)
-    sgn = 1.0 if kind == "minus" else -1.0
-    w = MODEL_W
-    pole = sgn * 1j * w  # minus-type poles sit in the upper half-plane
-    coef = edge_tail_fit(grid, values, pole)
-    rem = values - pole_basis(grid, pole) @ coef
-
-    # sum_j rem_j e^{sgn i s_k lambda_j} = e^{sgn i s_k lambda_0} sum_j rem_j e^{sgn 2 pi i k j / N}
-    sums = n * np.fft.ifft(rem, axis=0) if kind == "minus" else np.fft.fft(rem, axis=0)
-    lattice = sums[np.arange(count) % n]
-    dens = (step / (2.0 * np.pi)) * np.exp(sgn * 1j * s * grid[0])[:, None] * lattice
-    s = s[:, None]
-    es = np.exp(-w * s)
-    dens += sgn * 1j * coef[0] * es - coef[1] * (s * es) - sgn * 0.5j * coef[2] * (s ** 2 * es)
-    return dens.T
-
-
 def edge_invert_transforms(
-    splits,
-    disp: Dispersion,
-    *,
-    s_max: float,
-    envelope_eps: float = 1.0,
+    s_matrix: LineMatrixFunction, *, s_max: float, edge_tol: float = 1e-2
 ) -> EdgeProfiles:
-    """Half-line densities c_{k+-}(s) from the split scattering entries.
+    """Half-line densities c_{k+-}(s) of the column entries' split parts,
+    read off the split's own spectrum and tail model (`split_densities`).
 
-    The s-grid runs from 0 to s_max in steps of 2 pi / (N d lambda), the step
-    conjugate to the lambda grid (pi / lambda_max on a `make_grid` grid).
+    The entries must decay at the grid ends, as for `edge_split`.  The s-grid
+    runs from 0 to s_max in steps of 2 pi / (N d lambda), the step conjugate
+    to the lambda grid (pi / lambda_max on a `make_grid` grid).
     """
-    grid = splits[0][0].grid
-    count = math.ceil(s_max / _s_step(grid) + 0.5)
-    plus = np.stack([part_plus.values[:, 0, 0] for part_plus, _ in splits], axis=1)
-    minus = np.stack([part_minus.values[:, 0, 0] for _, part_minus in splits], axis=1)
-    return EdgeProfiles(
-        _s_grid(grid, count),
-        _one_sided_inverse(grid, minus, count, "minus"),
-        _one_sided_inverse(grid, plus, count, "plus"),
-        _decay_rate(disp, envelope_eps),
-    )
+    grid = s_matrix.grid
+    s_step = 2.0 * math.pi / (len(grid) * float(grid[1] - grid[0]))
+    count = math.ceil(s_max / s_step + 0.5)
+    plus, minus = split_densities(grid, _decaying_column(s_matrix, edge_tol), count)
+    return EdgeProfiles(s_step * np.arange(count), minus.T, plus.T)
 
 
 def exact_edge_profiles(
@@ -301,9 +258,7 @@ def exact_edge_profiles(
         density = np.array([p(s / beta) / beta for p, beta in zip(profiles, rates)])
         return 1j * _boundary_rows(bnd.h_block, density)
 
-    return EdgeProfiles(
-        s, part(sys.c_first, beta_first), part(sys.c_last, beta_last), _decay_rate(sys.disp, sys.envelope[1])
-    )
+    return EdgeProfiles(s, part(sys.c_first, beta_first), part(sys.c_last, beta_last))
 
 
 def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:
@@ -394,10 +349,8 @@ def edge_roundtrip(
     xi = sys.disp.xi_arr
     datasets = []
     for boundary in (bnd, bnd_tilde):
-        s_mat = edge_scattering(sys, boundary, grid)
-        splits = edge_split(s_mat, edge_tol=split_edge_tol)
         prof = edge_invert_transforms(
-            splits, sys.disp, s_max=(xi[-1] - xi[0]) * compare_to, envelope_eps=sys.envelope[1]
+            edge_scattering(sys, boundary, grid), s_max=(xi[-1] - xi[0]) * compare_to, edge_tol=split_edge_tol
         )
         datasets.append((prof, boundary))
     rec = edge_solve_coefficients(datasets, sys.disp)

@@ -11,7 +11,9 @@ tail coefficients are pinned by I0 and by an edge fit of f's own Laurent
 tail, splits the model exactly, and masks only the remainder.  Every step
 is linear in the samples, so the split is a linear operator that the
 matrix-free Riemann-Hilbert solver applies directly; the dense N x N form
-(`plus_projector_matrix`) serves only as a reference in tests.
+(`plus_projector_matrix`) serves only as a reference in tests.  The same
+remainder spectrum and model give the parts' half-line densities
+(`split_densities`).
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ def pole_basis(grid: np.ndarray, pole: complex) -> np.ndarray:
     return np.stack([1.0 / d, 1.0 / d ** 2, 1.0 / d ** 3], axis=1)
 
 
-def edge_tail_fit(grid: np.ndarray, values: np.ndarray, pole: complex) -> np.ndarray:
-    """Coefficients (rows c1, c2, c3) of the tail model pole_basis(., pole)
+def edge_tail_fit(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients (rows c1, c2, c3) of the Laurent tail c1/l + c2/l^2 + c3/l^3
     per column of values, by least squares at the edge samples with each
-    basis column scaled to unit sup.  Pole 0 is the Laurent tail
-    c1/l + c2/l^2 + c3/l^3."""
+    basis column scaled to unit sup."""
     idx = edge_indices(len(grid))
-    basis = pole_basis(grid[idx], pole)
+    basis = pole_basis(grid[idx], 0.0)
     scale = np.abs(basis).max(axis=0)
     coef, *_ = np.linalg.lstsq(basis / scale, values[idx], rcond=None)
     return coef / scale[:, None]
@@ -109,8 +110,9 @@ def _halfline_density(grid, flat, c, t_values, lam_max: float, step: float, f_ri
 def _split_model(grid: np.ndarray, flat: np.ndarray):
     """Rational model of each column with the correct plus/minus tail split.
 
-    Returns (model samples, plus-part samples), each of flat's shape; the
-    minus part is the difference.  The split parts of f carry 1/lambda
+    Returns the coefficients (plus, minus), each of shape (3, columns), of
+    the plus part sum_p a_p / (lambda + i w)^p and the minus part
+    sum_p g_p / (lambda - i w)^p, w = MODEL_W.  The split parts of f carry 1/lambda
     tails that f itself need not show; their leading coefficients are fixed
     exactly by the moments of f (i phi(0+) via I0 and -phi'(0+) via the
     small-t half-line density), while order three only matches f's own tail
@@ -119,7 +121,7 @@ def _split_model(grid: np.ndarray, flat: np.ndarray):
     """
     lam_max = float(max(abs(grid[0]), abs(grid[-1])))
     step = float(grid[1] - grid[0])
-    c = edge_tail_fit(grid, flat, 0.0)
+    c = edge_tail_fit(grid, flat)
     c1, c2, c3 = c[0], c[1], c[2]
     w = MODEL_W
 
@@ -149,9 +151,15 @@ def _split_model(grid: np.ndarray, flat: np.ndarray):
     a3 = l3p + 2j * w * a2 + w * w * a1
     g3 = (c3 - l3p) - 2j * w * g2 + w * w * g1
 
-    plus = pole_basis(grid, -1j * w) @ np.stack([a1, a2, a3])
-    minus = pole_basis(grid, 1j * w) @ np.stack([g1, g2, g3])
-    return plus + minus, plus
+    return np.stack([a1, a2, a3]), np.stack([g1, g2, g3])
+
+
+def _remainder_spectrum(grid: np.ndarray, flat: np.ndarray):
+    """Spectrum of the columns minus their split model, the model's plus samples, and its coefficients."""
+    coef = _split_model(grid, flat)
+    mplus = pole_basis(grid, -1j * MODEL_W) @ coef[0]
+    model = mplus + pole_basis(grid, 1j * MODEL_W) @ coef[1]
+    return np.fft.fft(flat - model, axis=0), mplus, coef
 
 
 def split_samples(grid: np.ndarray, values: np.ndarray):
@@ -161,11 +169,39 @@ def split_samples(grid: np.ndarray, values: np.ndarray):
     the model, so the minus part is the samples minus the plus part.
     """
     n = len(grid)
-    flat = values.reshape(n, -1)
-    model, mplus = _split_model(grid, flat)
-    spec = np.fft.fft(flat - model, axis=0)
+    spec, mplus, _ = _remainder_spectrum(grid, values.reshape(n, -1))
     plus = (np.fft.ifft(spec * plus_mask(n)[:, None], axis=0) + mplus).reshape(values.shape)
     return plus, values - plus
+
+
+def _model_density(coef: np.ndarray, s: np.ndarray, sign: float) -> np.ndarray:
+    """Density of sum_p coef_p / (lambda - sign i w)^p at s >= 0, shape (len(s), columns):
+    sign -1 is a plus part (int c e^{+i lambda s} ds), sign +1 a minus part."""
+    decay = np.exp(-MODEL_W * s)[:, None]
+    s = s[:, None]
+    return decay * (sign * 1j * coef[0] - s * coef[1] - sign * 0.5j * s ** 2 * coef[2])
+
+
+def split_densities(grid: np.ndarray, values: np.ndarray, count: int):
+    """Half-line densities of the split parts of each column: returns (plus, minus).
+
+    The plus part is int c_+(s) e^{+i lambda s} ds, the minus part
+    int c_-(s) e^{-i lambda s} ds; both densities are sampled at
+    s_k = 2 pi k / (N d lambda), k < count, shape (count, columns).  There
+    s_k lambda_j = s_k lambda_0 + 2 pi k j / N, so a masked remainder's phase
+    sum is its spectrum at bin k mod N (plus) or -k mod N (minus) times
+    e^{-+i s_k lambda_0}; the model adds its closed-form densities.
+    """
+    n = len(grid)
+    step = float(grid[1] - grid[0])
+    spec, _, (a, g) = _remainder_spectrum(grid, values.reshape(n, -1))
+    k = np.arange(count)
+    s = (2.0 * np.pi / (n * step)) * k
+    mask = plus_mask(n)
+    phase = (step / (2.0 * np.pi)) * np.exp(1j * s * grid[0])[:, None]
+    plus = np.conj(phase) * mask[k % n, None] * spec[k % n]
+    minus = phase * (1.0 - mask[-k % n, None]) * spec[-k % n]
+    return plus + _model_density(a, s, -1.0), minus + _model_density(g, s, 1.0)
 
 
 def plus_projector_matrix(grid: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from isphalf.edge_coupled import (
     edge_roundtrip,
     edge_scattering,
     edge_solve_coefficients,
-    edge_split,
 )
 from isphalf.errors import RankDeficient
 from isphalf.forward import (
@@ -225,9 +224,7 @@ def test_criterion_09_non_uniqueness(edge_fixture):
     with Gate(9, 10.0):
         grid = make_grid(100.0, 4096)
         s = edge_scattering(sys2, b1, grid)
-        prof = edge_invert_transforms(
-            edge_split(s, edge_tol=1e-2), disp, s_max=40.0, envelope_eps=1.0
-        )
+        prof = edge_invert_transforms(s, s_max=40.0, edge_tol=1e-2)
         with pytest.raises(RankDeficient) as single:
             edge_solve_coefficients([(prof, b1)], disp)
         assert single.value.deficiency == 1

@@ -10,7 +10,6 @@ from isphalf.edge_coupled import (
     _column_entries,
     _edge_rates,
     _family_matrix,
-    _one_sided_inverse,
     edge_explicit_solution,
     edge_invert_transforms,
     edge_roundtrip,
@@ -30,7 +29,7 @@ from isphalf.forward import (
 from isphalf.domain import BoundaryMatrix
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile, SampledProfile
-from isphalf.projection import MODEL_W, edge_indices, pole_basis
+from isphalf.projection import MODEL_W, _split_model, pole_basis, split_densities, split_samples
 from isphalf.rh import plemelj_split
 from isphalf.serialize import random_edge_system
 
@@ -160,7 +159,7 @@ def test_split_of_column_entries(grid, e1_system, e1_boundaries):
 
 def test_invert_transform_closed_form(grid, e1_system, e1_boundaries, e1_disp):
     s = edge_scattering(e1_system, e1_boundaries[0], grid)
-    prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0, envelope_eps=1.0)
+    prof = edge_invert_transforms(s, s_max=40.0)
     # the s-step is conjugate to the lambda grid: pi / lambda_max
     np.testing.assert_allclose(np.diff(prof.s_grid), np.pi / 100.0, rtol=1e-12)
     want = (1j / 3) * np.exp(-prof.s_grid / 3)
@@ -171,8 +170,6 @@ def test_invert_transform_closed_form(grid, e1_system, e1_boundaries, e1_disp):
 def test_profile_decay_bound(e1_system, e1_boundaries, e1_disp):
     s_grid = np.linspace(0, 40, 401)
     exact = exact_edge_profiles(e1_system, e1_boundaries[0], s_grid)
-    # closed form decays at rate 1/3, faster than the declared eps/(xi_2n-xi_1) = 1/4
-    assert exact.decay_rate == pytest.approx(0.25)
     np.testing.assert_allclose(exact.c_minus[0], (1j / 3) * np.exp(-s_grid / 3), atol=1e-14)
 
 
@@ -184,18 +181,33 @@ def test_exact_profiles_match_split_parts(grid, e1_disp):
     sys_full = EdgeCoupledSystem(e1_disp, c_first=(e, f), c_last=(f, e))
     bnd = EdgeBoundary(2, [[1.3]])
     s = edge_scattering(sys_full, bnd, grid)
-    splits = edge_split(s, edge_tol=3e-2)
-    prof = edge_invert_transforms(splits, e1_disp, s_max=30.0, envelope_eps=1.0)
+    prof = edge_invert_transforms(s, s_max=30.0, edge_tol=3e-2)
     exact = exact_edge_profiles(sys_full, bnd, prof.s_grid)
     assert np.abs(prof.c_minus - exact.c_minus).max() < 1e-5
     assert np.abs(prof.c_plus - exact.c_plus).max() < 1e-5
+
+
+def test_inverted_densities_match_exact_profiles_tightly(grid, e1_system, e1_boundaries, e1_disp):
+    # on the fixtures of the two tests above, the densities read off the
+    # split's own spectrum and tail model lie within 1e-7 of the closed form
+    e = ExpSumProfile(((0.6, 1.0),))
+    f = ExpSumProfile(((0.3j, 1.5),))
+    cases = (
+        (e1_system, e1_boundaries[0], 40.0, 1e-2),
+        (EdgeCoupledSystem(e1_disp, c_first=(e, f), c_last=(f, e)), EdgeBoundary(2, [[1.3]]), 30.0, 3e-2),
+    )
+    for sys_, bnd, s_max, edge_tol in cases:
+        prof = edge_invert_transforms(edge_scattering(sys_, bnd, grid), s_max=s_max, edge_tol=edge_tol)
+        exact = exact_edge_profiles(sys_, bnd, prof.s_grid)
+        assert np.abs(prof.c_minus - exact.c_minus).max() < 2e-7
+        assert np.abs(prof.c_plus - exact.c_plus).max() < 2e-7
 
 
 def test_solve_coefficients_recovers(e1_system, e1_boundaries, e1_disp, grid):
     datasets = []
     for bnd in e1_boundaries:
         s = edge_scattering(e1_system, bnd, grid)
-        prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0)
+        prof = edge_invert_transforms(s, s_max=40.0)
         datasets.append((prof, bnd))
     rec = edge_solve_coefficients(datasets, e1_disp)
     # row r - 2 of first / last holds c_{r,first}(s / (xi_r - xi_1)) / c_{r,last}(s / (xi_4 - xi_r));
@@ -212,7 +224,7 @@ def test_solve_coefficients_recovers(e1_system, e1_boundaries, e1_disp, grid):
 
 def test_single_dataset_rank_deficient(e1_system, e1_boundaries, e1_disp, grid):
     s = edge_scattering(e1_system, e1_boundaries[0], grid)
-    prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0)
+    prof = edge_invert_transforms(s, s_max=40.0)
     with pytest.raises(RankDeficient) as info:
         edge_solve_coefficients([(prof, e1_boundaries[0])], e1_disp)
     assert info.value.deficiency == 1
@@ -221,7 +233,7 @@ def test_single_dataset_rank_deficient(e1_system, e1_boundaries, e1_disp, grid):
 
 def test_equal_boundaries_rank_deficient(e1_system, e1_boundaries, e1_disp, grid):
     s = edge_scattering(e1_system, e1_boundaries[0], grid)
-    prof = edge_invert_transforms(edge_split(s), e1_disp, s_max=40.0)
+    prof = edge_invert_transforms(s, s_max=40.0)
     with pytest.raises(RankDeficient) as info:
         edge_solve_coefficients([(prof, e1_boundaries[0]), (prof, e1_boundaries[0])], e1_disp)
     assert info.value.fraction == 1.0
@@ -334,9 +346,8 @@ def reference_column_entries(sys, bnd, lam):
 
 
 def reference_exact_edge_profiles(sys, bnd, s_grid):
-    """(c_minus, c_plus, rate) of the closed form."""
+    """(c_minus, c_plus) of the closed form."""
     n = sys.n
-    xi = sys.disp.xi_arr
     s = np.asarray(s_grid, dtype=float)
     c_minus = np.zeros((n - 1, len(s)), dtype=complex)
     c_plus = np.zeros((n - 1, len(s)), dtype=complex)
@@ -348,8 +359,7 @@ def reference_exact_edge_profiles(sys, bnd, s_grid):
             for j in range(2, n + 1):
                 acc = acc - bnd.entry(k, j) * density[j - 2]
             out[k - 1] = 1j * acc
-    _, eps = sys.envelope
-    return c_minus, c_plus, eps / (xi[2 * n - 1] - xi[0])
+    return c_minus, c_plus
 
 
 def reference_family_matrix(disp, boundaries, which):
@@ -361,9 +371,11 @@ def reference_family_matrix(disp, boundaries, which):
     )
 
 
-def reference_one_sided_inverse(grid, values, count, kind):
-    """The dense phase sum on the first count points s_k = k 2 pi / (N d lambda)
-    of the s-lattice conjugate to grid.
+def reference_split_densities(grid, values, count):
+    """(plus, minus) densities as dense phase sums on the first count points
+    s_k = k 2 pi / (N d lambda) of the s-lattice conjugate to grid: the
+    window sum of each split part minus the split model's part, plus the
+    closed-form density of that model part.
 
     There s_k lambda_j = s_k lambda_0 + 2 pi (k j mod N) / N, and the phase
     is formed as those two factors: a product s_k lambda_j of hundreds of
@@ -373,25 +385,25 @@ def reference_one_sided_inverse(grid, values, count, kind):
     step = float(grid[1] - grid[0])
     k = np.arange(count)
     s_points = (2.0 * np.pi / (n * step)) * k
-    idx = edge_indices(len(grid))
-    sgn = 1.0 if kind == "minus" else -1.0
     w = MODEL_W
-    basis = pole_basis(grid, sgn * 1j * w)  # minus-type poles sit in the upper half-plane
-    scale = np.abs(basis[idx]).max(axis=0)
-    coef, *_ = np.linalg.lstsq(basis[idx] / scale, values[idx], rcond=None)
-    coef = coef / scale
-    rem = values - basis @ coef
-
-    phases = np.exp(sgn * 1j * s_points * grid[0])[:, None] * np.exp(
-        sgn * 2j * np.pi / n * (np.outer(k, np.arange(n)) % n)
-    )
-    dens = (step / (2.0 * np.pi)) * (phases @ rem)
-    es = np.exp(-w * s_points)
-    if kind == "minus":
-        dens += coef[0] * 1j * es + coef[1] * (-s_points * es) + coef[2] * (-0.5j * s_points ** 2 * es)
-    else:
-        dens += coef[0] * (-1j) * es + coef[1] * (-s_points * es) + coef[2] * (0.5j * s_points ** 2 * es)
-    return dens
+    a, g = _split_model(grid, values)
+    plus, minus = split_samples(grid, values)
+    es = np.exp(-w * s_points)[:, None]
+    s = s_points[:, None]
+    out = []
+    # the plus part is int c e^{+i lambda s} ds, its model poles sit at -i w
+    for sgn, part, coef, pole in ((-1.0, plus, a, -1j * w), (1.0, minus, g, 1j * w)):
+        rem = part - pole_basis(grid, pole) @ coef
+        phases = np.exp(sgn * 1j * s_points * grid[0])[:, None] * np.exp(
+            sgn * 2j * np.pi / n * (np.outer(k, np.arange(n)) % n)
+        )
+        dens = (step / (2.0 * np.pi)) * (phases @ rem)
+        if sgn > 0:
+            dens += coef[0] * 1j * es + coef[1] * (-s * es) + coef[2] * (-0.5j * s ** 2 * es)
+        else:
+            dens += coef[0] * (-1j) * es + coef[1] * (-s * es) + coef[2] * (0.5j * s ** 2 * es)
+        out.append(dens)
+    return tuple(out)
 
 
 def assert_close(got, want):
@@ -429,22 +441,19 @@ def check_row_array_formulas(n, seed, gaps, zero):
 
     s = np.arange(0.0, 10.0, np.pi / 50.0)
     exact = exact_edge_profiles(sys_, bnd, s)
-    c_minus, c_plus, rate = reference_exact_edge_profiles(ref_sys, ref_bnd, s)
+    c_minus, c_plus = reference_exact_edge_profiles(ref_sys, ref_bnd, s)
     assert_close(exact.c_minus, c_minus)
     assert_close(exact.c_plus, c_plus)
-    assert exact.decay_rate == rate
 
-    # the minus-type part of the column comes from the first family alone,
-    # the plus-type part from the last
-    one_sided = {
-        "minus": _column_entries(EdgeCoupledSystem(sys_.disp, c_first=sys_.c_first), bnd, grid),
-        "plus": _column_entries(EdgeCoupledSystem(sys_.disp, c_last=sys_.c_last), bnd, grid),
-    }
-    for which, part in one_sided.items():
+    for which in ("minus", "plus"):
         assert_close(_family_matrix(sys_.disp, boundaries, which),
                      reference_family_matrix(sys_.disp, boundaries, which))
-        got = _one_sided_inverse(grid, part.T, len(s), which)
-        assert_close(got, np.array([reference_one_sided_inverse(grid, c, len(s), which) for c in part]))
+
+    # the densities of all n - 1 column entries from one call equal those of
+    # each entry alone, both parts against the larger density
+    got = np.array(split_densities(grid, col.T, len(s)))
+    per_entry = [split_densities(grid, c[:, None], len(s)) for c in col]
+    assert_close(got, np.array([np.hstack(part) for part in zip(*per_entry)]))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -460,8 +469,7 @@ def test_row_array_formulas_match_per_row_references(n, seed, data):
 
 
 def test_row_array_formulas_on_a_long_phase_example():
-    # the reference's phases s lambda reach 500 rad here; formed as plain
-    # products their rounding read 1.05e-13 against the 1e-13 bound
+    # phases s lambda reach 500 rad on this example's s-range and grid
     check_row_array_formulas(2, 489241, [1.0, 0.203125, 1.0, 1.0], [False] * 4)
 
 
@@ -476,10 +484,10 @@ def test_row_array_formulas_on_a_long_phase_example():
     long_fraction=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_one_sided_inverse_fft_matches_dense_phase_sum(
+def test_split_densities_fft_matches_dense_phase_sum(
     log_n, kind, cols, lam_max, offset_quarter, short_fraction, long_fraction, seed
 ):
-    # the FFT path against the dense s x lambda product on the conjugate
+    # the spectrum reads against the dense s x lambda product on the conjugate
     # lattice, with s-grids shorter and longer than N (the k mod N wrap) and
     # a grid shifted by whole steps
     n = 2**log_n
@@ -494,9 +502,9 @@ def test_one_sided_inverse_fft_matches_dense_phase_sum(
             gamma = rng.standard_normal() + 1j * rng.standard_normal()
             values[:, c] += gamma / (rng.uniform(0.5, 3.0) + sgn * 1j * grid)
     for count in (1 + round(short_fraction * (n - 1)), n + 1 + round(long_fraction * n)):
-        got = _one_sided_inverse(grid, values, count, kind)
-        want = np.array([reference_one_sided_inverse(grid, c, count, kind) for c in values.T])
-        assert got.shape == want.shape
+        # both parts against the larger density: the part of the other kind is small
+        got, want = np.array(split_densities(grid, values, count)), np.array(reference_split_densities(grid, values, count))
+        assert got.shape == want.shape == (2, count, cols)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
