@@ -233,7 +233,7 @@ def _cmd_recover_blocks(cfg):
 
 
 def _cmd_edge_forward(cfg):
-    from .edge_coupled import edge_scattering
+    from .edge_coupled import edge_scattering, s_period_wrap
     from .serialize import linefuncs_to_csv
 
     sys_, bnd, _, grid = _edge_problem(cfg)
@@ -242,12 +242,13 @@ def _cmd_edge_forward(cfg):
         "command": "edge-forward",
         "n": sys_.n,
         "column_sup": float(abs(s_mat.values[:, : sys_.n - 1, sys_.n - 1]).max()),
+        "s_period_wrap": s_period_wrap(sys_, grid),
     }
     return report, {"edge_scattering.csv": linefuncs_to_csv({"S": s_mat})}
 
 
 def _cmd_edge_roundtrip(cfg):
-    from .edge_coupled import edge_roundtrip
+    from .edge_coupled import edge_roundtrip, s_period_wrap
 
     sys_, bnd, problem, grid = _edge_problem(cfg)
     bnd2 = _require(problem, "edge_boundary2")
@@ -259,7 +260,7 @@ def _cmd_edge_roundtrip(cfg):
         compare_to=cfg.compare_to,
         split_edge_tol=cfg.split_edge_tol,
     )
-    return {"command": "edge-roundtrip", **result}, {}
+    return {"command": "edge-roundtrip", **result, "s_period_wrap": s_period_wrap(sys_, grid)}, {}
 
 
 def _cmd_report(cfg):

@@ -135,6 +135,15 @@ def _decay_rate(disp: Dispersion, eps: float) -> float:
     return eps / (xi[-1] - xi[0])
 
 
+def s_period_wrap(sys: EdgeCoupledSystem, grid: np.ndarray) -> float:
+    """exp(-delta 2 pi / dlambda), delta = _decay_rate: what the split data
+    read on the s-lattice keep of their next period.  An N-point FFT of the
+    lambda grid makes the densities periodic in s with period 2 pi / dlambda,
+    and they decay at least like e^{-delta s}, so a grid too coarse for the
+    system's speed spread shows here; it is reported, not refused."""
+    return float(np.exp(-_decay_rate(sys.disp, sys.envelope[1]) * 2.0 * np.pi / (grid[1] - grid[0])))
+
+
 def _boundary_rows(h_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row n+k minus sum_j h_{kj} row j for k = 1..n-1 (result index k - 1).
 

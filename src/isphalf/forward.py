@@ -37,7 +37,7 @@ DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
 # tau levels per block of the kernel solve, each converged in turn and marched in one gather
-_LEVELS_PER_BLOCK = 64
+_LEVELS_PER_BLOCK = 32
 
 
 def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
@@ -223,17 +223,22 @@ def _kernel_peak_bytes(n: int, chans, nx: float, nt: float) -> float:
     and its product).  Then, per off-diagonal channel, its drive on the block
     (nx span values) and its carries three times over (committed, from the
     sweep's earlier channels, in the making): one coupling level and the
-    accumulation on at most nx + rho span + 3 feet.  Then the temporaries of
-    the gather of one block, at most 160 bytes per point on span + 1 levels
-    of that band of feet, and 1 MiB for the grids, the tables and small
-    objects.
+    accumulation on at most nx + rho span + 3 feet.  Then, per distinct
+    slope, the block's march geometry: a tap index and a fraction, 16 bytes
+    like one complex value, on span + 1 levels of that band of feet and on
+    span levels of the nodes.  Then the temporaries of the gather of one
+    block, at most 160 bytes per point on span + 1 levels of that band of
+    feet, and 1 MiB for the grids, the tables and small objects.
     """
     span = min(_LEVELS_PER_BLOCK, nt)
     values = 4 * n * n * (2 * nx + nt) + (len(chans) + 9) * nx * span
     gather = 0.0
-    for rho in (float(c.rho) for c in chans if c.rho is not None):
+    slopes = [float(c.rho) for c in chans if c.rho is not None]
+    for rho in slopes:
         values += nx * span + 3 * (2 * nx + rho * span + 3)
         gather = max(gather, (span + 1) * (nx + rho * span + 7))
+    for rho in set(slopes):
+        values += (span + 1) * (nx + rho * span + 3) + span * nx
     return 16 * values + 160 * gather + (1 << 20)
 
 
@@ -312,23 +317,44 @@ def _coupling_terms(chan: Channel, pot: TriangularPotential, qgrid: dict, row: d
     return terms
 
 
-def _lerp_rows(rows: np.ndarray, pos: np.ndarray, first: int = 0) -> np.ndarray:
-    """Linear interpolation of row r = [left, v_first, v_first+1, ..., 0, 0]
-    at pos[r] (grid units): `left` below `first`, zero past the last sample;
-    below first - 1 the upper tap reads v_first, exact when left == v_first."""
-    width = rows.shape[1]
+def _taps(pos: np.ndarray, first: int, width: int):
+    """The gather of _lerp at pos (grid units) from rows of width samples,
+    row r = [left, v_first, v_first+1, ..., 0, 0]: the flat index of each
+    lower tap and its fraction.  `left` serves below `first`, zero past the
+    last sample; below first - 1 the upper tap reads v_first, exact when
+    left == v_first."""
     i0 = np.floor(pos).astype(int)
     frac = pos - i0
-    lo = np.clip(i0 + 1 - first, 0, width - 2) + width * np.arange(len(rows))[:, None]
-    return (1.0 - frac) * rows.ravel()[lo] + frac * rows.ravel()[lo + 1]
+    return np.clip(i0 + 1 - first, 0, width - 2) + width * np.arange(len(pos))[:, None], frac
 
 
-def _march(rho: float, prev: np.ndarray, g: np.ndarray, feet, out: np.ndarray, first: int, step: float):
+def _lerp(rows: np.ndarray, taps) -> np.ndarray:
+    """Linear interpolation of rows at the taps (lower index, fraction) of _taps."""
+    lo, frac = taps
+    flat = rows.ravel()
+    return (1.0 - frac) * flat[lo] + frac * flat[1:][lo]
+
+
+def _march_geometry(rho: float, first: int, levels: int, nx: int):
+    """The gathers of _march on the levels first .. first + levels - 1, which
+    depend on rho, first, levels and nx alone: the band [f0, f1) of feet,
+    the taps of the coupling at those feet and the taps of the accumulation
+    at the nodes.  A tau-block forms them once per slope, for every sweep and
+    every channel of that slope."""
+    shift = rho * np.arange(first - 1, first + levels)
+    f0, f1 = int(shift[1]), int(shift[-1]) + nx + 2
+    at_feet = _taps(np.arange(f0, f1, dtype=float) - shift[:, None], 0, nx + 3)
+    at_nodes = _taps(np.arange(nx, dtype=float) + shift[1:, None], f0, f1 - f0 + 3)
+    return f0, f1, at_feet, at_nodes
+
+
+def _march(rho: float, geometry, prev: np.ndarray, g: np.ndarray, feet, out: np.ndarray, step: float):
     """Add i times the integral of the coupling along the characteristics of
-    slope rho to out, on the levels first .. first + L - 1 of g (nx, L),
-    with prev the coupling at level first - 1.  feet = (f, w) is the
-    accumulation w on the feet f, f + 1, ... (indexed by their position at
-    tau = 0) carried from the block below; returns it for the block above.
+    slope rho to out, on the L levels of g (nx, L) that geometry
+    (_march_geometry) was formed for, with prev the coupling at the level
+    below them.  feet = (f, w) is the accumulation w on the feet f, f + 1,
+    ... (indexed by their position at tau = 0) carried from the block below;
+    returns it for the block above.
 
     All L levels are marched in one gather.  The feet over the nodes move
     right with tau (rho > 0): feet left of f0 are never read again and
@@ -338,30 +364,32 @@ def _march(rho: float, prev: np.ndarray, g: np.ndarray, feet, out: np.ndarray, f
     nx, levels = g.shape
     if not levels:
         return feet
-    shift = rho * np.arange(first - 1, first + levels)
-    f0, f1 = int(shift[1]), int(shift[-1]) + nx + 2
+    f0, f1, at_feet, at_nodes = geometry
     start, w = feet
     # coupling on levels first-1 .. first+L-1 at the feet, clamped left of x = 0
     rows = np.zeros((levels + 1, nx + 3), dtype=complex)
     rows[0, 0], rows[0, 1 : nx + 1] = prev[0], prev
     rows[1:, 0], rows[1:, 1 : nx + 1] = g[0], g.T
-    g_feet = _lerp_rows(rows, np.arange(f0, f1, dtype=float) - shift[:, None])
+    g_feet = _lerp(rows, at_feet)
     acc = np.zeros((levels + 1, f1 - f0 + 3), dtype=complex)
     held = w[f0 - start :]
     acc[0, 1 : 1 + len(held)] = held
     acc[1:, 1:-2] = 0.5 * rho * step * (g_feet[1:] + g_feet[:-1])
     acc = np.cumsum(acc, axis=0)
-    out += 1j * _lerp_rows(acc[1:], np.arange(nx, dtype=float) + shift[1:, None], f0).T
+    out += 1j * _lerp(acc[1:], at_nodes).T
     return f0, acc[-1, 1:-2].copy()
 
 
-def _sweep(chans, terms: dict, row: dict, drives: dict, block: np.ndarray, a: int, carries: dict, step: float):
+def _sweep(
+    chans, terms: dict, row: dict, drives: dict, geometry: dict, block: np.ndarray, a: int, carries: dict, step: float
+):
     """One Gauss-Seidel sweep over the tau levels [a, a + L) held in block,
     in place, channel by channel in chans order; returns the sup-norm change
     and the carries each off-diagonal channel leaves for the block above.
 
-    block holds one (nx, L) row per admissible channel and drives the (nx, L)
-    drive of each driven one.  A channel's next iterate is formed in one
+    block holds one (nx, L) row per admissible channel, drives the (nx, L)
+    drive of each driven one and geometry the march geometry of each slope
+    on the block.  A channel's next iterate is formed in one
     buffer, a copy of its drive, from block, where the channels before it
     already hold their new values, and from its carries at the block's foot:
     the coupling at level a - 1 and the accumulation on the feet.  Its
@@ -389,9 +417,9 @@ def _sweep(chans, terms: dict, row: dict, drives: dict, block: np.ndarray, a: in
         else:
             prev, feet = carries[c]
             if a == 0:  # level 0 keeps its drive
-                feet = _march(c.rho, g[:, 0], g[:, 1:], feet, out[:, 1:], 1, step)
+                feet = _march(c.rho, geometry[c.rho], g[:, 0], g[:, 1:], feet, out[:, 1:], step)
             else:
-                feet = _march(c.rho, prev, g, feet, out, a, step)
+                feet = _march(c.rho, geometry[c.rho], prev, g, feet, out, step)
             above[c] = (g[:, -1].copy(), feet)
         old = block[row[c.block, c.k, c.j]]
         change = np.maximum(change, np.abs(out - old).max())
@@ -415,7 +443,9 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
     its coupling at level a - 1, so its fixed point is settled once they have
     converged.  Linz (Analytical and Numerical Methods for Volterra
     Equations, SIAM 1985) marches Volterra systems step by step in the same
-    way.  Each block forms its drives once, starts from them and is swept
+    way.  Each block forms its drives once, and the march geometry
+    (_march_geometry) once per distinct slope, and releases the previous
+    block's first.  It starts from its drives and is swept
     (_sweep) until its change falls below DEFAULT_ITER_TOL; every sweep
     restarts from the carries taken at the block's foot, and those of the
     last sweep are committed for the block above.  A block still moving
@@ -431,16 +461,26 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
     profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
     carries = {c: (None, (0, np.zeros(0, dtype=complex))) for c in profile}
     buf = np.empty((len(chans), len(x), min(span, len(tau))), dtype=complex)
+    drives, geometry = {}, {}
     for a in range(0, len(tau), span):
         block = buf[:, :, : min(span, len(tau) - a)]
         block_tau = tau[None, a : a + block.shape[2]]
+        # the previous block's drives and geometry go before this block's are formed
+        drives.clear()
+        geometry.clear()
         # the drive i rho q(x + rho tau) of each channel driven by a nonzero q
-        drives = {c: 1j * c.rho * p(x[:, None] + c.rho * block_tau) for c, p in profile.items() if not p.is_zero}
+        for c, p in profile.items():
+            if not p.is_zero:
+                drives[c] = 1j * c.rho * p(x[:, None] + c.rho * block_tau)
+        # level 0 keeps its drive, so the first block marches from level 1
+        first, levels = (1, block.shape[2] - 1) if a == 0 else (a, block.shape[2])
+        for rho in {c.rho for c in profile}:
+            geometry[rho] = _march_geometry(rho, first, levels, len(x)) if levels else None
         for c in chans:
             block[row[c.block, c.k, c.j]] = drives.get(c, 0.0)
         changes = []
         for _ in range(MAX_SWEEPS):
-            change, above = _sweep(chans, terms, row, drives, block, a, carries, step)
+            change, above = _sweep(chans, terms, row, drives, geometry, block, a, carries, step)
             changes.append(change)
             if change < DEFAULT_ITER_TOL:
                 break
@@ -474,7 +514,8 @@ def solve_kernels(
     with 2-tap linear weights, the composite trapezoid increments are summed
     by a cumsum along tau whose first row is the accumulation carried from
     the block below, and the result is gathered back onto the nodes.  Each
-    block forms the drives of its levels once and keeps them for its sweeps.
+    block forms the drives of its levels once, and the tap indices and
+    fractions of both gathers once per slope, and keeps them for its sweeps.
     The diagonal entries integrate along x up to the truncation boundary,
     where the envelope bounds the dropped tail.  Gauss-Seidel reaches the
     fixed point of the Jacobi iteration in fewer sweeps.  Every element sees the same
@@ -485,8 +526,8 @@ def solve_kernels(
     column of the first block, c_tilde (a running max of
     |A| e^{eps (x + theta tau)}), whether each channel is nonzero, and the
     block's sweep history.  So the solve holds the faces, one tau-block of
-    the admissible channels, their drives and their carries, however many
-    tau levels the grid has.
+    the admissible channels, their drives, their march geometry and their
+    carries, however many tau levels the grid has.
 
     The grid is judged before anything is allocated, see kernel_grid.  A
     block stops once its sup-norm change falls below DEFAULT_ITER_TOL; one

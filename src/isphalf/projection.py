@@ -59,10 +59,31 @@ def edge_tail_fit(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return coef / scale[:, None]
 
 
+# the non-negative half of the 40-point Gauss-Legendre rule on [-1, 1]
+# (np.polynomial.legendre.leggauss(40), whose nodes are exactly symmetric),
+# written out so a split does not import numpy.polynomial
+_LEGENDRE_NODES = (
+    0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+    0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+    0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+    0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+    0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591,
+)
+_LEGENDRE_WEIGHTS = (
+    0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+    0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+    0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+    0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+    0.022245849194166653, 0.016421058381906828, 0.010498284531153814, 0.004521277098536349,
+)
+
+
 @cache
 def _si_rule():
     """40-point Gauss-Legendre nodes and weights on [0, 1], built on first use."""
-    u, w = np.polynomial.legendre.leggauss(40)
+    u = np.array(_LEGENDRE_NODES)
+    w = np.array(_LEGENDRE_WEIGHTS)
+    u, w = np.concatenate([-u[::-1], u]), np.concatenate([w[::-1], w])
     return 0.5 * (u + 1.0), 0.5 * w
 
 

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 _SMALL = 0.35
-_OMEGA_CHUNK = 128  # omegas per (cell, omega) phase matrix of filon_simpson_transform
 
 
 def _moment(z, closed, divisors):
@@ -102,12 +101,64 @@ def _g2(theta):
     return np.where(small, series, out)
 
 
+def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
+    """e^{2 pi i turns m^2} for integers m, with turns m^2 reduced modulo 1
+    before the exponential: turns splits into a head short enough that its
+    product with every m^2 is exact, whose fractional part is then exact too,
+    and a tail whose product is a small correction.  So the phase is good to
+    a few ulps of 2 pi, however large turns m^2 grows."""
+    square = (m * m).astype(float)
+    mantissa, exponent = math.frexp(turns)
+    bits = max(53 - int(square.max()).bit_length(), 0)
+    head = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+    whole = head * square
+    return np.exp(2j * np.pi * ((whole - np.round(whole)) + (turns - head) * square))
+
+
+def uniform_phase_sums(values, t0: float, dt: float, omegas):
+    """sum_k values[..., k] e^{i omega_j (t0 + k dt)} on a uniform grid of
+    omegas (a single omega is a grid of one): a chirp-z transform.
+
+    With omega_j = omega_c + (j - c) domega about the middle node c,
+    Bluestein's identity (j - c) k = ((j - c)^2 + k^2 - (j - c - k)^2) / 2
+    turns the sum into one FFT convolution of the chirped values with the
+    conjugate chirp, of a power-of-two length at least K + N - 1, so the cost
+    is O((K + N) log) instead of O(K N) (Rabiner, Schafer and Rader, IEEE
+    Trans. Audio Electroacoust. 17, 1969; Bluestein, 1970).  The chirp phases
+    domega dt m^2 / 2 reach far beyond the largest |omega t|; _chirp reduces
+    them modulo 2 pi exactly, so the three chirps compose to
+    e^{i domega dt (j - c) k} with one common rounding of domega dt.  Taking
+    the linear phase from omega_c keeps it small on grids centred on 0, where
+    the transforms of decaying data are largest.
+    """
+    values = np.asarray(values, dtype=complex)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    count, nk = len(omegas), values.shape[-1]
+    domega = float(omegas[-1] - omegas[0]) / max(count - 1, 1)
+    j = np.arange(count) - count // 2
+    omega_c = omegas[count // 2]
+    if np.abs(omegas - (omega_c + domega * j)).max() > 1e-12 * np.abs(omegas).max():
+        raise ValueError("omegas must form a uniform grid")
+    turns = domega * dt / (4.0 * np.pi)
+    size = 1 << (nk + count - 2).bit_length()
+    k, lag = np.arange(nk), np.arange(1 - nk, count)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lag] = _chirp(-turns, lag - count // 2)  # negative lags wrap to the end
+    head = np.fft.fft(values * (np.exp(1j * omega_c * dt * k) * _chirp(turns, k)), n=size)
+    sums = np.fft.ifft(head * np.fft.fft(kernel), axis=-1)[..., :count]
+    return sums * (np.exp(1j * t0 * omegas) * _chirp(turns, j))
+
+
 def filon_simpson_transform(values, t0: float, dt: float, omegas):
-    """integral values(t) e^{i omega t} dt over the sample range.
+    """integral values(t) e^{i omega t} dt over the sample range, on a uniform
+    grid of omegas (a single omega is a grid of one).
 
     values has the time axis last; a quadratic is fitted per pair of cells
     (classic Filon), so the error is O(dt^4) uniformly in omega.  An even
-    sample count is padded with one zero (callers pass decayed tails).
+    sample count is padded with one zero (callers pass decayed tails).  The
+    three sums over the cells, of the quadratic's coefficients against
+    e^{i omega t} at the cell centres, are chirp-z transforms
+    (uniform_phase_sums), and the Filon moments weight them per omega.
     """
     values = np.asarray(values, dtype=complex)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -117,28 +168,17 @@ def filon_simpson_transform(values, t0: float, dt: float, omegas):
     if nt % 2 == 0:
         pad = np.zeros(values.shape[:-1] + (1,), dtype=complex)
         values = np.concatenate([values, pad], axis=-1)
-        nt += 1
-    k = (nt - 1) // 2
     f0 = values[..., 0:-1:2]
     f1 = values[..., 1::2]
     f2 = values[..., 2::2]
     a = f1
     b = (f2 - f0) / (2.0 * dt)
     c = (f2 - 2.0 * f1 + f0) / (2.0 * dt * dt)
-    centers = t0 + dt * (2.0 * np.arange(k) + 1.0)
-
-    lead = values.shape[:-1]
-    out = np.zeros(lead + omegas.shape, dtype=complex)
+    # the cell centres t0 + dt (2k + 1)
+    sa, sb, sc = uniform_phase_sums(np.stack([a, b, c]), t0 + dt, 2.0 * dt, omegas)
     h = dt
-    for lo in range(0, len(omegas), _OMEGA_CHUNK):
-        w = omegas[lo : lo + _OMEGA_CHUNK]
-        theta = w * h
-        m0 = 2.0 * h * _g0(theta)
-        m1 = 2j * h * h * _g1(theta)
-        m2 = 2.0 * h ** 3 * _g2(theta)
-        phase = np.exp(1j * np.multiply.outer(centers, w))  # (k, nw)
-        sa = a @ phase
-        sb = b @ phase
-        sc = c @ phase
-        out[..., lo : lo + _OMEGA_CHUNK] = sa * m0 + sb * m1 + sc * m2
-    return out
+    theta = omegas * h
+    m0 = 2.0 * h * _g0(theta)
+    m1 = 2j * h * h * _g1(theta)
+    m2 = 2.0 * h ** 3 * _g2(theta)
+    return sa * m0 + sb * m1 + sc * m2

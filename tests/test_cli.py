@@ -494,6 +494,23 @@ def test_edge_forward_and_roundtrip_commands(tmp_path):
     assert rep["max_rel_error"] < 1e-4
 
 
+def test_edge_reports_carry_the_s_period_wrap(tmp_path):
+    # speeds spread over 9.4 with eps 1 give delta = 1 / 9.4; make_grid(200,
+    # 4096) repeats the s-lattice every 2 pi / dlambda = 64.3, so the split
+    # data keep e^{-6.84} = 1.1e-3 of their next period: reported, not refused
+    xi = [-4.7, -3.5, -2.2, -0.9, 0.9, 2.2, 3.5, 4.7]
+    spec = {"random_edge_system": {"n": 4, "xi": xi}, "edge_boundary": {"h_block": np.eye(3).tolist()},
+            "edge_boundary2": {"h_block": (2.0 * np.eye(3)).tolist()}}
+    prob = _write(tmp_path, "p.json", spec)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, "lambda_max": 200.0, "n_lambda": 4096, "split_edge_tol": 0.05})
+    want = np.exp(-(1.0 / 9.4) * 2.0 * np.pi / (400.0 / 4096))
+    assert 1.0e-3 < want < 1.1e-3
+    for command in ("edge-forward", "edge-roundtrip"):
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / command)) == 0
+        rep = json.loads((tmp_path / command / "report.json").read_text())
+        assert rep["s_period_wrap"] == pytest.approx(want, rel=1e-12)
+
+
 def test_report_command(tmp_path):
     grid = make_grid(100.0, 512)
     s_vals = (1 - 2j * grid) / (1 - 2j * grid - 1j)
@@ -702,10 +719,12 @@ def test_exit_code_per_error_class(tmp_path, monkeypatch, exc, code):
 SCIPY_FREE_SCRIPT = """
 import json, sys
 import isphalf.cli, isphalf.config, isphalf.serialize, isphalf.forward, isphalf.edge_coupled, isphalf.rh
-loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
+loaded = {"import": heavy()}
 for command, config in json.loads(sys.argv[1]):
     code = isphalf.cli.main([command, "--config", config, "--out", sys.argv[2] + "/" + command])
-    loaded[command] = code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded[command] = code, heavy()
 print(json.dumps(loaded))
 """
 
@@ -725,7 +744,8 @@ def _fresh_interpreter(script, *args):
 
 
 def _scipy_modules_loaded(tmp_path, runs):
-    """Run the commands in one fresh interpreter; scipy modules loaded after each."""
+    """Run the commands in one fresh interpreter; scipy and numpy.polynomial
+    modules loaded after each."""
     return _fresh_interpreter(SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out"))
 
 

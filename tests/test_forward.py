@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -433,11 +434,12 @@ def _sample_level(level_vals: np.ndarray, pos: np.ndarray, clamp_left: bool = Fa
 
 
 def reference_gauss_seidel_kernels(
-    pot: TriangularPotential, disp: Dispersion, *, step: float, x_max: float, tau_max: float, levels: int = 64
+    pot: TriangularPotential, disp: Dispersion, *, step: float, x_max: float, tau_max: float, levels: int | None = None
 ):
     """reference_solve_kernels as a Gauss-Seidel iteration, converged one
-    block of `levels` tau levels at a time; returns the blocks, c_tilde and
-    the sweep changes of each tau-block.
+    block of `levels` tau levels at a time (by default the library's
+    forward._LEVELS_PER_BLOCK, read at call time); returns the blocks,
+    c_tilde and the sweep changes of each tau-block.
 
     Each tau-block starts from its drive and is swept until its change falls
     below DEFAULT_ITER_TOL.  In the channel loop of a sweep each channel's
@@ -447,6 +449,8 @@ def reference_gauss_seidel_kernels(
     ended with.  Its new values are stored at once, so the channels after it
     read them.
     """
+    if levels is None:
+        levels = forward._LEVELS_PER_BLOCK
     n = disp.n
     eps = pot.envelope[1]
     theta = kernel_decay_exponent(disp)
@@ -626,6 +630,21 @@ def test_each_drive_is_formed_once_per_tau_block(monkeypatch):
     blocks = math.ceil(len(kernels.tau_grid) / forward._LEVELS_PER_BLOCK)
     assert kernels.sweeps > 1
     assert dims.count(2) == len(driven) * blocks
+
+
+def test_march_geometry_is_formed_once_per_tau_block_and_slope(monkeypatch):
+    # the gathers' taps depend on the slope, the block and nx alone: formed
+    # once per block and distinct slope, shared by every sweep and by the
+    # channels of one slope (8 off-diagonal channels on 3 slopes here)
+    pot, disp = random_potential(2, 42), E1_DISP
+    made = []
+    build = forward._march_geometry
+    monkeypatch.setattr(forward, "_march_geometry", lambda rho, *a: made.append(rho) or build(rho, *a))
+    kernels = solve_kernels(pot, disp, step=0.05, x_max=6.0, tau_max=12.0)
+    slopes = [c.rho for c in channel_table(disp) if c.rho is not None]
+    blocks = math.ceil(len(kernels.tau_grid) / forward._LEVELS_PER_BLOCK)
+    assert kernels.sweeps > 1 and blocks > 1 and len(slopes) > len(set(slopes))
+    assert Counter(made) == {rho: blocks for rho in set(slopes)}
 
 
 def test_oversized_grid_refused_before_allocating(monkeypatch, n1_pot, n1_disp):

@@ -16,7 +16,7 @@ from isphalf import rh
 from isphalf.forward import boundary_parts, kernel_transforms, scattering_matrix, solve_kernels, transmission_matrix
 from isphalf.linefunc import Analyticity, BlockTransforms, LineMatrixFunction, make_grid
 from isphalf.profiles import ExpSumProfile
-from isphalf.projection import sine_integral, split_samples
+from isphalf.projection import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS, _si_rule, sine_integral, split_samples
 from isphalf.rh import (
     plemelj_split,
     plus_projector_matrix,
@@ -114,6 +114,18 @@ def test_split_samples_linear_and_complete(seed, n, cols):
     assert np.abs(cp - (a * fp + b * gp)).max() <= 1e-12 * scale
     assert np.abs(cm - (a * fm + b * gm)).max() <= 1e-12 * scale
     assert np.abs(fp + fm - f).max() <= 1e-12 * np.abs(f).max()
+
+
+def test_si_rule_is_leggauss_40_bit_for_bit():
+    # the written-out half of the rule is numpy's own, which is exactly
+    # symmetric, and _si_rule maps the mirrored whole to [0, 1]
+    u, w = np.polynomial.legendre.leggauss(40)
+    half_u, half_w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
+    assert np.concatenate([-half_u[::-1], half_u]).tobytes() == u.tobytes()
+    assert np.concatenate([half_w[::-1], half_w]).tobytes() == w.tobytes()
+    nodes, weights = _si_rule()
+    assert nodes.tobytes() == (0.5 * (u + 1.0)).tobytes()
+    assert weights.tobytes() == (0.5 * w).tobytes()
 
 
 def test_sine_integral_matches_scipy():
