@@ -158,6 +158,42 @@ def test_filon_chirp_matches_dense_reference(count, rows, nt, shift):
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_omega", [64, 128, 256, 1024, 2048])
+def test_filon_chunk_is_bit_identical_on_power_of_two_grids(n, n_omega):
+    # the forward stacks only the live blocks of a column into one
+    # transform, so a row's transform must not depend on the rows batched
+    # with it: on the CLI's power-of-two lambda grids, a chunk of rows and
+    # each row alone give the same bytes as all rows at once
+    rows = _random_rows(n, 251, n_omega + n)
+    omegas = 2.3 * make_grid(100.0, n_omega)
+    whole = filon_simpson_transform(rows, 0.0, 0.04, omegas).tobytes()
+    chunked = np.concatenate([filon_simpson_transform(rows[i : i + 2], 0.0, 0.04, omegas) for i in range(0, n, 2)])
+    alone = np.stack([filon_simpson_transform(row, 0.0, 0.04, omegas) for row in rows])
+    assert chunked.tobytes() == whole
+    assert alone.tobytes() == whole
+
+
+@pytest.mark.parametrize("n_omega", [6, 7, 8, 127, 128, 129, 1023, 1024, 1025])
+def test_filon_chunk_boundaries_lose_no_omega(n_omega):
+    # a uniform omega grid cut into chunks of 128 or 7 (down to a grid of
+    # one) is transformed chunk by chunk; every omega must come back, in
+    # place, and agree with the dense reference to within its own rounding
+    # on these non-decaying rows (measured at most 0.015 of it); a lost or
+    # shifted omega is off by O(1) of the sup
+    rows = _random_rows(2, 1001, n_omega)
+    omegas = -150.0 + 300.0 / max(n_omega - 1, 1) * np.arange(n_omega)
+    want = dense_filon_reference(rows, 0.0, 0.04, omegas)
+    bound = dense_rounding_bound(rows, 0.0, 0.04, omegas)
+    for chunk in (n_omega, 128, 7):
+        got = np.concatenate(
+            [filon_simpson_transform(rows, 0.0, 0.04, omegas[lo : lo + chunk]) for lo in range(0, n_omega, chunk)],
+            axis=-1,
+        )
+        assert got.shape == (2, n_omega)
+        assert np.abs(got - want).max() <= bound
+
+
 def test_filon_chirp_on_the_largest_default_grid():
     # the README default grid: 5528 samples at step 0.01 against 4096
     # omegas on make_grid(100, 4096), at a speed 3.1 where the chirp phase
