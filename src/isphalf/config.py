@@ -37,7 +37,8 @@ class RunConfig:
     Grid defaults match the library defaults; truncations left as None are
     derived from the potential envelope at run time (x_max = ln(C/tail)/eps,
     t_max = x_max / theta).  The explicit-class roundtrip inverts on s in
-    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max.  All
+    [0, (xi_2n - xi_1) compare_to] with the step pi / lambda_max, on at
+    most n_lambda points (edge_coupled.edge_invert_transforms).  All
     numbers must be finite.  The method's fixed tolerances are module
     constants, not keys:
     forward.DEFAULT_TAIL_TOL, DEFAULT_ITER_TOL and MAX_SWEEPS,

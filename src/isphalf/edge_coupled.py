@@ -247,11 +247,21 @@ def edge_invert_transforms(
 
     The entries must decay at the grid ends, as for `edge_split`.  The s-grid
     runs from 0 to s_max in steps of 2 pi / (N d lambda), the step conjugate
-    to the lambda grid (pi / lambda_max on a `make_grid` grid).
+    to the lambda grid (pi / lambda_max on a `make_grid` grid).  The densities
+    read there repeat with the period 2 pi / d lambda of N steps, so an
+    s-grid of more than N points is refused with ValidationError; the count
+    is judged in floats before anything is allocated.
     """
     grid = s_matrix.grid
     s_step = 2.0 * math.pi / (len(grid) * float(grid[1] - grid[0]))
-    count = math.ceil(s_max / s_step + 0.5)
+    points = s_max / s_step + 0.5
+    if not points <= len(grid):
+        raise ValidationError(
+            "s_max",
+            f"{s_max:.3g} needs {points:.3g} s-grid points, beyond the {len(grid)} of one period "
+            f"2 pi / d lambda = {len(grid) * s_step:.3g} of the lambda grid",
+        )
+    count = math.ceil(points)
     plus, minus = split_densities(grid, _decaying_column(s_matrix, edge_tol), count)
     return EdgeProfiles(s_step * np.arange(count), minus.T, plus.T)
 
@@ -356,11 +366,10 @@ def edge_roundtrip(
     there.  Also returns the solver diagnostics.
     """
     xi = sys.disp.xi_arr
+    s_max = float(xi[-1] - xi[0]) * compare_to  # a Python float overflows to inf without a warning
     datasets = []
     for boundary in (bnd, bnd_tilde):
-        prof = edge_invert_transforms(
-            edge_scattering(sys, boundary, grid), s_max=(xi[-1] - xi[0]) * compare_to, edge_tol=split_edge_tol
-        )
+        prof = edge_invert_transforms(edge_scattering(sys, boundary, grid), s_max=s_max, edge_tol=split_edge_tol)
         datasets.append((prof, boundary))
     rec = edge_solve_coefficients(datasets, sys.disp)
 

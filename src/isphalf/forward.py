@@ -650,10 +650,13 @@ def scattering_matrix(
     if worst := singular_grid_point(plus_part.grid, lhs):
         raise SingularFactor(*worst)
     s = np.linalg.solve(lhs, minus_part.plus_identity())
-    dp = plus_part.analyticity.delta if plus_part.analyticity.kind != "none" else 0.0
-    dm = minus_part.analyticity.delta if minus_part.analyticity.kind != "none" else 0.0
-    delta = min(d for d in (dp, dm) if d > 0) if (dp > 0 or dm > 0) else 0.0
-    return LineMatrixFunction(plus_part.grid, s, Analyticity("strip", delta))
+    return LineMatrixFunction(plus_part.grid, s, Analyticity("strip", _strip_width(plus_part, minus_part)))
+
+
+def _strip_width(plus_part: LineMatrixFunction, minus_part: LineMatrixFunction) -> float:
+    """The smaller positive finite half-width the two parts declare, else 0."""
+    widths = (f.analyticity.finite_delta for f in (plus_part, minus_part))
+    return min((d for d in widths if d > 0), default=0.0)
 
 
 def transmission_matrix(blocks: BlockTransforms):
@@ -680,15 +683,11 @@ def transmission_matrix(blocks: BlockTransforms):
     return pf, pif
 
 
-def strip_diagnostics(
-    plus_part: LineMatrixFunction,
-    minus_part: LineMatrixFunction,
-    *,
-    delta: float | None = None,
-) -> dict:
+def strip_diagnostics(plus_part: LineMatrixFunction, minus_part: LineMatrixFunction) -> dict:
     """Determinant health of I + parts on the axis and on shifted lines.
 
-    delta defaults to half the smaller declared strip width.  Off-axis values
+    The lines are shifted by delta, half the strip width of the scattering
+    matrix the parts assemble (_strip_width).  Off-axis values
     come from frequency-domain continuation of the grid samples; the grown
     direction is noise-floor limited, which is the honest best available from
     samples alone.
@@ -703,11 +702,7 @@ def strip_diagnostics(
     report["edge_residual_plus"] = float(max(abs(det_p[0] - 1.0), abs(det_p[-1] - 1.0)))
     report["edge_residual_minus"] = float(max(abs(det_m[0] - 1.0), abs(det_m[-1] - 1.0)))
 
-    dp = plus_part.analyticity.delta
-    dm = minus_part.analyticity.delta
-    if delta is None:
-        widths = [d for d in (dp, dm) if np.isfinite(d) and d > 0]
-        delta = 0.5 * min(widths) if widths else 0.0
+    delta = 0.5 * _strip_width(plus_part, minus_part)
     report["delta"] = float(delta)
     if delta > 0:
         shifted = {}

@@ -46,6 +46,11 @@ def make_grid(lambda_max: float, n_lambda: int) -> np.ndarray:
     return -lambda_max + step * np.arange(n_lambda)
 
 
+def array_edge_norm(values: np.ndarray) -> float:
+    """Max-abs entry of the samples at the two grid ends, values shaped (N, ...)."""
+    return float(max(np.abs(values[0]).max(), np.abs(values[-1]).max()))
+
+
 @dataclass(frozen=True)
 class LineMatrixFunction:
     """Samples of an m x m matrix function on a uniform lambda grid."""
@@ -115,8 +120,7 @@ class LineMatrixFunction:
         return float(self.norms().max())
 
     def edge_norm(self) -> float:
-        nrm = self.norms()
-        return float(max(nrm[0], nrm[-1]))
+        return array_edge_norm(self.values)
 
     def at(self, lam: float) -> np.ndarray:
         """Value at a grid point (lam must lie on the grid)."""

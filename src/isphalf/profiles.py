@@ -23,7 +23,7 @@ class ScalarProfile:
 
     def halfline_transform(self, z):
         """Integral of f(x) e^{i z x} over [0, inf), elementwise in z."""
-        raise NotImplementedError
+        return self.halfline_transform_from(0.0, z)
 
     def halfline_transform_from(self, x0, z):
         """Integral of f(x) e^{i z x} over [x0, inf)."""
@@ -55,13 +55,6 @@ class ExpSumProfile(ScalarProfile):
         out = np.zeros(x.shape, dtype=complex)
         for gamma, a in self.terms:
             out += gamma * np.exp(-a * x)
-        return out
-
-    def halfline_transform(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for gamma, a in self.terms:
-            out = out + gamma / (a - 1j * z)
         return out
 
     def halfline_transform_from(self, x0, z):
@@ -116,9 +109,6 @@ class SampledProfile(ScalarProfile):
         if np.any(tail):
             out = np.where(tail, self.values[-1] * np.exp(-self.tail_rate * (x - self.x_max)), out)
         return out
-
-    def halfline_transform(self, z):
-        return self.halfline_transform_from(0.0, z)
 
     def halfline_transform_from(self, x0, z):
         """Integral of f(x) e^{i z x} over [max(x0, 0), inf), elementwise in the broadcast of x0 and z.

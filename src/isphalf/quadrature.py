@@ -49,6 +49,15 @@ def _m1(z):
     )
 
 
+def _m2(z):
+    """integral_0^1 t^2 e^{z t} dt = (e^z (z^2 - 2 z + 2) - 2)/z^3, stable near z = 0."""
+    return _moment(
+        z,
+        lambda z: (np.exp(z) * (z * z - 2.0 * z + 2.0) - 2.0) / (z * z * z),
+        [math.factorial(k) * (k + 3) for k in range(14)],
+    )
+
+
 def linear_segment_transform(x_left, h, v_left, v_right, z):
     """integral_{x_left}^{x_left + h} v_lin(s) e^{i z s} ds, elementwise in the broadcast.
 
@@ -72,33 +81,6 @@ def cumulative_right_linear(x0: float, dx: float, g, omega: float):
     out = np.zeros(n, dtype=complex)
     out[:-1] = np.cumsum(seg[::-1])[::-1]
     return out
-
-
-def _g0(theta):
-    # sin(theta)/theta
-    return np.sinc(theta / np.pi)
-
-
-def _g1(theta):
-    # (sin t - t cos t)/t^2
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < _SMALL
-    ts = np.where(small, 1.0, theta)
-    out = (np.sin(ts) - ts * np.cos(ts)) / (ts * ts)
-    t2 = theta * theta
-    series = theta / 3.0 - theta * t2 / 30.0 + theta * t2 * t2 / 840.0 - theta * t2 * t2 * t2 / 45360.0
-    return np.where(small, series, out)
-
-
-def _g2(theta):
-    # (t^2 sin t + 2 t cos t - 2 sin t)/t^3
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < _SMALL
-    ts = np.where(small, 1.0, theta)
-    out = (ts * ts * np.sin(ts) + 2.0 * ts * np.cos(ts) - 2.0 * np.sin(ts)) / (ts ** 3)
-    t2 = theta * theta
-    series = 1.0 / 3.0 - t2 / 10.0 + t2 * t2 / 168.0 - t2 * t2 * t2 / 6480.0
-    return np.where(small, series, out)
 
 
 def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
@@ -176,9 +158,10 @@ def filon_simpson_transform(values, t0: float, dt: float, omegas):
     c = (f2 - 2.0 * f1 + f0) / (2.0 * dt * dt)
     # the cell centres t0 + dt (2k + 1)
     sa, sb, sc = uniform_phase_sums(np.stack([a, b, c]), t0 + dt, 2.0 * dt, omegas)
-    h = dt
-    theta = omegas * h
-    m0 = 2.0 * h * _g0(theta)
-    m1 = 2j * h * h * _g1(theta)
-    m2 = 2.0 * h ** 3 * _g2(theta)
+    # over a cell pair, u = t - centre in [-dt, dt] and theta = omega dt:
+    # integral u^p e^{i omega u} du is 2 dt^{p+1} times Re m0, i Im m1, Re m2 at i theta
+    z = 1j * omegas * dt
+    m0 = 2.0 * dt * _m0(z).real
+    m1 = 2j * dt * dt * _m1(z).imag
+    m2 = 2.0 * dt ** 3 * _m2(z).real
     return sa * m0 + sb * m1 + sc * m2

@@ -18,7 +18,7 @@ from .errors import (
     InconsistentInputs,
     SingularScattering,
 )
-from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction
+from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction, array_edge_norm
 from .projection import split_samples
 # the benchmark's tracer (perfbench/trace_child.py) wraps rh.plus_projector_matrix
 from .projection import plus_projector_matrix  # noqa: F401
@@ -139,9 +139,9 @@ def solve_regular_rh(
 
     if worst := singular_grid_point(grid, s_matrix.values):
         raise SingularScattering(*worst)
-    edge = max(np.abs(g[0]).max(), np.abs(g[-1]).max())
+    edge = array_edge_norm(g)
     if edge > edge_tol:
-        raise EdgeDecayViolation(float(edge), edge_tol)
+        raise EdgeDecayViolation(edge, edge_tol)
 
     def plus_part(values):
         return split_samples(grid, values)[0]
@@ -229,8 +229,6 @@ def solvability_report(s_matrix: LineMatrixFunction) -> dict:
             return "negative"
         return "indefinite"
 
-    eye = np.eye(s_matrix.m)
-    edge = max(np.abs(vals[0] - eye).max(), np.abs(vals[-1] - eye).max())
     return {
         "min_abs_det": float(np.abs(dets).min()),
         "argmin_lambda": float(s_matrix.grid[idx]),
@@ -239,5 +237,5 @@ def solvability_report(s_matrix: LineMatrixFunction) -> dict:
         "im_part": definiteness(im_eigs),
         "definite_condition": definiteness(re_eigs) != "indefinite"
         or definiteness(im_eigs) != "indefinite",
-        "edge_residual": float(edge),
+        "edge_residual": array_edge_norm(vals - np.eye(s_matrix.m)),
     }

@@ -497,18 +497,44 @@ def test_edge_forward_and_roundtrip_commands(tmp_path):
 def test_edge_reports_carry_the_s_period_wrap(tmp_path):
     # speeds spread over 9.4 with eps 1 give delta = 1 / 9.4; make_grid(200,
     # 4096) repeats the s-lattice every 2 pi / dlambda = 64.3, so the split
-    # data keep e^{-6.84} = 1.1e-3 of their next period: reported, not refused
+    # data keep e^{-6.84} = 1.1e-3 of their next period: reported, not
+    # refused (compare_to 6 keeps the s-grid, 9.4 x 6 = 56.4, in one period)
     xi = [-4.7, -3.5, -2.2, -0.9, 0.9, 2.2, 3.5, 4.7]
     spec = {"random_edge_system": {"n": 4, "xi": xi}, "edge_boundary": {"h_block": np.eye(3).tolist()},
             "edge_boundary2": {"h_block": (2.0 * np.eye(3)).tolist()}}
     prob = _write(tmp_path, "p.json", spec)
-    cfg = _write(tmp_path, "c.json", {"problem": prob, "lambda_max": 200.0, "n_lambda": 4096, "split_edge_tol": 0.05})
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"problem": prob, "lambda_max": 200.0, "n_lambda": 4096, "split_edge_tol": 0.05, "compare_to": 6.0},
+    )
     want = np.exp(-(1.0 / 9.4) * 2.0 * np.pi / (400.0 / 4096))
     assert 1.0e-3 < want < 1.1e-3
     for command in ("edge-forward", "edge-roundtrip"):
         assert run_cli(command, "--config", cfg, "--out", str(tmp_path / command)) == 0
         rep = json.loads((tmp_path / command / "report.json").read_text())
         assert rep["s_period_wrap"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("compare_to", [100.0, 1e12, 1e308])
+def test_edge_roundtrip_refuses_an_s_grid_beyond_one_period(tmp_path, monkeypatch, compare_to):
+    # the default grid repeats the s-lattice every 2 pi / dlambda = 128.7;
+    # s_max = (xi_2n - xi_1) compare_to = 400 reads wrapped densities, 4e12
+    # asks for more memory than any machine has and 4e308 overflows to inf:
+    # each is refused before any density is read
+    from isphalf import edge_coupled
+
+    def no_densities(*args):
+        raise AssertionError("split_densities reached")
+
+    monkeypatch.setattr(edge_coupled, "split_densities", no_densities)
+    prob = _write(tmp_path, "p.json", EDGE_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, "split_edge_tol": 0.01, "compare_to": compare_to})
+    out = tmp_path / "out"
+    assert run_cli("edge-roundtrip", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError"
+    assert rep["field"] == "s_max"
 
 
 def test_report_command(tmp_path):
@@ -544,7 +570,10 @@ def _command_config(tmp_path, command):
         )
     if command.startswith("edge"):
         prob = _write(tmp_path, "e.json", EDGE_PROBLEM)
-        return _write(tmp_path, "edge.json", {"problem": prob, "n_lambda": 1024, "split_edge_tol": 0.01})
+        # compare_to 5 keeps the s-grid, 4 x 5 = 20, in the period 32.2 of 1024 points
+        return _write(
+            tmp_path, "edge.json", {"problem": prob, "n_lambda": 1024, "split_edge_tol": 0.01, "compare_to": 5.0}
+        )
     if command == "split":
         return _split_config(tmp_path)[0]
     if command == "recover-blocks":
@@ -752,15 +781,14 @@ def _scipy_modules_loaded(tmp_path, runs):
 LAZY_PACKAGE_SCRIPT = """
 import json, sys
 import isphalf, isphalf.cli
-numpy_loaded = "numpy" in sys.modules
-print(json.dumps([numpy_loaded, [name for name in isphalf.__all__ if not hasattr(isphalf, name)]]))
+print(json.dumps("numpy" in sys.modules))
 """
 
 
-def test_package_and_cli_import_without_numpy_and_every_export_resolves():
+def test_package_and_cli_import_without_numpy():
     # cli defers its imports so --threads can set the BLAS variables before
-    # numpy loads; the package resolves each exported name on first use
-    assert _fresh_interpreter(LAZY_PACKAGE_SCRIPT) == [False, []]
+    # numpy loads; the package root imports no module of its own
+    assert _fresh_interpreter(LAZY_PACKAGE_SCRIPT) is False
 
 
 def test_forward_commands_load_no_scipy(tmp_path):
@@ -769,7 +797,8 @@ def test_forward_commands_load_no_scipy(tmp_path):
         tmp_path, "fwd.json", {"problem": prob, "n_lambda": 64, "kernel_step": 0.1, "x_max": 4.0, "t_max": 8.0}
     )
     edge_prob = _write(tmp_path, "e.json", EDGE_PROBLEM)
-    edge = _write(tmp_path, "edge.json", {"problem": edge_prob, "n_lambda": 1024, "split_edge_tol": 0.01})
+    # compare_to 5 keeps the s-grid, 4 x 5 = 20, in the period 32.2 of 1024 points
+    edge = _write(tmp_path, "edge.json", {"problem": edge_prob, "n_lambda": 1024, "split_edge_tol": 0.01, "compare_to": 5.0})
     runs = [("validate", fwd), ("forward", fwd), ("edge-forward", edge), ("edge-roundtrip", edge)]
     loaded = _scipy_modules_loaded(tmp_path, runs)
     assert loaded == {"import": [], **{command: [0, []] for command, _ in runs}}
@@ -801,6 +830,12 @@ def test_benchmark_plugin_not_loaded(pytestconfig):
     # pytest-benchmark would create .benchmarks/ in the working directory
     assert pytestconfig.pluginmanager.is_blocked("benchmark")
     assert not pytestconfig.pluginmanager.has_plugin("benchmark")
+
+
+def test_cache_plugin_not_loaded(pytestconfig):
+    # the cache provider would create .pytest_cache/ in the working directory
+    assert pytestconfig.pluginmanager.is_blocked("cacheprovider")
+    assert not pytestconfig.pluginmanager.has_plugin("cacheprovider")
 
 
 def test_benchmark_tracer_targets_exist():

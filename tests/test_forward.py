@@ -846,10 +846,11 @@ def test_boundary_coupling_identity(n2_random_pot, e1_disp, n2_random_kernels, g
 
 
 def test_strip_diagnostics_zero_parts(grid_100_4096):
-    from isphalf.linefunc import LineMatrixFunction
+    from isphalf.linefunc import Analyticity, LineMatrixFunction
 
     z = LineMatrixFunction(grid_100_4096, np.zeros((4096, 1, 1)))
-    rep = strip_diagnostics(z, z, delta=0.2)
+    rep = strip_diagnostics(z.with_tag(Analyticity("plus", 0.4)), z.with_tag(Analyticity("minus", 0.4)))
+    assert rep["delta"] == 0.2
     assert rep["min_abs_det_plus"] == pytest.approx(1.0)
     assert rep["min_abs_det_minus"] == pytest.approx(1.0)
     assert rep["edge_residual_plus"] == 0.0

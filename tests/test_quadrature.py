@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from isphalf.linefunc import make_grid
 from isphalf.quadrature import (
-    _g0,
-    _g1,
-    _g2,
     _m0,
     _m1,
+    _m2,
     cumulative_right_linear,
     filon_simpson_transform,
     linear_segment_transform,
@@ -24,8 +22,10 @@ def test_segment_moments(z):
     t = np.linspace(0, 1, 4001)
     m0_ref = np.trapezoid(np.exp(z * t), t)
     m1_ref = np.trapezoid(t * np.exp(z * t), t)
+    m2_ref = np.trapezoid(t * t * np.exp(z * t), t)
     assert abs(_m0(np.array([z]))[0] - m0_ref) < 5e-8
     assert abs(_m1(np.array([z]))[0] - m1_ref) < 5e-8
+    assert abs(_m2(np.array([z]))[0] - m2_ref) < 5e-8
 
 
 def test_segment_transform_closed_form():
@@ -103,6 +103,23 @@ def test_filon_simpson_batched_and_even_padding():
     assert abs(got[1, 0] - 2 * want) < 1e-5
 
 
+def test_filon_exact_on_a_quadratic():
+    # a quadratic is its own interpolant, so the rule gives its transform up
+    # to rounding; omega dt runs up to 0.45, across the |theta| = 0.35 switch
+    # of the moments from their series to their closed forms
+    a, b, c = 0.3 + 0.1j, -0.2, 0.05j
+    dt, t_end = 0.5, 10.0
+    t = dt * np.arange(21)
+    omegas = np.linspace(0.05, 0.9, 1024)
+    got = filon_simpson_transform(a + b * t + c * t * t, 0.0, dt, omegas)
+    iw, e = 1j * omegas, np.exp(1j * omegas * t_end)
+    i0 = (e - 1.0) / iw
+    i1 = (t_end * e - i0) / iw
+    i2 = (t_end * t_end * e - 2.0 * i1) / iw
+    want = a * i0 + b * i1 + c * i2
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def filon_coefficients(values, dt):
     """(a, b, c) of the quadratic a + b (t - t_k) + c (t - t_k)^2 on each pair
     of cells, centred at t_k, after padding an even sample count with a zero."""
@@ -122,9 +139,9 @@ def dense_filon_reference(values, t0, dt, omegas, chunk=256):
     out = np.zeros(a.shape[:-1] + omegas.shape, dtype=complex)
     for lo in range(0, len(omegas), chunk):
         w = omegas[lo : lo + chunk]
-        theta = w * dt
+        z = 1j * w * dt
         phase = np.exp(1j * np.multiply.outer(centers, w))
-        m0, m1, m2 = 2.0 * dt * _g0(theta), 2j * dt * dt * _g1(theta), 2.0 * dt ** 3 * _g2(theta)
+        m0, m1, m2 = 2.0 * dt * _m0(z).real, 2j * dt * dt * _m1(z).imag, 2.0 * dt ** 3 * _m2(z).real
         out[..., lo : lo + chunk] = (a @ phase) * m0 + (b @ phase) * m1 + (c @ phase) * m2
     return out
 
