@@ -266,20 +266,6 @@ def edge_invert_transforms(
     return EdgeProfiles(s_step * np.arange(count), minus.T, plus.T)
 
 
-def exact_edge_profiles(
-    sys: EdgeCoupledSystem, bnd: EdgeBoundary, s_grid: np.ndarray
-) -> EdgeProfiles:
-    """Closed-form c_{k+-}(s) for oracle comparisons."""
-    s = np.asarray(s_grid, dtype=float)
-    beta_first, beta_last = _edge_rates(sys.disp)
-
-    def part(profiles, rates):
-        density = np.array([p(s / beta) / beta for p, beta in zip(profiles, rates)])
-        return 1j * _boundary_rows(bnd.h_block, density)
-
-    return EdgeProfiles(s, part(sys.c_first, beta_first), part(sys.c_last, beta_last))
-
-
 def _family_matrix(disp: Dispersion, boundaries, which: str) -> np.ndarray:
     """Stacked per-point system matrix; identical at every s by construction.
 

@@ -13,18 +13,30 @@ is linear in the samples, so the split is a linear operator that the
 matrix-free Riemann-Hilbert solver applies directly; the dense N x N form
 (`plus_projector_matrix`) serves only as a reference in tests.  The same
 remainder spectrum and model give the parts' half-line densities
-(`split_densities`).
+(`split_densities`).  The model's grid-only pieces (the fits'
+pseudo-inverses, the probe phase and the model's poles on the grid) are
+built once per grid and cached (`_grid_model`), so a split costs a few thin
+products and its two FFTs.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import ValidationError
 
 EDGE_FRACTION = 0.1
 MODEL_W = 2.0
 NOISE_FLOOR = 1e-13
+# the edge fit needs 2 x 6 samples, none of them at lambda = 0
+MIN_SPLIT_POINTS = 12
+# probe densities at t = 2p / lam_max, p = 0 .. PROBES - 1
+PROBES = 8
+# grid models kept (least recently used dropped); each holds 3 N complex values
+GRID_MODELS = 4
 
 
 def plus_mask(n: int) -> np.ndarray:
@@ -51,12 +63,9 @@ def pole_basis(grid: np.ndarray, pole: complex) -> np.ndarray:
 def edge_tail_fit(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Coefficients (rows c1, c2, c3) of the Laurent tail c1/l + c2/l^2 + c3/l^3
     per column of values, by least squares at the edge samples with each
-    basis column scaled to unit sup."""
-    idx = edge_indices(len(grid))
-    basis = pole_basis(grid[idx], 0.0)
-    scale = np.abs(basis).max(axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, values[idx], rcond=None)
-    return coef / scale[:, None]
+    basis column scaled to unit sup (the grid model's `edge_pinv`)."""
+    model = _grid_model(grid)
+    return model.edge_pinv @ values[model.edge]
 
 
 # the non-negative half of the 40-point Gauss-Legendre rule on [-1, 1]
@@ -97,72 +106,136 @@ def sine_integral(x):
     return np.sin(np.multiply.outer(np.asarray(x, float), u)) @ (w / u)
 
 
-def _halfline_density(grid, flat, c, t_values, lam_max: float, step: float, f_right):
-    """phi(t) = (1/2pi) integral f e^{-i lambda t} d lambda at small t > 0.
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse R^-1 Q^T of a tall real matrix of full column rank.
 
-    For t > 0 only the plus part contributes, so phi(0+) and phi'(0+) give
-    the exact leading Laurent coefficients of the plus part.  The window
-    [-lam_max, lam_max) of spacing step is closed with the analytic tail of
-    the fitted Laurent model c, whose value at +lam_max is f_right.
+    Q R comes from classical Gram-Schmidt run twice per column, enough for
+    the three or four unit-sup columns of the tail fits, and np.linalg.solve
+    finishes it: no LAPACK least-squares, SVD or QR routine is loaded.
     """
-    c1, c2, c3 = c[0], c[1], c[2]
-    t = np.asarray(t_values)
-    phases = np.exp(-1j * np.outer(grid, t))
-    # trapezoid closure of the half-open window; the phantom +L node comes
-    # from the Laurent model (the raw rectangle sum leaves an O(step f(L))
-    # oscillatory error that wrecks the slope estimate)
-    window = step * (
-        phases.T @ flat
-        - 0.5 * np.outer(phases[0], flat[0])
-        + 0.5 * np.outer(np.exp(-1j * lam_max * t), f_right)
-    )  # (nt, k)
-    si = sine_integral(lam_max * t)
-    rest = 0.5 * np.pi - si
-    tail1 = -2j * rest
-    tail2 = 2.0 * (np.cos(lam_max * t) / lam_max - t * rest)
-    tail3 = -2j * (
-        np.sin(lam_max * t) / (2.0 * lam_max ** 2)
-        + 0.5 * t * (np.cos(lam_max * t) / lam_max - t * rest)
-    )
-    tails = tail1[:, None] * c1[None, :] + tail2[:, None] * c2[None, :] + tail3[:, None] * c3[None, :]
-    return (window + tails) / (2.0 * np.pi)
+    q = np.array(a, dtype=float)
+    r = np.zeros((q.shape[1], q.shape[1]))
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            h = q[:, :j].T @ q[:, j]
+            q[:, j] -= q[:, :j] @ h
+            r[:j, j] += h
+        r[j, j] = np.linalg.norm(q[:, j])
+        q[:, j] /= r[j, j]
+    return np.linalg.solve(r, q.T)
 
 
-def _split_model(grid: np.ndarray, flat: np.ndarray):
-    """Rational model of each column with the correct plus/minus tail split.
+class _GridModel(NamedTuple):
+    """The grid-only pieces of the split's tail model (`_split_model`)."""
 
-    Returns the coefficients (plus, minus), each of shape (3, columns), of
-    the plus part sum_p a_p / (lambda + i w)^p and the minus part
-    sum_p g_p / (lambda - i w)^p, w = MODEL_W.  The split parts of f carry 1/lambda
-    tails that f itself need not show; their leading coefficients are fixed
-    exactly by the moments of f (i phi(0+) via I0 and -phi'(0+) via the
-    small-t half-line density), while order three only matches f's own tail
-    and is assigned symmetrically, wrapping at the negligible 1/lambda^3
-    periodization level.
+    window: float  # d lambda / 2 pi, the probe window sums' weight
+    edge: np.ndarray  # the edge samples' indices
+    edge_pinv: np.ndarray  # 3 x 2k: edge samples -> Laurent tail c1, c2, c3
+    probe_phase: np.ndarray  # N: e^{-i t_1 lambda}, whose powers weight the probe window sums
+    probe_tails: np.ndarray  # PROBES x 3: their closure and tails, per c1, c2, c3
+    probe_pinv: np.ndarray  # 4 x (PROBES - 1): densities at t > 0 -> cubic in t
+    plus_pole: np.ndarray  # N: 1 / (lambda + i MODEL_W), whose powers are the plus basis
+    minus_pole: np.ndarray  # N: 1 / (lambda - i MODEL_W)
+
+
+def _grid_model(grid: np.ndarray) -> _GridModel:
+    """The split's grid-only model of exactly this grid (keyed on its bytes)."""
+    return _model_of_grid(np.ascontiguousarray(grid, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=GRID_MODELS)
+def _model_of_grid(key: bytes) -> _GridModel:
+    """Build the grid-only model; ValidationError where the tail fit is undefined.
+
+    The probe densities phi(t) = (1/2pi) integral f e^{-i lambda t} d lambda
+    at t_p = 2p / lam_max, p = 0 .. PROBES - 1, read the plus part's leading
+    Laurent coefficients: for t > 0 only the plus part contributes, so
+    phi(0+), phi'(0+) and phi''(0+) give them exactly.  The window
+    [-lam_max, lam_max) of spacing step is summed by the trapezoid rule,
+    whose phantom +lam_max node comes from the fitted Laurent tail (the raw
+    rectangle sum leaves an O(step f(L)) oscillatory error that wrecks the
+    slope estimate), and closed with that tail's analytic integral beyond
+    the window; t_0 = 0 takes its t -> 0+ limit.  Each density is thus a
+    window sum weighted by a power of probe_phase plus probe_tails @ c for
+    the tail coefficients c.  Only N-vectors are kept, not the PROBES x N
+    weights or the N x 3 bases, so a cached model of a long grid does not
+    raise a run's peak memory.
     """
+    grid = np.frombuffer(key)
+    n = len(grid)
+    if n < MIN_SPLIT_POINTS:
+        raise ValidationError(
+            "lambda grid", f"{n} points, fewer than the {MIN_SPLIT_POINTS} the split's tail fit needs"
+        )
+    edge = edge_indices(n)
+    if not np.all(grid[edge]):
+        raise ValidationError("lambda grid", "an edge sample of the split's tail fit sits at lambda = 0")
+    basis = pole_basis(grid[edge], 0.0)
+    scale = np.abs(basis).max(axis=0)
+    edge_pinv = _pinv(basis / scale) / scale[:, None]
+
     lam_max = float(max(abs(grid[0]), abs(grid[-1])))
     step = float(grid[1] - grid[0])
-    c = edge_tail_fit(grid, flat)
+    t = (2.0 / lam_max) * np.arange(PROBES)
+    lt = lam_max * t
+    rest = 0.5 * np.pi - sine_integral(lt)
+    tails = np.stack(
+        [
+            -2j * rest,
+            2.0 * (np.cos(lt) / lam_max - t * rest),
+            -2j * (np.sin(lt) / (2.0 * lam_max ** 2) + 0.5 * t * (np.cos(lt) / lam_max - t * rest)),
+        ],
+        axis=1,
+    )
+    closure = 0.5 * step * np.outer(np.exp(-1j * lt), lam_max ** -np.arange(1.0, 4.0))
+    vand = np.vander(t[1:], 4, increasing=True)  # [1, t, t^2, t^3]
+    scale_t = np.abs(vand).max(axis=0)
+    arrays = (
+        edge,
+        edge_pinv,
+        np.exp(-1j * t[1] * grid),
+        (tails + closure) / (2.0 * np.pi),
+        _pinv(vand / scale_t) / scale_t[:, None],
+        1.0 / (grid + 1j * MODEL_W),
+        1.0 / (grid - 1j * MODEL_W),
+    )
+    for part in arrays:
+        part.flags.writeable = False
+    return _GridModel(step / (2.0 * np.pi), *arrays)
+
+
+def _probe_sums(model: _GridModel, flat: np.ndarray) -> np.ndarray:
+    """Trapezoid window sums (1/2pi) sum f e^{-i lambda t_p} d lambda of the
+    columns, t_p = p t_1, p = 0 .. PROBES - 1 (the phantom +lam_max node is
+    in probe_tails), shape (PROBES, columns)."""
+    weights = np.empty((PROBES, len(model.probe_phase)), dtype=complex)
+    weights[0] = model.window
+    weights[0, 0] *= 0.5
+    for p in range(1, PROBES):
+        np.multiply(weights[p - 1], model.probe_phase, out=weights[p])
+    return weights @ flat
+
+
+def _pole_sum(pole: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_p coef_p pole^p, p = 1, 2, 3, by Horner: the model part with the
+    pole basis pole_basis(grid, .) @ coef."""
+    return ((coef[2] * pole[:, None] + coef[1]) * pole[:, None] + coef[0]) * pole[:, None]
+
+
+def _coefficients(model: _GridModel, flat: np.ndarray):
+    """Plus and minus pole coefficients of the columns' split model (`_split_model`)."""
+    c = model.edge_pinv @ flat[model.edge]
     c1, c2, c3 = c[0], c[1], c[2]
     w = MODEL_W
-
-    # trapezoid over the half-open window, closed with the model value at +L,
-    # plus the analytic tail of the even model part beyond the window
-    f_right = c1 / lam_max + c2 / lam_max ** 2 + c3 / lam_max ** 3
-    window = step * (flat.sum(axis=0) - 0.5 * flat[0] + 0.5 * f_right)
-    i0 = (window + 2.0 * c2 / lam_max) / (2.0 * np.pi)
 
     # short probe window: the moment values carry ~1e-8 noise while the
     # cubic-truncation bias grows like (rate * t)^4, so small t wins for any
     # density varying on O(1) scales
-    t_probe = (2.0 / lam_max) * np.arange(1, 8)
-    phi = _halfline_density(grid, flat, c, t_probe, lam_max, step, f_right)
-    vand = np.vander(t_probe, 4, increasing=True)  # [1, t, t^2, t^3]
-    scale_t = np.abs(vand).max(axis=0)
-    fit = np.linalg.lstsq(vand / scale_t, phi, rcond=None)[0] / scale_t[:, None]
+    phi = _probe_sums(model, flat) + model.probe_tails @ c
+    fit = model.probe_pinv @ phi[1:]
     slope, curv = fit[1], 2.0 * fit[2]
 
-    l1p = 1j * i0 + 0.5 * c1  # = i phi(0+)
+    l1p = 1j * phi[0]  # = i phi(0+)
     l2p = -slope  # = -phi'(0+)
     l3p = -1j * curv  # = -i phi''(0+)
     a1 = l1p
@@ -175,12 +248,28 @@ def _split_model(grid: np.ndarray, flat: np.ndarray):
     return np.stack([a1, a2, a3]), np.stack([g1, g2, g3])
 
 
+def _split_model(grid: np.ndarray, flat: np.ndarray):
+    """Rational model of each column with the correct plus/minus tail split.
+
+    Returns the coefficients (plus, minus), each of shape (3, columns), of
+    the plus part sum_p a_p / (lambda + i w)^p and the minus part
+    sum_p g_p / (lambda - i w)^p, w = MODEL_W.  The split parts of f carry 1/lambda
+    tails that f itself need not show; their leading coefficients are fixed
+    exactly by the moments of f (i phi(0+) and -phi'(0+) from the
+    half-line density at small t), while order three only matches f's own
+    tail and is assigned symmetrically, wrapping at the negligible
+    1/lambda^3 periodization level.  Every grid-only piece comes from the
+    cached `_grid_model`, so a call costs a few thin products.
+    """
+    return _coefficients(_grid_model(grid), flat)
+
+
 def _remainder_spectrum(grid: np.ndarray, flat: np.ndarray):
     """Spectrum of the columns minus their split model, the model's plus samples, and its coefficients."""
-    coef = _split_model(grid, flat)
-    mplus = pole_basis(grid, -1j * MODEL_W) @ coef[0]
-    model = mplus + pole_basis(grid, 1j * MODEL_W) @ coef[1]
-    return np.fft.fft(flat - model, axis=0), mplus, coef
+    model = _grid_model(grid)
+    coef = _coefficients(model, flat)
+    mplus = _pole_sum(model.plus_pole, coef[0])
+    return np.fft.fft(flat - (mplus + _pole_sum(model.minus_pole, coef[1])), axis=0), mplus, coef
 
 
 def split_samples(grid: np.ndarray, values: np.ndarray):

@@ -28,7 +28,8 @@ CONSISTENCY_TOL = 1e-6
 VERIFY_TOL = 1e-3
 # restarted GMRES for the collocation system: stop at GMRES_TOL relative
 # residual, after a restart cycle that fails to halve its starting residual
-# or after GMRES_CYCLES restarts; fail above GMRES_FAIL
+# (or starts above half the previous cycle's start) or after GMRES_CYCLES
+# restarts; fail above GMRES_FAIL
 GMRES_TOL = 1e-13
 GMRES_FAIL = 1e-10
 GMRES_RESTART = 50
@@ -70,11 +71,16 @@ def split_residual(f: LineMatrixFunction, kind: str) -> float:
 def _gmres(matvec, rhs: np.ndarray):
     """Restarted GMRES for matvec(x) = rhs, x shaped like rhs.
 
-    Arnoldi with modified Gram-Schmidt; each iterate minimizes the residual
-    over the Krylov space by a small least-squares solve on the Hessenberg
-    matrix.  A restart cycle that does not halve the residual it started
-    from has stalled (the system is singular), and ends the solve.  Returns
-    (x, relative residual after each iteration).
+    Arnoldi with modified Gram-Schmidt; Givens rotations keep the Hessenberg
+    matrix upper triangular as it grows (Saad and Schultz 1986), so each
+    iteration's residual is read off the rotated right-hand side and a
+    cycle's iterate comes from one back-substitution.  A restart cycle has
+    stalled (the system is singular), and ends the solve, when its residual
+    does not halve the residual it started from, or when the true residual
+    it starts from is above half the previous cycle's start: back-substitution
+    does not truncate rank, so on a singular system x can move away while the
+    rotated residual falls.  Returns (x, relative residual after each
+    iteration).
     """
     bnorm = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
@@ -82,27 +88,44 @@ def _gmres(matvec, rhs: np.ndarray):
     if bnorm == 0.0:
         return x, history
     basis = np.empty((GMRES_RESTART + 1,) + rhs.shape, dtype=complex)
+    hess = np.zeros((GMRES_RESTART, GMRES_RESTART), dtype=complex)  # rotated to R
+    cos = np.empty(GMRES_RESTART, dtype=complex)
+    sin = np.empty(GMRES_RESTART, dtype=complex)
+    start = np.inf
     for _ in range(GMRES_CYCLES):
         r = rhs - matvec(x)
         beta = np.linalg.norm(r)
+        if beta > 0.5 * start:
+            break
+        start = beta
         basis[0] = r / beta
-        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART), dtype=complex)
-        e1 = np.zeros(GMRES_RESTART + 1, dtype=complex)
-        e1[0] = beta
+        g = np.zeros(GMRES_RESTART + 1, dtype=complex)
+        g[0] = beta
         for j in range(GMRES_RESTART):
             w = matvec(basis[j])
             for i in range(j + 1):
                 hess[i, j] = np.vdot(basis[i], w)
                 w -= hess[i, j] * basis[i]
-            hess[j + 1, j] = np.linalg.norm(w)
-            h, rhs_j = hess[: j + 2, : j + 1], e1[: j + 2]
-            y = np.linalg.lstsq(h, rhs_j, rcond=None)[0]
-            history.append(float(np.linalg.norm(h @ y - rhs_j) / bnorm))
-            if history[-1] <= GMRES_TOL or hess[j + 1, j] == 0.0:
+            below = np.linalg.norm(w)
+            for i in range(j):
+                hess[i, j], hess[i + 1, j] = (
+                    np.conj(cos[i]) * hess[i, j] + np.conj(sin[i]) * hess[i + 1, j],
+                    cos[i] * hess[i + 1, j] - sin[i] * hess[i, j],
+                )
+            rho = np.hypot(abs(hess[j, j]), below)
+            cos[j], sin[j] = hess[j, j] / rho, below / rho
+            hess[j, j] = rho
+            g[j + 1] = -sin[j] * g[j]
+            g[j] = np.conj(cos[j]) * g[j]
+            history.append(float(abs(g[j + 1]) / bnorm))
+            if history[-1] <= GMRES_TOL or below == 0.0:
                 break
-            basis[j + 1] = w / hess[j + 1, j]
-        x = x + np.tensordot(y, basis[: len(y)], axes=1)
-        if history[-1] <= GMRES_TOL or history[-1] > 0.5 * beta / bnorm:
+            basis[j + 1] = w / below
+        y = g[: j + 1]
+        for i in range(j, -1, -1):
+            y[i] = (y[i] - hess[i, i + 1 : j + 1] @ y[i + 1 :]) / hess[i, i]
+        x = x + np.tensordot(y, basis[: j + 1], axes=1)
+        if not GMRES_TOL < history[-1] <= 0.5 * beta / bnorm:
             break
     return x, history
 

@@ -320,14 +320,17 @@ _MAX_NAME = _NAME_WIDTHS[-1] - 1
 
 def linefuncs_to_csv(named):
     """lambda, block, k, j, re, im of each name -> LineMatrixFunction: a slab
-    per entry, the lambda column formatted once per function.  A block name
-    longer than _MAX_NAME characters, which linefuncs_from_csv refuses, is
-    refused here too."""
+    per entry, the lambda column formatted once per grid (kept while the
+    next function's grid has the same bytes).  A block name longer than
+    _MAX_NAME characters, which linefuncs_from_csv refuses, is refused here
+    too."""
     yield ",".join(_CSV_HEADER) + "\n"
+    key = None
     for name, f in named.items():
         if len(name) > _MAX_NAME:
             raise ValidationError("block name", f"{name!r} is longer than {_MAX_NAME} characters")
-        lead = _lead_text((f.grid,), len(f.grid))
+        if f.grid.tobytes() != key:
+            key, lead = f.grid.tobytes(), _lead_text((f.grid,), len(f.grid))
         for k in range(f.m):
             for j in range(f.m):
                 yield _csv_rows(lead, (name, k, j), f.values[:, k, j])

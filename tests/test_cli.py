@@ -349,6 +349,54 @@ def test_split_command(tmp_path):
     assert np.abs(parts["f_plus"].values[:, 0, 0] - 1j / (grid + 1j)).max() < 1e-4
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_split_refuses_a_grid_too_small_for_the_tail_fit(tmp_path, n):
+    # the split's edge fit needs 12 points, none of its edge samples at
+    # lambda = 0: smaller grids exit 2 with a report, 16 points run
+    grid = make_grid(100.0, n)
+    f = LineMatrixFunction(grid, (1j / (grid + 1j) - 1j / (grid - 1j))[:, None, None])
+    inp = tmp_path / "f.csv"
+    inp.write_text("".join(linefuncs_to_csv({"f": f})))
+    cfg = _write(tmp_path, "split.json", {"input": str(inp)})
+    out = tmp_path / "out"
+    if n == 16:
+        assert run_cli("split", "--config", cfg, "--out", str(out)) == 0
+        return
+    assert run_cli("split", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == "lambda grid"
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
+def test_edge_roundtrip_refuses_a_grid_too_small_for_the_tail_fit(tmp_path):
+    # compare_to 0.05 keeps the s-grid inside the 8-point period
+    prob = _write(tmp_path, "p.json", EDGE_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, "n_lambda": 8, "split_edge_tol": 0.01, "compare_to": 0.05})
+    out = tmp_path / "out"
+    assert run_cli("edge-roundtrip", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == "lambda grid"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("LAPACK least squares, pinv, svd or qr reached")
+
+
+@pytest.mark.parametrize("command", ["split", "rh-solve", "recover-blocks", "edge-roundtrip"])
+def test_inverse_commands_run_without_lapack_least_squares(tmp_path, monkeypatch, command):
+    # the split's fits and GMRES use Gram-Schmidt, np.linalg.solve and
+    # Givens rotations; edge-roundtrip's per-point solve keeps its svd and
+    # pinv, so only lstsq is refused there.  The grid models are built anew.
+    from isphalf import projection
+
+    refused = ["lstsq"] if command == "edge-roundtrip" else ["lstsq", "pinv", "svd", "qr"]
+    for name in refused:
+        monkeypatch.setattr(np.linalg, name, _refuse)
+    projection._model_of_grid.cache_clear()
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", _command_config(tmp_path, command), "--out", str(out)) == 0
+
+
 def test_split_rejects_entries_on_different_grids(tmp_path):
     # (1,1) on lambda = 0..3, (1,2) on lambda = 10..13
     rows = [f"{lam},S,1,1,1,0" for lam in range(4)] + [f"{lam},S,1,2,0.5,0" for lam in range(10, 14)]

@@ -7,6 +7,8 @@ from isphalf.domain import Dispersion, validate_potential
 from isphalf.edge_coupled import (
     EdgeBoundary,
     EdgeCoupledSystem,
+    EdgeProfiles,
+    _boundary_rows,
     _column_entries,
     _edge_rates,
     _family_matrix,
@@ -16,7 +18,6 @@ from isphalf.edge_coupled import (
     edge_scattering,
     edge_solve_coefficients,
     edge_split,
-    exact_edge_profiles,
 )
 from isphalf.errors import EdgeDecayViolation, RankDeficient, ValidationError
 from isphalf.forward import (
@@ -37,6 +38,18 @@ from isphalf.serialize import random_edge_system
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(100.0, 4096)
+
+
+def exact_edge_profiles(sys_: EdgeCoupledSystem, bnd: EdgeBoundary, s_grid: np.ndarray) -> EdgeProfiles:
+    """Closed-form c_{k+-}(s), the oracle of the inversion tests."""
+    s = np.asarray(s_grid, dtype=float)
+    beta_first, beta_last = _edge_rates(sys_.disp)
+
+    def part(profiles, rates):
+        density = np.array([p(s / beta) / beta for p, beta in zip(profiles, rates)])
+        return 1j * _boundary_rows(bnd.h_block, density)
+
+    return EdgeProfiles(s, part(sys_.c_first, beta_first), part(sys_.c_last, beta_last))
 
 
 def nonzero_count(pot):

@@ -7,6 +7,7 @@ from isphalf.domain import BoundaryMatrix, Dispersion
 from isphalf.edge_coupled import EdgeCoupledSystem
 from isphalf.errors import (
     DegenerateBoundaryPair,
+    ValidationError,
     EdgeDecayViolation,
     FredholmSingular,
     InconsistentInputs,
@@ -16,7 +17,18 @@ from isphalf import rh
 from isphalf.forward import boundary_parts, kernel_transforms, scattering_matrix, solve_kernels, transmission_matrix
 from isphalf.linefunc import Analyticity, BlockTransforms, LineMatrixFunction, make_grid
 from isphalf.profiles import ExpSumProfile
-from isphalf.projection import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS, _si_rule, sine_integral, split_samples
+from isphalf import projection
+from isphalf.projection import (
+    MODEL_W,
+    _LEGENDRE_NODES,
+    _LEGENDRE_WEIGHTS,
+    _si_rule,
+    edge_indices,
+    plus_mask,
+    pole_basis,
+    sine_integral,
+    split_samples,
+)
 from isphalf.rh import (
     plemelj_split,
     plus_projector_matrix,
@@ -114,6 +126,85 @@ def test_split_samples_linear_and_complete(seed, n, cols):
     assert np.abs(cp - (a * fp + b * gp)).max() <= 1e-12 * scale
     assert np.abs(cm - (a * fm + b * gm)).max() <= 1e-12 * scale
     assert np.abs(fp + fm - f).max() <= 1e-12 * np.abs(f).max()
+
+
+def reference_split_model(grid, flat):
+    """The split model (plus, minus pole coefficients) as one call built it
+    before the grid model was cached: the edge fit, the probe densities and
+    the probe fit formed anew, the fits by LAPACK least squares."""
+    lam_max = float(max(abs(grid[0]), abs(grid[-1])))
+    step = float(grid[1] - grid[0])
+    idx = edge_indices(len(grid))
+    basis = pole_basis(grid[idx], 0.0)
+    scale = np.abs(basis).max(axis=0)
+    c = np.linalg.lstsq(basis / scale, flat[idx], rcond=None)[0] / scale[:, None]
+    c1, c2, c3 = c[0], c[1], c[2]
+    w = MODEL_W
+    f_right = c1 / lam_max + c2 / lam_max ** 2 + c3 / lam_max ** 3
+    window = step * (flat.sum(axis=0) - 0.5 * flat[0] + 0.5 * f_right)
+    i0 = (window + 2.0 * c2 / lam_max) / (2.0 * np.pi)
+
+    t = (2.0 / lam_max) * np.arange(1, 8)
+    phases = np.exp(-1j * np.outer(grid, t))
+    window = step * (
+        phases.T @ flat - 0.5 * np.outer(phases[0], flat[0]) + 0.5 * np.outer(np.exp(-1j * lam_max * t), f_right)
+    )
+    rest = 0.5 * np.pi - sine_integral(lam_max * t)
+    tail1 = -2j * rest
+    tail2 = 2.0 * (np.cos(lam_max * t) / lam_max - t * rest)
+    tail3 = -2j * (np.sin(lam_max * t) / (2.0 * lam_max ** 2) + 0.5 * t * (np.cos(lam_max * t) / lam_max - t * rest))
+    tails = tail1[:, None] * c1 + tail2[:, None] * c2 + tail3[:, None] * c3
+    phi = (window + tails) / (2.0 * np.pi)
+    vand = np.vander(t, 4, increasing=True)
+    scale_t = np.abs(vand).max(axis=0)
+    fit = np.linalg.lstsq(vand / scale_t, phi, rcond=None)[0] / scale_t[:, None]
+
+    l1p, l2p, l3p = 1j * i0 + 0.5 * c1, -fit[1], -2j * fit[2]
+    a1 = l1p
+    g1 = c1 - a1
+    a2 = l2p + 1j * w * a1
+    g2 = (c2 - l2p) - 1j * w * g1
+    a3 = l3p + 2j * w * a2 + w * w * a1
+    g3 = (c3 - l3p) - 2j * w * g2 + w * w * g1
+    return np.stack([a1, a2, a3]), np.stack([g1, g2, g3])
+
+
+@pytest.mark.parametrize("shift", [0, 2, -1])
+@pytest.mark.parametrize("n, lam_max", [(16, 4.0), (64, 10.0), (1024, 50.0), (4096, 100.0)])
+def test_cached_split_model_matches_the_per_call_reference(n, lam_max, shift):
+    # the split's parts from the cached grid model against those from the
+    # reference model, on pole sums and on grids shifted by shift N / 16
+    # whole steps (the edge samples stay off lambda = 0)
+    grid = make_grid(lam_max, n) + (shift * n // 16) * (2.0 * lam_max / n)
+    vals = _decaying_columns(np.random.default_rng(n + shift), grid, 3)
+    a, g = reference_split_model(grid, vals)
+    mplus = pole_basis(grid, -1j * MODEL_W) @ a
+    spec = np.fft.fft(vals - (mplus + pole_basis(grid, 1j * MODEL_W) @ g), axis=0)
+    want = np.fft.ifft(spec * plus_mask(n)[:, None], axis=0) + mplus
+    plus, minus = split_samples(grid, vals)
+    assert np.abs(plus - want).max() <= 1e-13 * np.abs(vals).max()
+    assert np.abs(minus - (vals - want)).max() <= 1e-13 * np.abs(vals).max()
+
+
+def test_grid_model_is_keyed_on_the_grid_bytes():
+    # a split reads the model of exactly the grid it was given, however
+    # many grids of the same length came before; the model is read-only
+    base = make_grid(50.0, 256)
+    grids = (base, base + (base[1] - base[0]), np.nextafter(base, np.inf), base.copy())
+    for grid in grids:
+        model = projection._grid_model(grid)
+        assert np.array_equal(model.plus_pole, 1.0 / (grid + 1j * MODEL_W))
+        assert not any(part.flags.writeable for part in model[1:])
+    assert projection._grid_model(grids[0]) is projection._grid_model(grids[3])
+
+
+@pytest.mark.parametrize(
+    "grid", [make_grid(100.0, 4), make_grid(100.0, 8), (200.0 / 12) * np.arange(-6, 6), make_grid(100.0, 16) + 37.5]
+)
+def test_split_refuses_a_grid_without_a_tail_fit(grid):
+    # fewer than 12 points, or an edge sample at lambda = 0
+    with pytest.raises(ValidationError, match="lambda grid"):
+        split_samples(grid, 1.0 / (grid - 1j))
 
 
 def test_si_rule_is_leggauss_40_bit_for_bit():
@@ -272,6 +363,68 @@ def test_rh_stalled_gmres_stops_early(monkeypatch):
     with pytest.raises(FredholmSingular):
         solve_regular_rh(_scalar(grid, vals), edge_tol=5e-2)
     assert len(calls) <= 2 * (rh.GMRES_RESTART + 1) + 1
+
+
+def reference_gmres(matvec, rhs):
+    """Restarted GMRES as it was before Givens rotations: each iteration
+    solves the Hessenberg least-squares problem anew with LAPACK and takes
+    its residual explicitly; a cycle that does not halve its starting
+    residual ends the solve."""
+    bnorm = np.linalg.norm(rhs)
+    x = np.zeros_like(rhs)
+    history = []
+    basis = np.empty((rh.GMRES_RESTART + 1,) + rhs.shape, dtype=complex)
+    for _ in range(rh.GMRES_CYCLES):
+        r = rhs - matvec(x)
+        beta = np.linalg.norm(r)
+        basis[0] = r / beta
+        hess = np.zeros((rh.GMRES_RESTART + 1, rh.GMRES_RESTART), dtype=complex)
+        e1 = np.zeros(rh.GMRES_RESTART + 1, dtype=complex)
+        e1[0] = beta
+        for j in range(rh.GMRES_RESTART):
+            w = matvec(basis[j])
+            for i in range(j + 1):
+                hess[i, j] = np.vdot(basis[i], w)
+                w -= hess[i, j] * basis[i]
+            hess[j + 1, j] = np.linalg.norm(w)
+            h, rhs_j = hess[: j + 2, : j + 1], e1[: j + 2]
+            y = np.linalg.lstsq(h, rhs_j, rcond=None)[0]
+            history.append(float(np.linalg.norm(h @ y - rhs_j) / bnorm))
+            if history[-1] <= rh.GMRES_TOL or hess[j + 1, j] == 0.0:
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        x = x + np.tensordot(y, basis[: len(y)], axes=1)
+        if history[-1] <= rh.GMRES_TOL or history[-1] > 0.5 * beta / bnorm:
+            break
+    return x, history
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spread", [3.0, 30.0])
+def test_givens_gmres_matches_the_lstsq_reference(seed, spread):
+    # regular non-normal systems on (40, 3) arrays: eigenvalues spread over
+    # [1, spread] converge within one restart cycle (3) or take two (30)
+    rng = np.random.default_rng(seed)
+    size = 120
+    q = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
+    upper = np.triu(0.3 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))), 1)
+    mat = q @ (np.diag(np.linspace(1.0, spread, size)) + upper / np.sqrt(size)) @ q.conj().T
+    rhs = (rng.standard_normal(size) + 1j * rng.standard_normal(size)).reshape(40, 3)
+
+    def matvec(x):
+        return (mat @ x.ravel()).reshape(x.shape)
+
+    x, history = rh._gmres(matvec, rhs)
+    want_x, want_history = reference_gmres(matvec, rhs)
+    assert len(history) == len(want_history)
+    assert (len(history) > rh.GMRES_RESTART) == (spread > 10.0)
+    # entries are relative to |rhs|; below about 1e-10 the reference's own
+    # explicit residual norm carries rounding of some 1e-17 |rhs|
+    history, want_history = np.array(history), np.array(want_history)
+    assert np.abs(history - want_history).max() <= 1e-12
+    big = want_history > 1e-8
+    assert np.all(np.abs(history - want_history)[big] <= 1e-12 * want_history[big])
+    assert np.abs(x - want_x).max() <= 1e-12 * np.abs(want_x).max()
 
 
 # -- block recovery ----------------------------------------------------------
