@@ -128,6 +128,8 @@ def _cmd_forward(cfg):
     if violations:
         raise ValidationError("potential", "; ".join(violations))
 
+    _, tau = fwd.kernel_grid(pot, disp, step=cfg.kernel_step, x_max=cfg.x_max, tau_max=cfg.t_max)
+    fwd.check_transform_phase(disp, cfg.lambda_max, float(tau[-1]))
     kernels = fwd.solve_kernels(pot, disp, step=cfg.kernel_step, x_max=cfg.x_max, tau_max=cfg.t_max)
     grid = make_grid(cfg.lambda_max, cfg.n_lambda)
     blocks = fwd.kernel_transforms(kernels, disp, grid)

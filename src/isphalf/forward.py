@@ -36,6 +36,9 @@ DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_STEP = 0.01
 DEFAULT_ITER_TOL = 1e-12
 MAX_SWEEPS = 50
+# largest |xi lambda t| of the kernel transforms: the float spacing there is 2,
+# so a larger phase keeps no digit modulo 2 pi
+MAX_TRANSFORM_PHASE = 2.0**53
 # tau levels per block of the kernel solve, each converged in turn and marched in one gather
 _LEVELS_PER_BLOCK = 32
 
@@ -605,8 +608,10 @@ def kernel_transforms(
     exact zero.  The result is the exact transform of the piecewise-quadratic
     interpolant, so each output is genuinely one-sided: minus-type for the
     first-column blocks (negative speeds), plus-type for the second-column
-    blocks.
+    blocks.  A grid whose phases keep no digit is refused
+    (check_transform_phase).
     """
+    check_transform_phase(disp, float(np.abs(grid).max()), float(kernels.tau_grid[-1]))
     n = disp.n
     xi = disp.xi_arr
     theta = kernels.theta
@@ -629,6 +634,21 @@ def kernel_transforms(
     return BlockTransforms(
         *(LineMatrixFunction(grid, vals[name], tags[cb]) for name, (_, cb) in KERNEL_BLOCKS.items())
     )
+
+
+def check_transform_phase(disp: Dispersion, lambda_max: float, t_max: float) -> None:
+    """Refuse, with ValidationError on lambda_max, a lambda grid whose
+    largest transform phase max|xi| lambda_max t_max is not finite or is above
+    MAX_TRANSFORM_PHASE.  Below it the Filon moments at omega dt, a smaller
+    phase, stay finite too."""
+    phase = float(np.abs(disp.xi_arr).max()) * lambda_max * t_max
+    if not phase <= MAX_TRANSFORM_PHASE:
+        raise ValidationError(
+            "lambda_max",
+            f"{lambda_max:.6g} with t_max {t_max:.6g} makes the largest transform phase "
+            f"max|xi| lambda_max t_max = {phase:.3g}, above 2^53 = {MAX_TRANSFORM_PHASE:.3g}, "
+            "where a float phase keeps no digit",
+        )
 
 
 def boundary_parts(blocks: BlockTransforms, bnd: BoundaryMatrix):

@@ -79,8 +79,9 @@ def _gmres(matvec, rhs: np.ndarray):
     does not halve the residual it started from, or when the true residual
     it starts from is above half the previous cycle's start: back-substitution
     does not truncate rank, so on a singular system x can move away while the
-    rotated residual falls.  Returns (x, relative residual after each
-    iteration).
+    rotated residual falls; that true residual then ends the history, so its
+    last entry is the residual of the x returned.  Returns (x, relative
+    residual after each iteration).
     """
     bnorm = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
@@ -96,6 +97,7 @@ def _gmres(matvec, rhs: np.ndarray):
         r = rhs - matvec(x)
         beta = np.linalg.norm(r)
         if beta > 0.5 * start:
+            history.append(float(beta / bnorm))
             break
         start = beta
         basis[0] = r / beta

@@ -309,6 +309,23 @@ def test_forward_refuses_unbounded_or_degenerate_grid(tmp_path, key, value, fiel
     assert {p.name for p in out.iterdir()} == {"report.json"}
 
 
+@pytest.mark.parametrize("lambda_max", [1e308, 1e200])
+def test_forward_refuses_a_lambda_max_whose_phase_keeps_no_digit(tmp_path, monkeypatch, lambda_max):
+    # at 1e308 the grid step overflows, at 1e200 the Filon moments do; both
+    # are refused before the kernel solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the kernel solve ran")
+
+    monkeypatch.setattr(forward, "solve_kernels", no_solve)
+    prob = _write(tmp_path, "p.json", EXP_PROBLEM)
+    cfg = _write(tmp_path, "c.json", {"problem": prob, **FWD_CFG, "lambda_max": lambda_max})
+    out = tmp_path / "out"
+    assert run_cli("forward", "--config", cfg, "--out", str(out)) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "ValidationError" and rep["field"] == "lambda_max"
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+
+
 def _split_config(tmp_path):
     grid = make_grid(100.0, 2048)
     f = LineMatrixFunction(grid, (1j / (grid + 1j) - 1j / (grid - 1j))[:, None, None])
@@ -797,7 +814,10 @@ SCIPY_FREE_SCRIPT = """
 import json, sys
 import isphalf.cli, isphalf.config, isphalf.serialize, isphalf.forward, isphalf.edge_coupled, isphalf.rh
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
+    return sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("scipy", "ssl", "_hashlib") or m.startswith("numpy.polynomial")
+    )
 loaded = {"import": heavy()}
 for command, config in json.loads(sys.argv[1]):
     code = isphalf.cli.main([command, "--config", config, "--out", sys.argv[2] + "/" + command])
@@ -821,8 +841,8 @@ def _fresh_interpreter(script, *args):
 
 
 def _scipy_modules_loaded(tmp_path, runs):
-    """Run the commands in one fresh interpreter; scipy and numpy.polynomial
-    modules loaded after each."""
+    """Run the commands in one fresh interpreter; scipy, numpy.polynomial
+    and OpenSSL (ssl, _hashlib) modules loaded after each."""
     return _fresh_interpreter(SCIPY_FREE_SCRIPT, json.dumps(runs), str(tmp_path / "out"))
 
 

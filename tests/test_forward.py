@@ -25,8 +25,10 @@ from isphalf.forward import (
     DEFAULT_STEP,
     DEFAULT_TAIL_TOL,
     MAX_SWEEPS,
+    MAX_TRANSFORM_PHASE,
     asymptotic_coefficients,
     boundary_parts,
+    check_transform_phase,
     kernel_transforms,
     potential_from_kernels,
     scattering_matrix,
@@ -723,6 +725,19 @@ def test_transform_closed_form(n1_blocks, grid_100_4096):
     assert n1_blocks.a12_plus.analyticity.kind == "plus"
     assert n1_blocks.a11_minus.analyticity.kind == "minus"
     assert n1_blocks.a12_plus.analyticity.delta == pytest.approx(0.5)
+
+
+def test_transform_phase_is_refused_above_two_to_the_53(n1_kernels, n1_disp):
+    # the n = 1 speeds are -1 and 1, so the largest phase is lambda_max t_max,
+    # exact in floats at t_max = 16
+    edge = MAX_TRANSFORM_PHASE / 16.0
+    check_transform_phase(n1_disp, edge, 16.0)
+    for lambda_max in (np.nextafter(edge, np.inf), 1e200, 1e308):
+        with pytest.raises(ValidationError) as exc:
+            check_transform_phase(n1_disp, lambda_max, 16.0)
+        assert exc.value.field == "lambda_max"
+    with pytest.raises(ValidationError):
+        kernel_transforms(n1_kernels, n1_disp, make_grid(1e200, 64))
 
 
 def test_transform_vanishes_at_infinity(n1_blocks):

@@ -365,6 +365,27 @@ def test_rh_stalled_gmres_stops_early(monkeypatch):
     assert len(calls) <= 2 * (rh.GMRES_RESTART + 1) + 1
 
 
+def test_stalled_gmres_history_ends_at_the_true_residual():
+    # winding +1: the second restart cycle starts from a true residual above
+    # half the first cycle's start, so the solve stops there; the history's
+    # last entry, which FredholmSingular reports, is the residual of the x
+    # returned, not the first cycle's rotated estimate
+    grid = make_grid(100.0, 1024)
+    g = ((grid + 1j) / (grid - 1j) - 1.0)[:, None, None]
+
+    def matvec(x):
+        return x + split_samples(grid, x @ g)[0]
+
+    rhs = -split_samples(grid, g)[0]
+    x, history = rh._gmres(matvec, rhs)
+    true = np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs)
+    assert true > 1.0
+    assert abs(history[-1] - true) <= 1e-12 * true
+    with pytest.raises(FredholmSingular) as exc:
+        solve_regular_rh(_scalar(grid, g[:, 0, 0] + 1.0), edge_tol=5e-2)
+    assert exc.value.residual == history[-1]
+
+
 def reference_gmres(matvec, rhs):
     """Restarted GMRES as it was before Givens rotations: each iteration
     solves the Hessenberg least-squares problem anew with LAPACK and takes

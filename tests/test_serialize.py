@@ -14,7 +14,14 @@ from isphalf.domain import Dispersion
 from isphalf.errors import IspError, ParseError, ValidationError
 from isphalf.forward import TransformationKernels
 from isphalf.linefunc import LineMatrixFunction, make_grid
-from isphalf.serialize import atomic_write_text, kernels_to_csv, linefuncs_from_csv, linefuncs_to_csv, load_problem
+from isphalf.serialize import (
+    atomic_write_text,
+    file_manifest,
+    kernels_to_csv,
+    linefuncs_from_csv,
+    linefuncs_to_csv,
+    load_problem,
+)
 
 # -- reference writers: one csv.writer row per cell, format(v, ".17g") per float
 
@@ -447,6 +454,18 @@ def test_atomic_write_text_hashes_the_chunks_it_writes(tmp_path):
     data = (tmp_path / "a.csv").read_bytes()
     assert data == "".join(chunks).encode("utf-8")
     assert digest == hashlib.sha256(data).hexdigest() == atomic_write_text(tmp_path / "b.csv", "".join(chunks))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(chunks=st.lists(st.text(), max_size=6))
+def test_written_digest_is_the_sha256_of_the_file(tmp_path_factory, chunks):
+    # any text, non-ASCII included, in any chunks: empty ones and none at all
+    path = tmp_path_factory.getbasetemp() / "digest" / "f.csv"
+    digest = atomic_write_text(path, iter(chunks))
+    data = path.read_bytes()
+    assert data == "".join(chunks).encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert file_manifest([path]) == {"f.csv": digest}
 
 
 def test_linefuncs_dump_streams_in_bounded_memory(tmp_path):
