@@ -1,6 +1,7 @@
 """Core value types: dispersion, block-triangular potentials, boundary matrices,
-the kernel channel table that the structure fixes, and the determinant
-guard of lambda grids of matrices.
+the one rule on the full 2n x 2n indices that fixes the structure
+(admissible), the kernel channel table it gives, and the determinant guard
+of lambda grids of matrices.
 
 The types are frozen dataclasses, but their arrays (BoundaryMatrix.H) are
 writable: share them across threads as read-only data.
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularH, ValidationError
-from .profiles import ZERO_PROFILE, as_profile
+from .profiles import ZERO_PROFILE, ScalarProfile, as_profile
 
 SINGULARITY_TOL = 1e-10
 
@@ -56,38 +57,11 @@ class Dispersion:
         return np.array(self.xi)
 
 
-def _strictly_lower(i: int, j: int, n: int) -> bool:
-    return i > j
-
-
-def _lower_anti(i: int, j: int, n: int) -> bool:
-    # 1-based: zero for i + j <= n
-    return (i + 1) + (j + 1) > n
-
-
-def _upper_anti(i: int, j: int, n: int) -> bool:
-    # 1-based: zero for i + j >= n + 2
-    return (i + 1) + (j + 1) < n + 2
-
-
-def _strictly_upper(i: int, j: int, n: int) -> bool:
-    return j > i
-
-
-BLOCK_ALLOWED = {
-    "q11": _strictly_lower,
-    "q12": _lower_anti,
-    "q21": _upper_anti,
-    "q22": _strictly_upper,
-}
-
-# Kernel blocks admit the corresponding non-strict patterns (diagonals allowed).
-KERNEL_ALLOWED = {
-    "A11": lambda i, j, n: i >= j,
-    "A12": _lower_anti,
-    "A21": _upper_anti,
-    "A22": lambda i, j, n: j >= i,
-}
+def admissible(r: int, c: int, n: int) -> bool:
+    """Whether kernel entry (r, c) of the full 2n x 2n kernel, 0-based, may
+    be nonzero: row r lies no farther than column c from the middle of the
+    speed order.  The potential admits the same entries but the diagonal."""
+    return abs(2 * r + 1 - 2 * n) <= abs(2 * c + 1 - 2 * n)
 
 
 # (row block, column block) offsets of each kernel block into the 2n speeds
@@ -95,14 +69,17 @@ KERNEL_BLOCKS = {"A11": (0, 0), "A12": (0, 1), "A21": (1, 0), "A22": (1, 1)}
 
 
 class Channel(NamedTuple):
-    """One admissible kernel entry (k, j) of a block and its characteristic."""
+    """One admissible kernel entry: (k, j) of a block, (row, col) of the full
+    2n x 2n kernel, and its characteristic."""
 
     block: str
     k: int
     j: int
+    row: int
+    col: int
     row_speed: float
     col_speed: float
-    rho: float | None  # slope col / (col - row); None on the diagonal
+    rho: float | None  # slope col_speed / (col_speed - row_speed); None on the diagonal
 
     @property
     def q_block(self) -> str:
@@ -118,11 +95,10 @@ def channel_table(disp: Dispersion) -> tuple[Channel, ...]:
     for name, (rb, cb) in KERNEL_BLOCKS.items():
         for k in range(n):
             for j in range(n):
-                if not KERNEL_ALLOWED[name](k, j, n):
-                    continue
-                row, col = xi[rb * n + k], xi[cb * n + j]
-                rho = None if row == col else col / (col - row)
-                chans.append(Channel(name, k, j, row, col, rho))
+                r, c = rb * n + k, cb * n + j
+                if admissible(r, c, n):
+                    rho = None if r == c else xi[c] / (xi[c] - xi[r])
+                    chans.append(Channel(name, k, j, r, c, xi[r], xi[c], rho))
     return tuple(chans)
 
 
@@ -136,8 +112,11 @@ def kernel_decay_exponent(disp: Dispersion) -> float:
 
 
 def block_mask(name: str, n: int, kernel: bool = False) -> np.ndarray:
-    rule = (KERNEL_ALLOWED if kernel else BLOCK_ALLOWED)[name]
-    return np.array([[rule(i, j, n) for j in range(n)] for i in range(n)], dtype=bool)
+    """The (n, n) admissible entries of a potential block (q11 ...) or, with
+    kernel, of a kernel block (A11 ...)."""
+    rb, cb = KERNEL_BLOCKS["A" + name[1:]]
+    rows, cols = range(rb * n, rb * n + n), range(cb * n, cb * n + n)
+    return np.array([[admissible(r, c, n) and (kernel or r != c) for c in cols] for r in rows], dtype=bool)
 
 
 def _coerce_block(block, n: int):
@@ -178,15 +157,19 @@ class TriangularPotential:
     def block(self, name: str):
         return getattr(self, name)
 
-    def evaluate_block(self, name: str, x: np.ndarray) -> np.ndarray:
-        """Block values as an (n, n, len(x)) array."""
+    def entry(self, r: int, c: int) -> ScalarProfile:
+        """Entry (r, c) of the full 2n x 2n potential, 0-based."""
+        n = self.n
+        return self.block(f"q{r // n + 1}{c // n + 1}")[r % n][c % n]
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The full potential as a (2n, 2n, len(x)) array."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros((self.n, self.n) + x.shape, dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                p = self.block(name)[i][j]
-                if not p.is_zero:
-                    out[i, j] = p(x)
+        out = np.zeros((2 * self.n, 2 * self.n) + x.shape, dtype=complex)
+        for r in range(2 * self.n):
+            for c in range(2 * self.n):
+                if not (p := self.entry(r, c)).is_zero:
+                    out[r, c] = p(x)
         return out
 
 
@@ -202,19 +185,16 @@ def validate_potential(pot: TriangularPotential):
     c_env, eps = pot.envelope
     x_probe = np.linspace(0.0, max(1.0, 10.0 / eps), 201)
     bound = c_env * np.exp(-eps * x_probe) * (1.0 + 1e-9) + 1e-300
-    for name, rule in BLOCK_ALLOWED.items():
+    patterns = {"q11": "strict lower", "q12": "lower anti", "q21": "upper anti", "q22": "strict upper"}
+    for name, pattern in patterns.items():
+        allowed = block_mask(name, n)
         for i in range(n):
             for j in range(n):
                 p = pot.block(name)[i][j]
-                if not rule(i, j, n):
-                    if not p.is_zero:
-                        report.append(
-                            f"{name}({i + 1},{j + 1}) must be zero: violates "
-                            f"{'strict lower' if name == 'q11' else 'lower anti' if name == 'q12' else 'upper anti' if name == 'q21' else 'strict upper'}"
-                            " triangularity"
-                        )
-                    continue
                 if p.is_zero:
+                    continue
+                if not allowed[i, j]:
+                    report.append(f"{name}({i + 1},{j + 1}) must be zero: violates {pattern} triangularity")
                     continue
                 vals = np.abs(p(x_probe))
                 bad = vals > bound

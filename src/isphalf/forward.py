@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import (
-    BLOCK_ALLOWED,
-    KERNEL_ALLOWED,
     KERNEL_BLOCKS,
     BoundaryMatrix,
-    Channel,
     Dispersion,
     TriangularPotential,
+    admissible,
     channel_table,
     kernel_decay_exponent,
     singular_grid_point,
 )
 from .errors import NonConvergence, SingularFactor, SingularP, ValidationError
 from .linefunc import Analyticity, BlockTransforms, LineMatrixFunction
-from .profiles import SampledProfile, ScalarProfile, ZERO_PROFILE
+from .profiles import SampledProfile, ZERO_PROFILE
 from .quadrature import cumulative_right_linear, filon_simpson_transform
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -47,18 +45,6 @@ def truncation_length(envelope: tuple[float, float], tail_tol: float) -> float:
     """x beyond which the envelope C e^{-eps x} is below tail_tol."""
     c, eps = envelope
     return max(1.0, math.log(max(c, tail_tol * math.e) / tail_tol) / eps)
-
-
-def _full_profile(pot: TriangularPotential, row: int, col: int) -> ScalarProfile:
-    """Entry (row, col) of the full 2n x 2n potential, 0-based."""
-    n = pot.n
-    if row < n and col < n:
-        return pot.q11[row][col]
-    if row < n:
-        return pot.q12[row][col - n]
-    if col < n:
-        return pot.q21[row - n][col]
-    return pot.q22[row - n][col - n]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +80,7 @@ def _right_integral(pot: TriangularPotential, disp: Dispersion, lam: float, x: n
     terms = []
     for k in range(2 * disp.n):
         for m in range(2 * disp.n):
-            p = _full_profile(pot, k, m)
+            p = pot.entry(k, m)
             if not p.is_zero:
                 omega = lam * (xi[m] - xi[k])
                 terms.append((k, m, p(x), omega, p.halfline_transform_from(x[-1], omega)))
@@ -184,9 +170,9 @@ class TransformationKernels:
     block, (n, n, Ntau), and diagonals the kernel diagonal t = x, the
     tau = 0 face, (n, n, Nx); both are zero off the admissible entries.
     nonzero holds the (block, k, j) of each channel that is nonzero anywhere
-    on the triangle.  sweeps is the largest number of sweeps a tau-block of
-    the solve took, and sweep_changes the sup-norm change of each sweep, one
-    tuple per tau-block.
+    on the triangle.  sweep_changes holds the sup-norm change of each sweep,
+    one tuple per tau-block, and sweeps the largest number of sweeps a
+    tau-block took.
     """
 
     disp: Dispersion
@@ -197,12 +183,15 @@ class TransformationKernels:
     theta: float
     c_tilde: float
     envelope_eps: float
-    sweeps: int
-    sweep_changes: tuple[tuple[float, ...], ...] = ()
+    sweep_changes: tuple[tuple[float, ...], ...]
 
     @property
     def n(self) -> int:
         return self.disp.n
+
+    @property
+    def sweeps(self) -> int:
+        return max(map(len, self.sweep_changes))
 
     @property
     def x_grid(self) -> np.ndarray:
@@ -295,28 +284,22 @@ def kernel_grid(
     return step * np.arange(int(nx)), step * np.arange(int(nt))
 
 
-def _coupling_terms(chan: Channel, pot: TriangularPotential, qgrid: dict, row: dict):
-    """(q samples, buffer rows) of each product q_{km} A_{mj} in the coupling
-    of a channel: the full 2n x 2n product Q A restricted to the channel's
-    block, over the m from the first to the last where q_{km} is nonzero and
-    A_{mj} admissible.  The admissible m of a kernel column form one range,
-    so these A_{mj} are adjacent rows of a buffer ordered by block, column
-    and row (row maps (block, k, j) to its row).  The products left out are
-    exact zeros, so the sum is bit-identical to one over every m.
+def _coupling_terms(r: int, c: int, pot: TriangularPotential, q: np.ndarray, row: dict):
+    """(Q samples, buffer rows) of the coupling (Q A)_{rc} of kernel entry
+    (r, c), one term per row block of A: the products Q_{rm} A_{mc} over the
+    m of that block from the first to the last where Q_{rm} is nonzero and
+    A_{mc} admissible.  The admissible m of a kernel column form one range,
+    so these A_{mc} are adjacent rows of a buffer ordered by column and row
+    (row maps (m, c) to its row).  The products left out are exact zeros, so
+    the sum is bit-identical to one over every m.
     """
     n = pot.n
-    rb, cb = KERNEL_BLOCKS[chan.block]
     terms = []
-    for mb in (0, 1):
-        qname, aname = f"q{rb + 1}{mb + 1}", f"A{mb + 1}{cb + 1}"
-        ms = [
-            m
-            for m in range(n)
-            if not pot.block(qname)[chan.k][m].is_zero and KERNEL_ALLOWED[aname](m, chan.j, n)
-        ]
+    for rows in (range(n), range(n, 2 * n)):
+        ms = [m for m in rows if not pot.entry(r, m).is_zero and admissible(m, c, n)]
         if ms:
-            first = row[aname, ms[0], chan.j]
-            terms.append((qgrid[qname][chan.k, ms[0] : ms[-1] + 1], slice(first, first + ms[-1] + 1 - ms[0])))
+            first = row[ms[0], c]
+            terms.append((q[r, ms[0] : ms[-1] + 1], slice(first, first + ms[-1] + 1 - ms[0])))
     return terms
 
 
@@ -424,7 +407,7 @@ def _sweep(
             else:
                 feet = _march(c.rho, geometry[c.rho], prev, g, feet, out, step)
             above[c] = (g[:, -1].copy(), feet)
-        old = block[row[c.block, c.k, c.j]]
+        old = block[row[c.row, c.col]]
         change = np.maximum(change, np.abs(out - old).max())
         old[...] = out
     return float(change), above
@@ -457,11 +440,11 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
     span = _LEVELS_PER_BLOCK
     step = float(x[1])  # x = step * arange(nx)
     chans = channel_table(disp)
-    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
-    # buffer rows by block, column and row, so each coupling product reads a slice
-    row = {(c.block, c.k, c.j): i for i, c in enumerate(sorted(chans, key=lambda c: (c.block, c.j, c.k)))}
-    terms = {c: _coupling_terms(c, pot, qgrid, row) for c in chans}
-    profile = {c: pot.block(c.q_block)[c.k][c.j] for c in chans if c.rho is not None}
+    q = pot.evaluate(x)
+    # buffer rows by column and row, so each coupling product reads a slice
+    row = {(c.row, c.col): i for i, c in enumerate(sorted(chans, key=lambda c: (c.col, c.row)))}
+    terms = {c: _coupling_terms(c.row, c.col, pot, q, row) for c in chans}
+    profile = {c: pot.entry(c.row, c.col) for c in chans if c.rho is not None}
     carries = {c: (None, (0, np.zeros(0, dtype=complex))) for c in profile}
     buf = np.empty((len(chans), len(x), min(span, len(tau))), dtype=complex)
     drives, geometry = {}, {}
@@ -480,7 +463,7 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
         for rho in {c.rho for c in profile}:
             geometry[rho] = _march_geometry(rho, first, levels, len(x)) if levels else None
         for c in chans:
-            block[row[c.block, c.k, c.j]] = drives.get(c, 0.0)
+            block[row[c.row, c.col]] = drives.get(c, 0.0)
         changes = []
         for _ in range(MAX_SWEEPS):
             change, above = _sweep(chans, terms, row, drives, geometry, block, a, carries, step)
@@ -490,7 +473,7 @@ def converged_tau_blocks(pot: TriangularPotential, disp: Dispersion, x: np.ndarr
         else:
             raise NonConvergence("kernel system", MAX_SWEEPS, change)
         carries.update(above)
-        yield slice(a, a + block.shape[2]), {c: block[row[c.block, c.k, c.j]] for c in chans}, changes
+        yield slice(a, a + block.shape[2]), {c: block[row[c.row, c.col]] for c in chans}, changes
 
 
 def solve_kernels(
@@ -564,7 +547,6 @@ def solve_kernels(
         theta=theta,
         c_tilde=c_tilde,
         envelope_eps=eps,
-        sweeps=max(map(len, history)),
         sweep_changes=tuple(history),
     )
 
@@ -576,7 +558,7 @@ def potential_from_kernels(kernels: TransformationKernels, disp: Dispersion) -> 
     n = disp.n
     x = kernels.x_grid
     eps = kernels.envelope_eps
-    blocks = {name: [[ZERO_PROFILE] * n for _ in range(n)] for name in BLOCK_ALLOWED}
+    blocks = {name: [[ZERO_PROFILE] * n for _ in range(n)] for name in ("q11", "q12", "q21", "q22")}
     c_env = 0.0
     for c in channel_table(disp):
         if c.rho is None:

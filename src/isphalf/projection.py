@@ -60,14 +60,6 @@ def pole_basis(grid: np.ndarray, pole: complex) -> np.ndarray:
     return np.stack([1.0 / d, 1.0 / d ** 2, 1.0 / d ** 3], axis=1)
 
 
-def edge_tail_fit(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Coefficients (rows c1, c2, c3) of the Laurent tail c1/l + c2/l^2 + c3/l^3
-    per column of values, by least squares at the edge samples with each
-    basis column scaled to unit sup (the grid model's `edge_pinv`)."""
-    model = _grid_model(grid)
-    return model.edge_pinv @ values[model.edge]
-
-
 # the non-negative half of the 40-point Gauss-Legendre rule on [-1, 1]
 # (np.polynomial.legendre.leggauss(40), whose nodes are exactly symmetric),
 # written out so a split does not import numpy.polynomial
@@ -126,7 +118,7 @@ def _pinv(a: np.ndarray) -> np.ndarray:
 
 
 class _GridModel(NamedTuple):
-    """The grid-only pieces of the split's tail model (`_split_model`)."""
+    """The grid-only pieces of the split's tail model (`_coefficients`)."""
 
     window: float  # d lambda / 2 pi, the probe window sums' weight
     edge: np.ndarray  # the edge samples' indices
@@ -223,7 +215,18 @@ def _pole_sum(pole: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(model: _GridModel, flat: np.ndarray):
-    """Plus and minus pole coefficients of the columns' split model (`_split_model`)."""
+    """Rational model of each column with the correct plus/minus tail split.
+
+    Returns the coefficients (plus, minus), each of shape (3, columns), of
+    the plus part sum_p a_p / (lambda + i w)^p and the minus part
+    sum_p g_p / (lambda - i w)^p, w = MODEL_W.  The split parts of f carry 1/lambda
+    tails that f itself need not show; their leading coefficients are fixed
+    exactly by the moments of f (i phi(0+) and -phi'(0+) from the
+    half-line density at small t), while order three only matches f's own
+    tail and is assigned symmetrically, wrapping at the negligible
+    1/lambda^3 periodization level.  Every grid-only piece comes from the
+    model (the cached `_grid_model`), so a call costs a few thin products.
+    """
     c = model.edge_pinv @ flat[model.edge]
     c1, c2, c3 = c[0], c[1], c[2]
     w = MODEL_W
@@ -246,22 +249,6 @@ def _coefficients(model: _GridModel, flat: np.ndarray):
     g3 = (c3 - l3p) - 2j * w * g2 + w * w * g1
 
     return np.stack([a1, a2, a3]), np.stack([g1, g2, g3])
-
-
-def _split_model(grid: np.ndarray, flat: np.ndarray):
-    """Rational model of each column with the correct plus/minus tail split.
-
-    Returns the coefficients (plus, minus), each of shape (3, columns), of
-    the plus part sum_p a_p / (lambda + i w)^p and the minus part
-    sum_p g_p / (lambda - i w)^p, w = MODEL_W.  The split parts of f carry 1/lambda
-    tails that f itself need not show; their leading coefficients are fixed
-    exactly by the moments of f (i phi(0+) and -phi'(0+) from the
-    half-line density at small t), while order three only matches f's own
-    tail and is assigned symmetrically, wrapping at the negligible
-    1/lambda^3 periodization level.  Every grid-only piece comes from the
-    cached `_grid_model`, so a call costs a few thin products.
-    """
-    return _coefficients(_grid_model(grid), flat)
 
 
 def _remainder_spectrum(grid: np.ndarray, flat: np.ndarray):

@@ -27,7 +27,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 try:
@@ -258,12 +257,14 @@ def _fmt(x: float) -> str:
 
 def atomic_write_text(path, text) -> str:
     """Write text (a str or an iterable of str chunks) atomically as UTF-8, one
-    chunk at a time; returns the sha256 hex digest of the bytes."""
+    chunk at a time; returns the sha256 hex digest of the bytes.  The file
+    gets mode 0o666 less the umask, as open() would give it."""
     chunks = (text,) if isinstance(text, str) else text
     digest = sha256()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -922,4 +922,8 @@ def test_benchmark_tracer_targets_exist():
         if not callable(getattr(importlib.import_module(f"isphalf.{mod}"), attr, None))
     ]
     assert missing == []
-    assert callable(importlib.import_module("isphalf.domain").block_mask)
+    # the tracer's channel count: the kernel masks hold 2n(n + 1) entries
+    block_mask = importlib.import_module("isphalf.domain").block_mask
+    for n in range(1, 5):
+        channels = sum(int(block_mask(name, n, kernel=True).sum()) for name in ("A11", "A12", "A21", "A22"))
+        assert channels == 2 * n * (n + 1)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from isphalf.domain import (
-    KERNEL_ALLOWED,
     KERNEL_BLOCKS,
     BoundaryMatrix,
     Dispersion,
@@ -82,21 +81,55 @@ def test_decay_exponent_matches_four_families():
         assert kernel_decay_exponent(d) == _four_family_exponent(d)
 
 
+def _stated_pattern(name: str, i: int, j: int, n: int) -> bool:
+    """Whether entry (i, j), 1-based, of a potential block (q..) or kernel
+    block (A..) may be nonzero, as the problem states the structure: q11
+    strictly lower triangular, q12 zero for i + j <= n, q21 zero for
+    i + j >= n + 2, q22 strictly upper triangular; the kernel blocks also
+    admit the diagonals of A11 and A22."""
+    kernel = name[0] == "A"
+    return {
+        "11": i > j or (kernel and i == j),
+        "12": i + j > n,
+        "21": i + j < n + 2,
+        "22": j > i or (kernel and i == j),
+    }[name[1:]]
+
+
+def test_block_mask_is_the_stated_pattern():
+    for n in range(1, 9):
+        for name in KERNEL_BLOCKS:
+            for kernel, label in ((False, "q" + name[1:]), (True, name)):
+                want = [[_stated_pattern(label, i + 1, j + 1, n) for j in range(n)] for i in range(n)]
+                assert block_mask(label, n, kernel=kernel).tolist() == want
+
+
 def test_channel_table_is_the_admissible_pattern():
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 4):
+    for n in range(1, 9):
         d = _random_dispersion(rng, n)
         chans = channel_table(d)
         assert len(chans) == 2 * n * (n + 1)
-        want = {(name, k, j) for name in KERNEL_BLOCKS for k in range(n) for j in range(n) if KERNEL_ALLOWED[name](k, j, n)}
+        want = {(name, k, j) for name in KERNEL_BLOCKS for k in range(n) for j in range(n) if _stated_pattern(name, k + 1, j + 1, n)}
         assert {(c.block, c.k, c.j) for c in chans} == want
         for c in chans:
             rb, cb = KERNEL_BLOCKS[c.block]
-            assert (c.row_speed, c.col_speed) == (d.xi[rb * n + c.k], d.xi[cb * n + c.j])
+            assert (c.row, c.col) == (rb * n + c.k, cb * n + c.j)
+            assert (c.row_speed, c.col_speed) == (d.xi[c.row], d.xi[c.col])
             if rb == cb and c.k == c.j:
                 assert c.rho is None
             else:
                 assert c.rho == c.col_speed / (c.col_speed - c.row_speed) > 0
+
+
+def test_kernel_columns_admit_one_row_range():
+    # the coupling of a kernel column reads its admissible rows as one slice
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        chans = channel_table(_random_dispersion(rng, n))
+        for col in range(2 * n):
+            rows = sorted(c.row for c in chans if c.col == col)
+            assert rows == list(range(rows[0], rows[-1] + 1))
 
 
 def test_decay_exponent_symmetric_pairs_below_one():
@@ -123,6 +156,25 @@ def test_strict_triangle_violation_named():
     report = validate_potential(pot)
     assert len(report) == 1
     assert "q11(1,2)" in report[0]
+
+
+@pytest.mark.parametrize(
+    "n, name, i, j, want",
+    [
+        (2, "q11", 1, 2, "q11(1,2) must be zero: violates strict lower triangularity"),
+        (2, "q12", 1, 1, "q12(1,1) must be zero: violates lower anti triangularity"),
+        (2, "q21", 2, 2, "q21(2,2) must be zero: violates upper anti triangularity"),
+        (2, "q22", 2, 1, "q22(2,1) must be zero: violates strict upper triangularity"),
+        (3, "q11", 2, 2, "q11(2,2) must be zero: violates strict lower triangularity"),
+        (3, "q12", 1, 2, "q12(1,2) must be zero: violates lower anti triangularity"),
+        (3, "q21", 3, 2, "q21(3,2) must be zero: violates upper anti triangularity"),
+        (3, "q22", 3, 1, "q22(3,1) must be zero: violates strict upper triangularity"),
+    ],
+)
+def test_forbidden_entry_report_is_exact(n, name, i, j, want):
+    rows = [[None] * n for _ in range(n)]
+    rows[i - 1][j - 1] = ExpSumProfile(((0.5, 1.5),))
+    assert validate_potential(TriangularPotential(n, **{name: rows})) == [want]
 
 
 def test_envelope_violation_reported():

@@ -30,7 +30,7 @@ from isphalf.forward import (
 from isphalf.domain import BoundaryMatrix
 from isphalf.linefunc import make_grid
 from isphalf.profiles import ExpSumProfile, SampledProfile
-from isphalf.projection import MODEL_W, _split_model, pole_basis, split_densities, split_samples
+from isphalf.projection import MODEL_W, _coefficients, _grid_model, pole_basis, split_densities, split_samples
 from isphalf.rh import plemelj_split
 from isphalf.serialize import random_edge_system
 
@@ -399,7 +399,7 @@ def reference_split_densities(grid, values, count):
     k = np.arange(count)
     s_points = (2.0 * np.pi / (n * step)) * k
     w = MODEL_W
-    a, g = _split_model(grid, values)
+    a, g = _coefficients(_grid_model(grid), values)
     plus, minus = split_samples(grid, values)
     es = np.exp(-w * s_points)[:, None]
     s = s_points[:, None]

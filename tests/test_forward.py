@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from isphalf import forward
 from isphalf.domain import (
-    BLOCK_ALLOWED,
     BoundaryMatrix,
     Dispersion,
-    KERNEL_ALLOWED,
     KERNEL_BLOCKS,
     TriangularPotential,
+    block_mask,
     channel_table,
     kernel_decay_exponent,
     validate_potential,
@@ -126,7 +125,7 @@ def test_kernel_structure_preserved(n2_random_kernels, n2_random_triangle):
     for name in ("A11", "A12", "A21", "A22"):
         for i in range(n):
             for j in range(n):
-                if not KERNEL_ALLOWED[name](i, j, n):
+                if not block_mask(name, n, kernel=True)[i, j]:
                     assert np.abs(n2_random_triangle[name][i, j]).max() == 0.0
                     assert (name, i, j) not in n2_random_kernels.nonzero
 
@@ -199,7 +198,7 @@ def test_potential_from_kernel_diagonal_roundtrip(data, n, seed):
     ker = solve_kernels(pot, disp, step=0.1, x_max=4.0, tau_max=6.0)
     back = potential_from_kernels(ker, disp)
     x = ker.x_grid
-    for name in BLOCK_ALLOWED:
+    for name in ("q11", "q12", "q21", "q22"):
         for i in range(n):
             for j in range(n):
                 truth, got = pot.block(name)[i][j], back.block(name)[i][j]
@@ -282,10 +281,10 @@ def _channel_table(disp: Dispersion):
     xi = disp.xi_arr
     chans = []
     for name, (rb, cb) in _BLOCK_SPEEDS.items():
-        rule = KERNEL_ALLOWED[name]
+        mask = block_mask(name, n, kernel=True)
         for k in range(n):
             for j in range(n):
-                if not rule(k, j, n):
+                if not mask[k, j]:
                     continue
                 row_speed = xi[rb * n + k]
                 col_speed = xi[cb * n + j]
@@ -294,6 +293,13 @@ def _channel_table(disp: Dispersion):
                 else:
                     chans.append((name, k, j, col_speed / (col_speed - row_speed)))
     return chans
+
+
+def _q_blocks(pot: TriangularPotential, x: np.ndarray) -> dict:
+    """The four (n, n, len(x)) potential blocks, cut from the full samples."""
+    n = pot.n
+    q = pot.evaluate(x)
+    return {_DRIVE_BLOCK[name]: q[rb * n : rb * n + n, cb * n : cb * n + n].copy() for name, (rb, cb) in _BLOCK_SPEEDS.items()}
 
 
 def reference_solve_kernels(
@@ -329,7 +335,7 @@ def reference_solve_kernels(
     xi = disp.xi_arr
 
     chans = _channel_table(disp)
-    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
+    qgrid = _q_blocks(pot, x)
 
     # driving terms: D_{kj}(x, tau) = i rho q_{kj}(x + rho tau); zero on diagonals
     drive = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in _BLOCK_SPEEDS}
@@ -461,7 +467,7 @@ def reference_gauss_seidel_kernels(
     x = step * np.arange(nx)
     tau = step * np.arange(nt)
     chans = _channel_table(disp)
-    qgrid = {name: pot.evaluate_block(name, x) for name in BLOCK_ALLOWED}
+    qgrid = _q_blocks(pot, x)
 
     drive = {name: np.zeros((n, n, nx, nt), dtype=complex) for name in _BLOCK_SPEEDS}
     for name, k, j, rho in chans:
@@ -900,14 +906,13 @@ def test_bounded_solution_against_ode_integrator(n2_random_pot, e1_disp):
     B = np.array([0.5j, 0.9])
     X = 16.0
     xi = e1_disp.xi_arr
-    from isphalf.forward import _full_profile
 
     def rhs(x, yri):
         y = yri[:4] + 1j * yri[4:]
         q = np.zeros((4, 4), complex)
         for r in range(4):
             for c in range(4):
-                p = _full_profile(n2_random_pot, r, c)
+                p = n2_random_pot.entry(r, c)
                 if not p.is_zero:
                     q[r, c] = p(np.array([x]))[0]
         dy = 1j * (lam * np.diag(xi) - q) @ y

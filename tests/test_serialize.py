@@ -3,13 +3,19 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isphalf
 from isphalf.domain import Dispersion
 from isphalf.errors import IspError, ParseError, ValidationError
 from isphalf.forward import TransformationKernels
@@ -137,7 +143,7 @@ def _kernels_of(disp, step, blocks) -> TransformationKernels:
         theta=0.5,
         c_tilde=1.0,
         envelope_eps=1.0,
-        sweeps=1,
+        sweep_changes=((0.0,),),
     )
 
 
@@ -446,6 +452,27 @@ def test_atomic_write_text_failure_leaves_no_trace(tmp_path, existed):
     assert [p.name for p in tmp_path.iterdir()] == (["f.csv"] if existed else [])
     if existed:
         assert target.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_text_honours_the_umask(tmp_path, umask, mode):
+    # the umask belongs to the process, so each is set in a child interpreter
+    script = (
+        "import os, sys\n"
+        "from isphalf.serialize import atomic_write_text\n"
+        "os.umask(int(sys.argv[1]))\n"
+        "atomic_write_text(sys.argv[2], 'x\\n')\n"
+    )
+    target = tmp_path / "f.csv"
+    src = str(Path(isphalf.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", script, str(umask), str(target)],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
 def test_atomic_write_text_hashes_the_chunks_it_writes(tmp_path):
